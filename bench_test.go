@@ -17,6 +17,7 @@ import (
 	"repro/internal/complexity"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/forest"
 	"repro/internal/frame"
@@ -334,11 +335,11 @@ func BenchmarkAblationAggregation(b *testing.B) {
 // model against the gradient-boosted alternative on one phase.
 func BenchmarkAblationPredictor(b *testing.B) {
 	h := harness(b)
-	ph := pipeline.StandardPhases(730)[2]
-	for _, pred := range []pipeline.Predictor{pipeline.PredictorForest, pipeline.PredictorGBDT} {
+	ph := engine.StandardPhases(730)[2]
+	for _, pred := range []engine.Predictor{engine.PredictorForest, engine.PredictorGBDT} {
 		pred := pred
 		b.Run(pred.String(), func(b *testing.B) {
-			cfg := pipeline.Config{
+			cfg := engine.Config{
 				Forest:    forest.Config{NumTrees: 15, MaxDepth: 8, Seed: 1},
 				GBDT:      gbdt.Config{NumRounds: 15, MaxDepth: 3, Eta: 0.3, Lambda: 1},
 				NegEvery:  40,
@@ -346,7 +347,7 @@ func BenchmarkAblationPredictor(b *testing.B) {
 				Seed:      1,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.RunPhase(h.Source(), smart.MC1, pipeline.WEFR{NoUpdate: true}, ph, cfg); err != nil {
+				if _, err := engine.RunPhase(h.Source(), smart.MC1, pipeline.WEFR{NoUpdate: true}, ph, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
@@ -116,14 +117,14 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	ecfg := pipeline.Config{
+	ecfg := engine.Config{
 		Forest:      forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
 		SplitMethod: sm,
 		Workers:     o.Workers,
 		Seed:        o.Seed,
 	}
 	if o.UseGBDT {
-		ecfg.Predictor = pipeline.PredictorGBDT
+		ecfg.Predictor = engine.PredictorGBDT
 		ecfg.GBDT = gbdt.Config{NumRounds: o.Trees, MaxDepth: min(o.Depth, 6), Eta: 0.3, Lambda: 1}
 	}
 	res, err := control.Run(src, control.Config{
@@ -151,7 +152,7 @@ func run(o options) error {
 	return nil
 }
 
-func selectorByName(name string) (pipeline.Selector, error) {
+func selectorByName(name string) (engine.Selector, error) {
 	switch name {
 	case "wefr":
 		return pipeline.WEFR{}, nil

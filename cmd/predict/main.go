@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
@@ -142,19 +143,19 @@ func newSource(o options) (dataset.Source, error) {
 	return dataset.FleetSource{Fleet: fleet}, nil
 }
 
-func pipelineConfig(o options) (pipeline.Config, error) {
+func pipelineConfig(o options) (engine.Config, error) {
 	sm, err := hist.ParseSplitMethod(o.SplitMethod)
 	if err != nil {
-		return pipeline.Config{}, err
+		return engine.Config{}, err
 	}
-	cfg := pipeline.Config{
+	cfg := engine.Config{
 		Forest:      forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
 		SplitMethod: sm,
 		Workers:     o.Workers,
 		Seed:        o.Seed,
 	}
 	if o.UseGBDT {
-		cfg.Predictor = pipeline.PredictorGBDT
+		cfg.Predictor = engine.PredictorGBDT
 		cfg.GBDT = gbdt.Config{NumRounds: o.Trees, MaxDepth: min(o.Depth, 6), Eta: 0.3, Lambda: 1}
 	}
 	return cfg, nil
@@ -175,20 +176,20 @@ func runTrain(o options, model smart.ModelID) error {
 	if err != nil {
 		return err
 	}
-	phases := pipeline.StandardPhases(src.Days())
+	phases := engine.StandardPhases(src.Days())
 	fmt.Printf("model %v, selector %s, %d drives, %d phases\n\n", model, sel.Name(), o.Drives, len(phases))
 
-	var results []pipeline.PhaseResult
+	var results []engine.PhaseResult
 	var total metrics.Confusion
 	if o.Journal != "" {
 		// Resume notices go to stderr so stdout stays byte-identical to
 		// an uninterrupted (or unjournaled) run.
-		jo := pipeline.JournalOpts{Dir: o.Journal, Resume: o.Resume, Log: func(format string, args ...any) {
+		jo := engine.JournalOpts{Dir: o.Journal, Resume: o.Resume, Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "predict: "+format+"\n", args...)
 		}}
-		results, total, err = pipeline.RunJournaled(src, model, sel, phases, cfg, jo)
+		results, total, err = engine.RunJournaled(src, model, sel, phases, cfg, jo)
 	} else {
-		results, total, err = pipeline.Run(src, model, sel, phases, cfg)
+		results, total, err = engine.Run(src, model, sel, phases, cfg)
 	}
 	if err != nil {
 		return err
@@ -197,7 +198,7 @@ func runTrain(o options, model smart.ModelID) error {
 	var rows [][]string
 	for i, r := range results {
 		auc := "n/a"
-		if v, err := pipeline.AUC(r.Outcomes); err == nil {
+		if v, err := engine.AUC(r.Outcomes); err == nil {
 			auc = fmt.Sprintf("%.3f", v)
 		}
 		rows = append(rows, []string{
@@ -230,7 +231,7 @@ func runTrain(o options, model smart.ModelID) error {
 			return err
 		}
 		reg := &core.Registry{Dir: o.SnapshotDir}
-		version, err := pipeline.SaveSnapshot(reg, o.snapshotName(), snap)
+		version, err := engine.SaveSnapshot(reg, o.snapshotName(), snap)
 		if err != nil {
 			return err
 		}
@@ -244,7 +245,7 @@ func runTrain(o options, model smart.ModelID) error {
 // selection, training, or calibration happens.
 func runLoad(o options, model smart.ModelID) error {
 	reg := &core.Registry{Dir: o.SnapshotDir}
-	snap, err := pipeline.LoadSnapshot(reg, o.snapshotName(), o.SnapshotVersion)
+	snap, err := engine.LoadSnapshot(reg, o.snapshotName(), o.SnapshotVersion)
 	if err != nil {
 		return err
 	}
@@ -255,19 +256,19 @@ func runLoad(o options, model smart.ModelID) error {
 	if err != nil {
 		return err
 	}
-	phases := pipeline.StandardPhases(src.Days())
+	phases := engine.StandardPhases(src.Days())
 	last := phases[len(phases)-1]
 	fmt.Printf("model %v, snapshot %s (selector %s, trained through day %d, config %s)\n",
 		model, o.snapshotName(), snap.Selector, snap.TrainedThrough, snap.ConfigHash)
 	fmt.Printf("scoring days [%d, %d] without retraining\n\n", last.TestLo, last.TestHi)
 
-	outcomes, err := pipeline.ScoreSnapshot(src, snap, last.TestLo, last.TestHi, pipeline.ScoreOpts{Workers: o.Workers})
+	outcomes, err := engine.ScoreSnapshot(src, snap, last.TestLo, last.TestHi, engine.ScoreOpts{Workers: o.Workers})
 	if err != nil {
 		return err
 	}
-	confusion := pipeline.EvaluateOutcomes(outcomes)
+	confusion := engine.EvaluateOutcomes(outcomes)
 	auc := "n/a"
-	if v, err := pipeline.AUC(outcomes); err == nil {
+	if v, err := engine.AUC(outcomes); err == nil {
 		auc = fmt.Sprintf("%.3f", v)
 	}
 	fmt.Print(textplot.Table(
@@ -288,7 +289,7 @@ func runLoad(o options, model smart.ModelID) error {
 	return nil
 }
 
-func selectorByName(name string, percent float64, seed int64) (pipeline.Selector, error) {
+func selectorByName(name string, percent float64, seed int64) (engine.Selector, error) {
 	switch strings.ToLower(name) {
 	case "wefr":
 		return pipeline.WEFR{}, nil

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and
@@ -96,9 +98,39 @@ func TestSnapshotSaveLoadCLI(t *testing.T) {
 	}
 }
 
+// format1Snapshot is a model artifact in the retired format 1 (gob
+// model payload), which this build must refuse with a retrain hint.
+const format1Snapshot = `{"format": 1, "model": 3, "selector": "none",` +
+	` "groups": [{"features": ["MWI_N"], "predictor": 1, "model_data": "AAEC"}],` +
+	` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`
+
+// TestRunRejectsBadSnapshotMode audits the snapshot failure paths: an
+// unknown mode, and loading an artifact of an older format. main turns
+// each error into a nonzero exit with the message on stderr.
 func TestRunRejectsBadSnapshotMode(t *testing.T) {
-	o := options{Model: "MC1", Snapshot: "bogus"}
-	if err := run(o); err == nil || !strings.Contains(err.Error(), "snapshot mode") {
-		t.Errorf("error = %v", err)
+	cases := []struct {
+		name    string
+		o       options
+		setup   func(dir string) error
+		wantSub string
+	}{
+		{"unknown mode", options{Model: "MC1", Snapshot: "bogus"}, nil, "snapshot mode"},
+		{"format-1 artifact", options{Model: "MC1", Selector: "none", Snapshot: "load"},
+			func(dir string) error {
+				_, err := (&core.Registry{Dir: dir}).Save("MC1-none", []byte(format1Snapshot))
+				return err
+			}, "format 1, this build reads format 2; retrain"},
+	}
+	for _, tc := range cases {
+		o := tc.o
+		o.SnapshotDir = t.TempDir()
+		if tc.setup != nil {
+			if err := tc.setup(o.SnapshotDir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run(o); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: error = %v, want it to mention %q", tc.name, err, tc.wantSub)
+		}
 	}
 }

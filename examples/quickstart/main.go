@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/pipeline"
 	"repro/internal/simulate"
@@ -52,8 +53,8 @@ func main() {
 	}
 
 	// 4. End-to-end prediction on the paper's final testing phase.
-	phases := pipeline.StandardPhases(src.Days())
-	result, err := pipeline.RunPhase(src, smart.MC1, pipeline.WEFR{}, phases[len(phases)-1], pipeline.Config{
+	phases := engine.StandardPhases(src.Days())
+	result, err := engine.RunPhase(src, smart.MC1, pipeline.WEFR{}, phases[len(phases)-1], engine.Config{
 		Forest:   forest.Config{NumTrees: 25, MaxDepth: 8, Seed: 42},
 		NegEvery: 30,
 		Seed:     42,

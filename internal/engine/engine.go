@@ -8,13 +8,11 @@
 // phase ingests only the days not yet in the store, builds its frames
 // from an immutable Snapshot view, and reports per-stage timing and
 // row counts. The trained artifact of a phase (feature selection,
-// per-group models, calibrated thresholds, config hash) is capturable
-// as a versioned, JSON-serializable ModelSnapshot that scores new days
-// without retraining.
-//
-// internal/pipeline re-exports this package's API unchanged; existing
-// callers keep compiling and the clean path stays bit-identical to the
-// pre-engine pipeline.
+// per-group models compiled to the flat kernel of internal/flat,
+// calibrated thresholds, config hash) is capturable as a versioned,
+// JSON-serializable ModelSnapshot that scores new days without
+// retraining. The concrete selection strategies live in
+// internal/pipeline.
 package engine
 
 import (
@@ -224,7 +222,7 @@ type group struct {
 	names      []string
 	mwiBelow   float64
 	mwiAtLeast float64
-	model      probModel
+	model      groupModel
 }
 
 // Engine runs phases over one append-only fleet store. Create with
@@ -376,6 +374,46 @@ func (pd *PhaseData) RunSelection(name string, selRes SelectorResult) (PhaseResu
 	return pd.runSelection(name, selRes, append([]StageStat(nil), pd.prep...))
 }
 
+// trainFrame extracts group g's training frame over the fit period,
+// one of nGroups wear groups.
+func (pd *PhaseData) trainFrame(g *group, nGroups int) (*frame.Frame, error) {
+	src, model, ph, cfg := pd.src, pd.model, pd.ph, pd.cfg
+	// Wear groups are subsets with inherently higher positive density;
+	// denser negative sampling keeps the class ratio (and with it the
+	// forest's probability scale) closer to the full population's.
+	groupNegEvery := cfg.NegEvery
+	if nGroups > 1 {
+		groupNegEvery = max(1, cfg.NegEvery/5)
+	}
+	fr, err := dataset.Frame(src, dataset.FrameOpts{
+		Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
+		NegEvery: groupNegEvery, Features: g.feats, Expand: true,
+		Windows: cfg.Windows, MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
+		Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
+	})
+	if err != nil && !errors.Is(err, dataset.ErrNoSamples) {
+		return nil, fmt.Errorf("pipeline: training frame: %w", err)
+	}
+	if err == nil && fr.Positives() > 0 {
+		return fr, nil
+	}
+	// Degenerate group: train on the whole population with the group's
+	// features instead.
+	fr, err = dataset.Frame(src, dataset.FrameOpts{
+		Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
+		NegEvery: cfg.NegEvery, Features: g.feats, Expand: true,
+		Windows: cfg.Windows, Workers: cfg.Workers,
+		Sanitize: cfg.sanitizeOpts(true),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: fallback training frame: %w", err)
+	}
+	if fr.Positives() == 0 {
+		return nil, ErrNoTrainingSignal
+	}
+	return fr, nil
+}
+
 // runSelection is the Train → Calibrate → Score → Evaluate stage
 // sequence.
 func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []StageStat) (PhaseResult, error) {
@@ -391,38 +429,9 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 		rows := 0
 		for gi := range groups {
 			g := &groups[gi]
-			// Wear groups are subsets with inherently higher positive
-			// density; denser negative sampling keeps the class ratio
-			// (and with it the forest's probability scale) closer to
-			// the full population's.
-			groupNegEvery := cfg.NegEvery
-			if len(groups) > 1 {
-				groupNegEvery = max(1, cfg.NegEvery/5)
-			}
-			trainFr, err := dataset.Frame(src, dataset.FrameOpts{
-				Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
-				NegEvery: groupNegEvery, Features: g.feats, Expand: true,
-				Windows: cfg.Windows, MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
-				Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
-			})
-			if err != nil && !errors.Is(err, dataset.ErrNoSamples) {
-				return rows, fmt.Errorf("pipeline: training frame: %w", err)
-			}
-			if err != nil || trainFr.Positives() == 0 {
-				// Degenerate group: train on the whole population with
-				// the group's features instead.
-				trainFr, err = dataset.Frame(src, dataset.FrameOpts{
-					Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
-					NegEvery: cfg.NegEvery, Features: g.feats, Expand: true,
-					Windows: cfg.Windows, Workers: cfg.Workers,
-					Sanitize: cfg.sanitizeOpts(true),
-				})
-				if err != nil {
-					return rows, fmt.Errorf("pipeline: fallback training frame: %w", err)
-				}
-				if trainFr.Positives() == 0 {
-					return rows, ErrNoTrainingSignal
-				}
+			trainFr, err := pd.trainFrame(g, len(groups))
+			if err != nil {
+				return rows, err
 			}
 			rows += trainFr.NumRows()
 			g.model, err = fitModel(trainFr, cfg)

@@ -39,152 +39,58 @@ func (p Predictor) String() string {
 // ErrUnknownPredictor indicates an unsupported Predictor value.
 var ErrUnknownPredictor = errors.New("pipeline: unknown predictor")
 
-// probModel scores batches of samples with positive-class
-// probabilities. Both model families satisfy it through the adapters
-// below, each preferring its compiled flat form (bit-identical to the
-// pointer walker) when the model compiled.
-type probModel interface {
-	// predictInto scores the column-major batch into out, whose length
-	// must equal the row count.
-	predictInto(cols [][]float64, out []float64) error
-	// marshal serializes the trained model for a ModelSnapshot,
-	// returning the family that unmarshal dispatches on, the exact
-	// model payload, and the compiled flat payload (nil when the model
-	// did not compile).
-	marshal() (family Predictor, data, flatData []byte, err error)
+// groupModel is a trained group model in its compiled flat form — the
+// only form the engine scores with or persists: *flat.Forest for
+// PredictorForest, *flat.Model for PredictorGBDT.
+type groupModel interface {
+	// PredictProbaBatch scores the column-major batch into out, whose
+	// length must equal the row count.
+	PredictProbaBatch(cols [][]float64, out []float64) error
+	// MarshalBinary serializes the compiled model for a ModelSnapshot.
+	MarshalBinary() ([]byte, error)
+	// NumFeatures is the model-input column count.
+	NumFeatures() int
 }
 
-// forestModel adapts *forest.Forest to probModel.
-type forestModel struct {
-	f  *forest.Forest
-	fl *flat.Forest
-}
-
-func (m forestModel) predictInto(cols [][]float64, out []float64) error {
-	if m.fl != nil {
-		return m.fl.PredictProbaBatch(cols, out)
-	}
-	return m.f.PredictProbaBatch(cols, out)
-}
-
-func (m forestModel) marshal() (Predictor, []byte, []byte, error) {
-	data, err := m.f.MarshalBinary()
-	if err != nil {
-		return PredictorForest, nil, nil, err
-	}
-	var fd []byte
-	if m.fl != nil {
-		if fd, err = m.fl.MarshalBinary(); err != nil {
-			return PredictorForest, nil, nil, err
-		}
-	}
-	return PredictorForest, data, fd, nil
-}
-
-// gbdtModel adapts *gbdt.Model to probModel.
-type gbdtModel struct {
-	m  *gbdt.Model
-	fl *flat.Model
-}
-
-func (g gbdtModel) predictInto(cols [][]float64, out []float64) error {
-	if g.fl != nil {
-		return g.fl.PredictProbaBatch(cols, out)
-	}
-	return g.m.PredictProbaBatch(cols, out)
-}
-
-func (g gbdtModel) marshal() (Predictor, []byte, []byte, error) {
-	data, err := g.m.MarshalBinary()
-	if err != nil {
-		return PredictorGBDT, nil, nil, err
-	}
-	var fd []byte
-	if g.fl != nil {
-		if fd, err = g.fl.MarshalBinary(); err != nil {
-			return PredictorGBDT, nil, nil, err
-		}
-	}
-	return PredictorGBDT, data, fd, nil
-}
-
-// compiledForest compiles the forest's flat form, or returns nil when
-// it is not compilable (a feature with more than 254 distinct cuts);
-// the pointer walker then keeps serving, so compilation never fails a
-// training run.
-func compiledForest(f *forest.Forest, workers int) *flat.Forest {
-	fl, err := flat.CompileForest(f)
-	if err != nil {
-		return nil
-	}
-	fl.Workers = workers
-	return fl
-}
-
-// compiledGBDT is compiledForest for boosted models.
-func compiledGBDT(m *gbdt.Model, workers int) *flat.Model {
-	fl, err := flat.CompileModel(m)
-	if err != nil {
-		return nil
-	}
-	fl.Workers = workers
-	return fl
-}
-
-// unmarshalModel reconstructs a probModel from its snapshot bytes. A
-// snapshot carrying a compiled flat payload is used as-is (no
-// recompilation); older snapshots without one are compiled on load.
-func unmarshalModel(family Predictor, data, flatData []byte, workers int) (probModel, error) {
+// unmarshalModel decodes a snapshot group's compiled flat payload.
+func unmarshalModel(family Predictor, data []byte, workers int) (groupModel, error) {
 	switch family {
 	case PredictorForest:
-		f, err := forest.UnmarshalForest(data)
+		fl, err := flat.UnmarshalForest(data)
 		if err != nil {
 			return nil, err
 		}
-		var fl *flat.Forest
-		if len(flatData) > 0 {
-			if fl, err = flat.UnmarshalForest(flatData); err != nil {
-				return nil, err
-			}
-			fl.Workers = workers
-		} else {
-			fl = compiledForest(f, workers)
-		}
-		return forestModel{f: f, fl: fl}, nil
+		fl.Workers = workers
+		return fl, nil
 	case PredictorGBDT:
-		m, err := gbdt.UnmarshalModel(data)
+		fl, err := flat.UnmarshalModel(data)
 		if err != nil {
 			return nil, err
 		}
-		var fl *flat.Model
-		if len(flatData) > 0 {
-			if fl, err = flat.UnmarshalModel(flatData); err != nil {
-				return nil, err
-			}
-			fl.Workers = workers
-		} else {
-			fl = compiledGBDT(m, workers)
-		}
-		return gbdtModel{m: m, fl: fl}, nil
+		fl.Workers = workers
+		return fl, nil
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnknownPredictor, family)
 	}
 }
 
 // fitModel trains the configured prediction model on an expanded frame
-// and compiles it for flat scoring.
-func fitModel(fr *frame.Frame, cfg Config) (probModel, error) {
-	cols := make([][]float64, fr.NumFeatures())
-	for i := range cols {
-		cols[i] = fr.Col(i)
-	}
+// and compiles it for flat scoring. Compilation is total on cut count;
+// a structurally uncompilable model (flat.ErrNotCompilable) fails the
+// fit.
+func fitModel(fr *frame.Frame, cfg Config) (groupModel, error) {
 	switch cfg.predictor() {
 	case PredictorForest:
-		f, err := forest.Fit(cols, fr.Labels(), cfg.Forest)
+		f, err := forest.Fit(frameCols(fr), fr.Labels(), cfg.Forest)
 		if err != nil {
 			return nil, err
 		}
-		return forestModel{f: f, fl: compiledForest(f, cfg.Workers)}, nil
+		fl, err := flat.CompileForest(f)
+		if err != nil {
+			return nil, err
+		}
+		fl.Workers = cfg.Workers
+		return fl, nil
 	case PredictorGBDT:
 		g := cfg.GBDT
 		if g.NumRounds == 0 {
@@ -193,12 +99,26 @@ func fitModel(fr *frame.Frame, cfg Config) (probModel, error) {
 			d.MaxBins = g.MaxBins
 			g = d
 		}
-		m, err := gbdt.Fit(cols, fr.Labels(), g)
+		m, err := gbdt.Fit(frameCols(fr), fr.Labels(), g)
 		if err != nil {
 			return nil, err
 		}
-		return gbdtModel{m: m, fl: compiledGBDT(m, cfg.Workers)}, nil
+		fl, err := flat.CompileModel(m)
+		if err != nil {
+			return nil, err
+		}
+		fl.Workers = cfg.Workers
+		return fl, nil
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnknownPredictor, cfg.Predictor)
 	}
+}
+
+// frameCols returns the frame's columns in model-input order.
+func frameCols(fr *frame.Frame) [][]float64 {
+	cols := make([][]float64, fr.NumFeatures())
+	for i := range cols {
+		cols[i] = fr.Col(i)
+	}
+	return cols
 }

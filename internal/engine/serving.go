@@ -80,8 +80,17 @@ func (s *Scorer) PickGroup(mwi float64) int {
 // expects: the selected features plus their generated window
 // statistics.
 func (s *Scorer) GroupInputWidth(g int) int {
-	n := len(s.groups[g].feats)
-	return n + n*featgen.NumGenerated(s.Windows())
+	return inputWidth(len(s.groups[g].feats), s.cfg.Windows)
+}
+
+// inputWidth is the model-input column count of n selected features:
+// the features plus their generated window statistics (nil windows =
+// the dataset defaults).
+func inputWidth(n int, windows []int) int {
+	if len(windows) == 0 {
+		windows = featgen.DefaultWindows
+	}
+	return n + n*featgen.NumGenerated(windows)
 }
 
 // ScoreBatch scores a pre-assembled batch through group g's trained
@@ -102,7 +111,7 @@ func (s *Scorer) ScoreBatch(g int, cols [][]float64, out []float64) error {
 			return fmt.Errorf("pipeline: column %d has %d rows, want %d", i, len(cols[i]), len(out))
 		}
 	}
-	return s.groups[g].model.predictInto(cols, out)
+	return s.groups[g].model.PredictProbaBatch(cols, out)
 }
 
 // Windows returns the feature-generation windows scoring must use,

@@ -16,8 +16,10 @@ import (
 )
 
 // SnapshotFormat is the current ModelSnapshot serialization format.
-// Loaders reject snapshots with a different format number.
-const SnapshotFormat = 1
+// Loaders reject snapshots with a different format number. Format 2
+// carries only the compiled flat payload per group; format-1
+// artifacts (gob model plus optional flat payload) must be retrained.
+const SnapshotFormat = 2
 
 // ErrSnapshotFormat indicates a snapshot with an incompatible format.
 var ErrSnapshotFormat = errors.New("pipeline: incompatible snapshot format")
@@ -42,13 +44,9 @@ type GroupSnapshot struct {
 	MWIAtLeast float64 `json:"mwi_at_least,omitempty"`
 	// Predictor is the trained model family.
 	Predictor Predictor `json:"predictor"`
-	// ModelData is the serialized trained model (gob, base64 in JSON).
-	ModelData []byte `json:"model_data"`
-	// FlatData is the serialized compiled flat model, when the model
-	// compiled; loaders score through it without recompiling. Absent in
-	// older snapshots, which compile on load instead — predictions are
-	// bit-identical either way.
-	FlatData []byte `json:"flat_data,omitempty"`
+	// FlatData is the serialized compiled flat model (base64 in JSON);
+	// loaders score through it without recompiling.
+	FlatData []byte `json:"flat_data"`
 }
 
 // ModelSnapshot is the versioned, self-contained artifact of a trained
@@ -146,7 +144,7 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 		ConfigHash:     r.cfg.Hash(),
 	}
 	for _, g := range r.groups {
-		family, data, flatData, err := g.model.marshal()
+		data, err := g.model.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: marshal group model: %w", err)
 		}
@@ -154,18 +152,20 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 			Features:   append([]string(nil), g.names...),
 			MWIBelow:   g.mwiBelow,
 			MWIAtLeast: g.mwiAtLeast,
-			Predictor:  family,
-			ModelData:  data,
-			FlatData:   flatData,
+			Predictor:  r.cfg.predictor(),
+			FlatData:   data,
 		})
 	}
 	return snap, nil
 }
 
-// groups reconstructs the trained scoring groups from the snapshot.
+// buildGroups reconstructs the trained scoring groups from the
+// snapshot. A group whose model width disagrees with its feature list
+// is rejected as corrupt: it would decode cleanly and then fail every
+// batch it scores.
 func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
-	if s.Format != SnapshotFormat {
-		return nil, fmt.Errorf("%w: format %d, want %d", ErrSnapshotFormat, s.Format, SnapshotFormat)
+	if err := checkFormat(s.Format); err != nil {
+		return nil, err
 	}
 	if len(s.Groups) == 0 || len(s.Thresholds) != len(s.Groups) {
 		return nil, fmt.Errorf("pipeline: malformed snapshot: %d groups, %d thresholds", len(s.Groups), len(s.Thresholds))
@@ -180,9 +180,13 @@ func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 			}
 			feats[j] = ft
 		}
-		m, err := unmarshalModel(gs.Predictor, gs.ModelData, gs.FlatData, workers)
+		m, err := unmarshalModel(gs.Predictor, gs.FlatData, workers)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: snapshot group %d: %w", i, err)
+		}
+		if want := inputWidth(len(feats), s.Windows); m.NumFeatures() != want {
+			return nil, fmt.Errorf("%w: group %d model has %d input columns, its %d features need %d",
+				ErrSnapshotCorrupt, i, m.NumFeatures(), len(feats), want)
 		}
 		out[i] = group{
 			feats:      feats,
@@ -276,10 +280,19 @@ func DecodeSnapshot(data []byte) (*ModelSnapshot, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	if snap.Format != SnapshotFormat {
-		return nil, fmt.Errorf("%w: format %d, want %d", ErrSnapshotFormat, snap.Format, SnapshotFormat)
+	if err := checkFormat(snap.Format); err != nil {
+		return nil, err
 	}
 	return &snap, nil
+}
+
+// checkFormat rejects a snapshot format other than SnapshotFormat.
+func checkFormat(format int) error {
+	if format == SnapshotFormat {
+		return nil
+	}
+	return fmt.Errorf("%w: format %d, this build reads format %d; retrain to produce a format-%d snapshot",
+		ErrSnapshotFormat, format, SnapshotFormat, SnapshotFormat)
 }
 
 // LoadSnapshot loads a snapshot version from the registry; version <= 0

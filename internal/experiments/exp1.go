@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/smart"
@@ -80,7 +81,7 @@ func (h *Harness) Exp1() (Exp1Result, error) {
 		var noSel, wefr metrics.Confusion
 
 		for _, ph := range phases {
-			pd, err := pipeline.PreparePhase(h.src, m, ph, cfg)
+			pd, err := engine.PreparePhase(h.src, m, ph, cfg)
 			if err != nil {
 				return Exp1Result{}, fmt.Errorf("experiments: exp1 %v: %w", m, err)
 			}
@@ -100,7 +101,7 @@ func (h *Harness) Exp1() (Exp1Result, error) {
 					for _, f := range ranked.TopPercent(pct) {
 						names = append(names, pd.SelFrame.Names()[f])
 					}
-					pr, err := pd.RunSelection(rk.Name(), pipeline.SelectorResult{All: names})
+					pr, err := pd.RunSelection(rk.Name(), engine.SelectorResult{All: names})
 					if err != nil {
 						return Exp1Result{}, fmt.Errorf("experiments: exp1 %s@%.0f%% on %v: %w", rk.Name(), pct*100, m, err)
 					}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/smart"
@@ -36,7 +37,7 @@ func (h *Harness) Exp3() (Exp3Result, error) {
 	phases := h.phases()
 	var res Exp3Result
 	for _, m := range h.cfg.Models {
-		full, err := pipeline.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig()}, phases[len(phases)-1], cfg)
+		full, err := engine.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig()}, phases[len(phases)-1], cfg)
 		if err != nil {
 			return Exp3Result{}, fmt.Errorf("experiments: exp3 probe %v: %w", m, err)
 		}
@@ -49,11 +50,11 @@ func (h *Harness) Exp3() (Exp3Result, error) {
 		row := Exp3Row{Model: m, ThresholdMWI: threshold}
 		var allUp, lowUp, allNo, lowNo metrics.Confusion
 		for _, ph := range phases {
-			up, err := pipeline.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig()}, ph, cfg)
+			up, err := engine.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig()}, ph, cfg)
 			if err != nil {
 				return Exp3Result{}, fmt.Errorf("experiments: exp3 %v: %w", m, err)
 			}
-			no, err := pipeline.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig(), NoUpdate: true}, ph, cfg)
+			no, err := engine.RunPhase(h.src, m, pipeline.WEFR{Config: h.wefrConfig(), NoUpdate: true}, ph, cfg)
 			if err != nil {
 				return Exp3Result{}, fmt.Errorf("experiments: exp3 %v no-update: %w", m, err)
 			}
@@ -63,8 +64,8 @@ func (h *Harness) Exp3() (Exp3Result, error) {
 			if up.Selection.Split != nil {
 				thr = up.Selection.Split.ThresholdMWI
 			}
-			lowUp.Merge(pipeline.EvaluateLowMWI(up.Outcomes, thr))
-			lowNo.Merge(pipeline.EvaluateLowMWI(no.Outcomes, thr))
+			lowUp.Merge(engine.EvaluateLowMWI(up.Outcomes, thr))
+			lowNo.Merge(engine.EvaluateLowMWI(no.Outcomes, thr))
 		}
 		row.WEFRAll = scoreOf(allUp)
 		row.WEFRLow = scoreOf(lowUp)

@@ -13,10 +13,10 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/forest"
 	"repro/internal/hist"
-	"repro/internal/pipeline"
 	"repro/internal/selection"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -142,8 +142,8 @@ type Harness struct {
 	cfg      Config
 	fleet    *simulate.Fleet
 	injector *faults.Injector // nil unless Config.Faults is enabled
-	report   *pipeline.RunReport
-	stages   *pipeline.StageReport
+	report   *engine.RunReport
+	stages   *engine.StageReport
 	store    *store.Store
 	src      *store.Snapshot
 }
@@ -168,14 +168,14 @@ func New(cfg Config) (*Harness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	h := &Harness{cfg: cfg, fleet: fleet, stages: &pipeline.StageReport{}}
+	h := &Harness{cfg: cfg, fleet: fleet, stages: &engine.StageReport{}}
 	var src dataset.Source = dataset.FleetSource{Fleet: fleet}
 	if cfg.Faults.Enabled() {
 		h.injector = faults.New(src, cfg.Faults)
 		src = h.injector
 	}
 	if cfg.Robust {
-		h.report = &pipeline.RunReport{}
+		h.report = &engine.RunReport{}
 	}
 	h.store = store.Open(src, store.Options{Workers: cfg.Workers})
 	if err := h.store.AppendThrough(cfg.Days - 1); err != nil {
@@ -194,7 +194,7 @@ func (h *Harness) Store() *store.Store { return h.store }
 
 // StageReport exposes the per-stage timing/row accounting accumulated
 // across every pipeline the harness ran.
-func (h *Harness) StageReport() *pipeline.StageReport { return h.stages }
+func (h *Harness) StageReport() *engine.StageReport { return h.stages }
 
 // Fleet exposes the underlying simulated fleet.
 func (h *Harness) Fleet() *simulate.Fleet { return h.fleet }
@@ -203,7 +203,7 @@ func (h *Harness) Fleet() *simulate.Fleet { return h.fleet }
 // far, pairing the fault injector's per-class injected counts with the
 // defects the pipeline detected and the degradations it took. On a
 // non-robust harness only the injected counts (if any) are populated.
-func (h *Harness) ReportSnapshot() pipeline.ReportSnapshot {
+func (h *Harness) ReportSnapshot() engine.ReportSnapshot {
 	var injected map[string]int
 	if h.injector != nil {
 		injected = h.injector.Stats().Classes()
@@ -215,8 +215,8 @@ func (h *Harness) ReportSnapshot() pipeline.ReportSnapshot {
 func (h *Harness) Models() []smart.ModelID { return h.cfg.Models }
 
 // pipelineConfig assembles the shared pipeline settings.
-func (h *Harness) pipelineConfig() pipeline.Config {
-	cfg := pipeline.Config{
+func (h *Harness) pipelineConfig() engine.Config {
+	cfg := engine.Config{
 		Forest:      h.cfg.Forest,
 		NegEvery:    h.cfg.NegEvery,
 		SplitMethod: h.cfg.SplitMethod,
@@ -225,7 +225,7 @@ func (h *Harness) pipelineConfig() pipeline.Config {
 		Stages:      h.stages,
 	}
 	if h.cfg.Robust {
-		cfg.Robust = &pipeline.RobustOpts{
+		cfg.Robust = &engine.RobustOpts{
 			Sanitize: dataset.SanitizeOpts{MissMask: true},
 			Report:   h.report,
 		}
@@ -235,8 +235,8 @@ func (h *Harness) pipelineConfig() pipeline.Config {
 
 // phases returns the paper's three testing phases for the configured
 // span, trimmed to the configured PhaseCount (latest phases kept).
-func (h *Harness) phases() []pipeline.Phase {
-	all := pipeline.StandardPhases(h.cfg.Days)
+func (h *Harness) phases() []engine.Phase {
+	all := engine.StandardPhases(h.cfg.Days)
 	if h.cfg.PhaseCount > 0 && h.cfg.PhaseCount < len(all) {
 		return all[len(all)-h.cfg.PhaseCount:]
 	}

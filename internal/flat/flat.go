@@ -3,12 +3,14 @@
 // scored over uint8 histogram codes instead of float64 columns.
 //
 // Compilation derives a per-feature cut set from the ensemble itself:
-// the sorted distinct split thresholds actually used by its nodes (at
-// most 254 per feature — ensembles beyond that fail with ErrTooManyCuts
-// and callers fall back to the pointer path). Each input value is then
-// quantized once per batch to the index of the first cut >= value
-// (NaN -> 255, above-all-cuts -> len(cuts)), after which every split
-// decision in every tree is a single integer compare:
+// the sorted distinct split thresholds actually used by its nodes. A
+// feature's cut list is split into consecutive chunks of at most 254
+// cuts, each its own uint8 code column quantized from the same input
+// column, so compilation never fails on cut count. Each input value is
+// quantized once per batch and chunk to the count of the chunk's cuts
+// below it (NaN -> 255), after which every split decision in every
+// tree is a single integer compare on the column of the chunk holding
+// the node's threshold:
 //
 //	code(v) <= splitBin  <=>  v <= threshold
 //
@@ -36,22 +38,20 @@ import (
 )
 
 // Compilation limits. maxCuts is 254 because code 255 is reserved for
-// missing (NaN) and a split on the largest cut must still route
-// above-all-cuts values (code == len(cuts)) right.
+// missing (NaN) and a split on a chunk's largest cut must still route
+// above-chunk values (code == len(chunk)) right. maxCodeCols keeps a
+// code column's block offset (column << blockShift) within int32.
 const (
 	maxCuts     = 254
 	missingCode = 255
 	maxFeatures = 1 << 15
+	maxCodeCols = 1 << (31 - blockShift)
 )
 
 // Errors returned by compilation and decoding.
 var (
-	// ErrTooManyCuts indicates an ensemble using more than 254 distinct
-	// split thresholds on one feature; it cannot be expressed in uint8
-	// codes and the caller should keep the pointer path.
-	ErrTooManyCuts = errors.New("flat: more than 254 distinct cuts on a feature")
 	// ErrNotCompilable indicates an ensemble outside the flat layout's
-	// structural limits (feature or node counts).
+	// structural limits (feature, node or code-column counts).
 	ErrNotCompilable = errors.New("flat: not compilable")
 	// ErrBadEncoding indicates serialized bytes that do not decode into
 	// a valid compiled ensemble.
@@ -61,21 +61,36 @@ var (
 	ErrShapeMismatch = errors.New("flat: shape mismatch")
 )
 
-// quantizer maps raw float64 feature values to uint8 cut indices.
+// codeCol is one uint8 code column: a chunk of at most maxCuts
+// consecutive cuts of one input feature.
+type codeCol struct {
+	src  int       // input column the codes are quantized from
+	cuts []float64 // the chunk's ascending cuts; nil for an unused column
+	// keys is cuts padded with +Inf. Cuts are finite (tree thresholds
+	// always are), so padding slots are never counted by the strict
+	// "cut < v" compare, and NaN compares false everywhere (its search
+	// result is discarded for missingCode anyway). The fixed 256-slot
+	// array type lets masked indexing drop every bounds check in the
+	// per-value count-of-smaller loop, and start (half the padded power
+	// of two, which must exceed the cut count) sets its trip count.
+	keys  *[256]float64
+	start int32
+}
+
+// quantizer maps raw float64 feature values to uint8 codes. Code
+// column f < len(cuts) holds feature f's first chunk, so an ensemble
+// with at most maxCuts cuts per feature has one column per feature, at
+// the feature's own index; the further chunks of features with more
+// cuts follow in feature order.
 type quantizer struct {
-	// cuts[f] is feature f's ascending distinct thresholds; nil when no
-	// node splits on f (such columns are never read when scoring).
+	// cuts[f] is feature f's ascending distinct thresholds across all
+	// of its chunks; nil when no node splits on f (such columns are
+	// never read when scoring).
 	cuts [][]float64
-	// keys[f] is cuts[f] padded with +Inf. Cuts are finite (tree
-	// thresholds always are), so padding slots are never counted by the
-	// strict "cut < v" compare, and NaN compares false everywhere (its
-	// search result is discarded for missingCode anyway). The fixed
-	// 256-slot array type lets masked indexing drop every bounds check
-	// in the per-value count-of-smaller loop, and startStep[f] (half
-	// the padded power of two, which must exceed the cut count) sets
-	// its trip count.
-	keys      []*[256]float64
-	startStep []int32
+	// overflow[f] is the code column of feature f's second chunk;
+	// chunk k >= 1 sits at overflow[f]+k-1.
+	overflow []int
+	cols     []codeCol
 }
 
 // buildQuantizer collects the distinct thresholds of every internal
@@ -93,7 +108,6 @@ func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*q
 			perFeat[f] = append(perFeat[f], thresholds[ti][i]+0.0)
 		}
 	}
-	q := newQuantizer(nFeatures)
 	for f, cs := range perFeat {
 		if len(cs) == 0 {
 			continue
@@ -106,26 +120,42 @@ func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*q
 				w++
 			}
 		}
-		cs = cs[:w]
-		if w > maxCuts {
-			return nil, fmt.Errorf("%w: feature %d has %d", ErrTooManyCuts, f, w)
-		}
-		q.setFeature(f, cs)
+		perFeat[f] = cs[:w]
+	}
+	q := newQuantizer(perFeat)
+	if len(q.cols) > maxCodeCols {
+		return nil, fmt.Errorf("%w: %d code columns", ErrNotCompilable, len(q.cols))
 	}
 	return q, nil
 }
 
-func newQuantizer(nFeatures int) *quantizer {
-	return &quantizer{
-		cuts:      make([][]float64, nFeatures),
-		keys:      make([]*[256]float64, nFeatures),
-		startStep: make([]int32, nFeatures),
+// newQuantizer lays out the code columns of per-feature ascending
+// distinct cut sets.
+func newQuantizer(cuts [][]float64) *quantizer {
+	q := &quantizer{
+		cuts:     cuts,
+		overflow: make([]int, len(cuts)),
+		cols:     make([]codeCol, len(cuts)),
 	}
+	for f, cs := range cuts {
+		q.cols[f].src = f
+		if len(cs) == 0 {
+			continue
+		}
+		q.cols[f].setCuts(cs[:min(len(cs), maxCuts)])
+		q.overflow[f] = len(q.cols)
+		for lo := maxCuts; lo < len(cs); lo += maxCuts {
+			c := codeCol{src: f}
+			c.setCuts(cs[lo:min(lo+maxCuts, len(cs))])
+			q.cols = append(q.cols, c)
+		}
+	}
+	return q
 }
 
-// setFeature installs feature f's ascending distinct cut set
+// setCuts installs the column's ascending distinct chunk
 // (1 <= len <= maxCuts).
-func (q *quantizer) setFeature(f int, cs []float64) {
+func (c *codeCol) setCuts(cs []float64) {
 	// Pad strictly beyond len(cs): the count-of-smaller loop over a
 	// power-of-two region can only produce values < p, and a value
 	// above every cut must yield count == len(cs).
@@ -137,50 +167,37 @@ func (q *quantizer) setFeature(f int, cs []float64) {
 	for i := range keys {
 		keys[i] = math.Inf(1)
 	}
-	for i, c := range cs {
+	for i, v := range cs {
 		// +0.0 collapses a -0.0 cut into +0.0; identical routing since
 		// the two zeros are equal under float compares.
-		keys[i] = c + 0.0
+		keys[i] = v + 0.0
 	}
-	q.cuts[f] = cs
-	q.keys[f] = keys
-	q.startStep[f] = int32(p >> 1)
+	c.cuts = cs
+	c.keys = keys
+	c.start = int32(p >> 1)
 }
 
-// codeOf returns the scoring code of value v on feature f: the index of
-// the first cut >= v, or missingCode for NaN. Used by compilation and
-// tests; batch scoring uses the inlined loop in quantizeBlock.
-func (q *quantizer) codeOf(f int, v float64) uint8 {
-	if v != v {
-		return missingCode
-	}
-	keys := q.keys[f]
-	idx := int32(0)
-	for step := q.startStep[f]; step > 0; step >>= 1 {
-		if keys[(idx+step-1)&255] < v {
-			idx += step
-		}
-	}
-	return uint8(idx)
-}
-
-// cutIndex returns the code of an exact threshold present in the cut
-// set (every compiled node threshold is, by construction).
-func (q *quantizer) cutIndex(f int, thr float64) (uint8, error) {
+// cutIndex returns the code column and in-chunk code of an exact
+// threshold present in feature f's cut set (every compiled node
+// threshold is, by construction).
+func (q *quantizer) cutIndex(f int, thr float64) (int, uint8, error) {
 	cs := q.cuts[f]
 	i := sort.SearchFloat64s(cs, thr+0.0)
 	if i >= len(cs) || cs[i] != thr {
-		return 0, fmt.Errorf("%w: threshold %v not in feature %d cut set", ErrNotCompilable, thr, f)
+		return 0, 0, fmt.Errorf("%w: threshold %v not in feature %d cut set", ErrNotCompilable, thr, f)
 	}
-	return uint8(i), nil
+	col := f
+	if k := i / maxCuts; k > 0 {
+		col = q.overflow[f] + k - 1
+	}
+	return col, uint8(i % maxCuts), nil
 }
 
 // flatTree is one compiled tree in SoA layout, BFS-ordered so children
 // sit after parents and siblings are adjacent (right = left+1).
 type flatTree struct {
-	// featOff is the node's feature index pre-shifted by blockShift
-	// (the offset of its code column in a block's code matrix), or -1
-	// for leaves.
+	// featOff is the node's code column pre-shifted by blockShift (the
+	// column's offset in a block's code matrix), or -1 for leaves.
 	featOff []int32
 	bin     []uint8   // split code: route left iff code <= bin
 	missL   []uint8   // 1 when missing (code 255) routes left
@@ -232,7 +249,7 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 		if f >= len(q.cuts) {
 			return flatTree{}, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, len(q.cuts))
 		}
-		sb, err := q.cutIndex(f, threshold[src])
+		col, sb, err := q.cutIndex(f, threshold[src])
 		if err != nil {
 			return flatTree{}, err
 		}
@@ -240,7 +257,7 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 		if defaultLeft != nil && defaultLeft[src] {
 			ml = 1
 		}
-		ft.featOff = append(ft.featOff, int32(f)<<blockShift)
+		ft.featOff = append(ft.featOff, int32(col)<<blockShift)
 		ft.bin = append(ft.bin, sb)
 		ft.missL = append(ft.missL, ml)
 		ft.left = append(ft.left, int32(len(order))) // next frontier slot
@@ -279,9 +296,7 @@ type Model struct {
 	Workers int
 }
 
-// CompileTree compiles a fitted classification tree. Fails with
-// ErrTooManyCuts when the tree splits one feature on more than 254
-// distinct thresholds.
+// CompileTree compiles a fitted classification tree.
 func CompileTree(t *tree.Classifier) (*Tree, error) {
 	e := t.Export()
 	return compileTreeEncoded(e)

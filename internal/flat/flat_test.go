@@ -2,6 +2,7 @@ package flat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -243,36 +244,112 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTooManyCuts compiles a right-leaning chain splitting one feature
-// at 255 distinct thresholds, which cannot be expressed in uint8 codes.
-func TestTooManyCuts(t *testing.T) {
-	const splits = 255
+// chainTree builds a one-feature tree: a chain of internal nodes
+// splitting at the given thresholds in order, each sending its left
+// side to a leaf of distinct probability and its right side down the
+// chain. Missing values alternate between routing left and right.
+func chainTree(t *testing.T, thresholds []float64) *tree.Classifier {
+	t.Helper()
+	splits := len(thresholds)
 	n := 2*splits + 1
 	e := tree.Encoded{
-		Feature:   make([]int, n),
-		Threshold: make([]float64, n),
-		Left:      make([]int, n),
-		Right:     make([]int, n),
-		Prob:      make([]float64, n),
-		NFeatures: 1,
+		Feature:     make([]int, n),
+		Threshold:   make([]float64, n),
+		Left:        make([]int, n),
+		Right:       make([]int, n),
+		Prob:        make([]float64, n),
+		DefaultLeft: make([]bool, n),
+		NFeatures:   1,
 	}
 	for i := 0; i < n; i++ {
 		e.Feature[i] = -1
-		e.Prob[i] = 0.5
+		e.Prob[i] = float64(i) / float64(n)
 	}
-	for i := 0; i < splits; i++ {
+	for i, thr := range thresholds {
 		at := 2 * i
 		e.Feature[at] = 0
-		e.Threshold[at] = float64(i)
+		e.Threshold[at] = thr
 		e.Left[at] = at + 1
 		e.Right[at] = at + 2
+		e.DefaultLeft[at] = i%2 == 1
 	}
 	cl, err := tree.Import(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileTree(cl); !errors.Is(err, ErrTooManyCuts) {
-		t.Fatalf("want ErrTooManyCuts, got %v", err)
+	return cl
+}
+
+// TestChunkedCutsBitExact compiles trees splitting one feature at more
+// than 254 distinct thresholds, which spill into several uint8 code
+// columns, and requires bit-identity with the pointer tree on every
+// chunk edge: each chunk's first and last cut, the values between
+// chunks, the neighbours of every cut, the zeros, the infinities and
+// NaN. The payload round trip must preserve the chunked layout.
+func TestChunkedCutsBitExact(t *testing.T) {
+	for _, splits := range []int{255, 640} {
+		t.Run(fmt.Sprint(splits), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(splits)))
+			cuts := make([]float64, splits)
+			for i := range cuts {
+				cuts[i] = float64(i-splits/2) * 0.5 // includes 0.0
+			}
+			// Chain the thresholds in random order so rows are compared
+			// against cuts of every chunk, not just their own.
+			order := make([]float64, splits)
+			for i, j := range rng.Perm(splits) {
+				order[i] = cuts[j]
+			}
+			cl := chainTree(t, order)
+			fl, err := CompileTree(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := (splits + maxCuts - 1) / maxCuts
+			if got := len(fl.e.q.cols); got != chunks {
+				t.Fatalf("%d code columns, want %d", got, chunks)
+			}
+
+			in := []float64{
+				math.NaN(), math.Inf(1), math.Inf(-1), 0.0, math.Copysign(0, -1),
+				cuts[0] - 1, cuts[splits-1] + 1,
+			}
+			for lo := 0; lo < splits; lo += maxCuts {
+				first, last := cuts[lo], cuts[min(lo+maxCuts, splits)-1]
+				in = append(in, first, last)
+				if lo+maxCuts < splits {
+					// Strictly between this chunk's last cut and the
+					// next chunk's first.
+					in = append(in, (last+cuts[lo+maxCuts])/2)
+				}
+			}
+			for _, c := range cuts {
+				in = append(in, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			}
+			for i := 0; i < 2000; i++ {
+				in = append(in, rng.NormFloat64()*float64(splits)/4)
+			}
+			cols := [][]float64{in}
+			want := make([]float64, len(in))
+			if err := cl.PredictProbaBatch(cols, want); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, len(in))
+			if err := fl.PredictProbaBatch(cols, got); err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, want, got, "chunked")
+
+			e, err := decodeEnsemble(fl.e.encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := &Tree{e: e}
+			if err := rt.PredictProbaBatch(cols, got); err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, want, got, "chunked round-trip")
+		})
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Rows are scored in blocks of blockRows: the block's code matrix
-// (nFeatures x blockRows uint8) stays L2-resident while every tree
-// walks it, and feature offsets become simple shifted indices. The
+// (code columns x blockRows uint8) stays L2-resident while every tree
+// walks it, and code-column offsets become simple shifted indices. The
 // fixed-size array types below exist so masked indexing provably stays
 // in bounds and the hot loops carry no bounds checks.
 const (
@@ -30,7 +30,7 @@ type seg struct {
 
 // scratch is the per-worker scoring state, pooled across calls.
 type scratch struct {
-	codes []uint8               // nFeatures * blockRows quantized values
+	codes []uint8               // code columns * blockRows quantized values
 	ident *[blockRows]uint32    // 0..blockRows-1, the root's row segment
 	rows  [2]*[blockRows]uint32 // ping-pong partition buffers
 	acc   *[blockRows]float64   // block accumulator, copied to out
@@ -39,12 +39,12 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch(nFeatures int) *scratch {
+func getScratch(nCols int) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	if need := nFeatures << blockShift; cap(sc.codes) < need {
+	if need := nCols << blockShift; cap(sc.codes) < need {
 		sc.codes = make([]uint8, need)
 	} else {
-		sc.codes = sc.codes[:nFeatures<<blockShift]
+		sc.codes = sc.codes[:need]
 	}
 	if sc.ident == nil {
 		sc.ident = new([blockRows]uint32)
@@ -90,7 +90,7 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 		workers = nBlocks
 	}
 	if workers <= 1 {
-		sc := getScratch(e.nFeatures)
+		sc := getScratch(len(e.q.cols))
 		for b := 0; b < nBlocks; b++ {
 			e.scoreBlock(cols, out, b, init, scale, post, sc)
 		}
@@ -103,7 +103,7 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getScratch(e.nFeatures)
+			sc := getScratch(len(e.q.cols))
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= nBlocks {
@@ -139,29 +139,31 @@ func (e *ensemble) scoreBlock(cols [][]float64, out []float64, b int, init, scal
 	copy(out[lo:lo+bn], acc)
 }
 
-// quantizeBlock fills codes with the cut indices of rows [lo, lo+bn)
-// for every feature that has cuts. The search counts cuts < v over the
-// +Inf-padded key array. The `d = 1` select compiles to a flag
-// materialization (SETcc) rather than a branch, so the search carries
-// no data-dependent branches (binary-search branches are inherently
-// ~50% mispredicted); it is four-way interleaved because one value's
-// loop is a serial chain of dependent loads, and four independent
-// chains in flight hide most of that latency. NaN compares false
-// against every key, lands on 0, and is overwritten with missingCode.
+// quantizeBlock fills codes with the codes of rows [lo, lo+bn) for
+// every code column that has cuts, each read from its input column.
+// The search counts cuts < v over the +Inf-padded key array. The
+// `d = 1` select compiles to a flag materialization (SETcc) rather
+// than a branch, so the search carries no data-dependent branches
+// (binary-search branches are inherently ~50% mispredicted); it is
+// four-way interleaved because one value's loop is a serial chain of
+// dependent loads, and four independent chains in flight hide most of
+// that latency. NaN compares false against every key, lands on 0, and
+// is overwritten with missingCode.
 func (q *quantizer) quantizeBlock(cols [][]float64, lo, bn int, codes []uint8) {
-	for f, keys := range q.keys {
-		if keys == nil {
+	for c := range q.cols {
+		cc := &q.cols[c]
+		if cc.keys == nil {
 			continue
 		}
-		col := cols[f][lo : lo+bn]
-		dst := (*[blockRows]uint8)(codes[f<<blockShift : f<<blockShift+blockRows])
-		searchColumn(keys, q.startStep[f], col, dst)
+		col := cols[cc.src][lo : lo+bn]
+		dst := (*[blockRows]uint8)(codes[c<<blockShift : c<<blockShift+blockRows])
+		searchColumn(cc.keys, cc.start, col, dst)
 		fixupMissing(col, dst)
 	}
 }
 
-// searchColumn runs the count-of-smaller search for one feature's
-// column. NaN compares false against every key and lands on code 0;
+// searchColumn runs the count-of-smaller search for one code column.
+// NaN compares false against every key and lands on code 0;
 // fixupMissing rewrites it afterwards, keeping this loop free of the
 // extra live values. Lives in its own function so every chain stays in
 // registers (see partition).

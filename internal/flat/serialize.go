@@ -7,8 +7,10 @@ import (
 )
 
 // encodedEnsemble is the gob wire form shared by the compiled types.
-// Trees are stored with logical feature indices (not block offsets) so
-// the kernel's block geometry can change without breaking payloads.
+// Cuts holds each feature's full ascending cut list; the decoder lays
+// out the code columns from it exactly as compilation does. Tree nodes
+// name code columns (not block offsets), so the kernel's block
+// geometry can change without breaking payloads.
 type encodedEnsemble struct {
 	Cuts      [][]float64
 	NFeatures int
@@ -16,7 +18,7 @@ type encodedEnsemble struct {
 }
 
 type encodedFlatTree struct {
-	Feature []int32 // -1 for leaves
+	Feature []int32 // code column; -1 for leaves
 	Bin     []uint8
 	MissL   []uint8
 	Left    []int32
@@ -63,13 +65,9 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 	if len(enc.Trees) == 0 {
 		return ensemble{}, fmt.Errorf("%w: no trees", ErrBadEncoding)
 	}
-	q := newQuantizer(enc.NFeatures)
 	for f, cs := range enc.Cuts {
 		if len(cs) == 0 {
 			continue
-		}
-		if len(cs) > maxCuts {
-			return ensemble{}, fmt.Errorf("%w: feature %d has %d cuts", ErrBadEncoding, f, len(cs))
 		}
 		if cs[0] != cs[0] {
 			return ensemble{}, fmt.Errorf("%w: feature %d has NaN cut", ErrBadEncoding, f)
@@ -80,7 +78,10 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 				return ensemble{}, fmt.Errorf("%w: feature %d cuts not ascending", ErrBadEncoding, f)
 			}
 		}
-		q.setFeature(f, cs)
+	}
+	q := newQuantizer(enc.Cuts)
+	if len(q.cols) > maxCodeCols {
+		return ensemble{}, fmt.Errorf("%w: %d code columns", ErrBadEncoding, len(q.cols))
 	}
 	e := ensemble{q: q, nFeatures: enc.NFeatures}
 	for ti, et := range enc.Trees {
@@ -101,8 +102,8 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 				ft.featOff[i] = -1
 				continue
 			}
-			if int(f) >= enc.NFeatures || int(et.Bin[i]) >= len(q.cuts[f]) {
-				return ensemble{}, fmt.Errorf("%w: tree %d node %d splits feature %d bin %d", ErrBadEncoding, ti, i, f, et.Bin[i])
+			if int(f) >= len(q.cols) || int(et.Bin[i]) >= len(q.cols[f].cuts) {
+				return ensemble{}, fmt.Errorf("%w: tree %d node %d splits code column %d bin %d", ErrBadEncoding, ti, i, f, et.Bin[i])
 			}
 			l := et.Left[i]
 			// Children always follow their parent (BFS compile order)

@@ -23,10 +23,6 @@ var (
 	ErrNoData = errors.New("forest: no training data")
 	// ErrNotFitted indicates prediction or importance on an unfitted forest.
 	ErrNotFitted = errors.New("forest: not fitted")
-	// ErrNoTrainingState indicates an out-of-bag operation on a forest
-	// without training-side state (e.g. one deserialized for
-	// deployment).
-	ErrNoTrainingState = errors.New("forest: no training state")
 )
 
 // Config controls forest induction. The zero value is unusable for
@@ -337,10 +333,6 @@ func (f *Forest) ImpurityImportance() ([]float64, error) {
 	if len(f.trees) == 0 {
 		return nil, ErrNotFitted
 	}
-	if f.cols == nil {
-		// Deserialized forests carry no importance accumulators.
-		return nil, ErrNoTrainingState
-	}
 	total := make([]float64, f.nFeatures)
 	for _, t := range f.trees {
 		for i, v := range t.Importance() {
@@ -367,9 +359,6 @@ func (f *Forest) ImpurityImportance() ([]float64, error) {
 func (f *Forest) PermutationImportance(seed int64) ([]float64, error) {
 	if len(f.trees) == 0 {
 		return nil, ErrNotFitted
-	}
-	if f.cols == nil || len(f.oob) != len(f.trees) {
-		return nil, ErrNoTrainingState
 	}
 	rng := rand.New(rand.NewSource(seed))
 	imp := make([]float64, f.nFeatures)
@@ -432,9 +421,6 @@ func (f *Forest) PermutationImportance(seed int64) ([]float64, error) {
 func (f *Forest) OOBAccuracy() (float64, error) {
 	if len(f.trees) == 0 {
 		return 0, ErrNotFitted
-	}
-	if f.cols == nil || len(f.oob) != len(f.trees) {
-		return 0, ErrNoTrainingState
 	}
 	n := len(f.y)
 	votes := make([]float64, n)

@@ -21,10 +21,6 @@ var (
 	ErrNoData = errors.New("gbdt: no training data")
 	// ErrNotFitted indicates use of an unfitted model.
 	ErrNotFitted = errors.New("gbdt: not fitted")
-	// ErrNoTrainingState indicates an importance query on a model
-	// without training-side state (e.g. one deserialized for
-	// deployment).
-	ErrNoTrainingState = errors.New("gbdt: no training state")
 	// ErrShapeMismatch indicates prediction input whose shape does not
 	// match the fitted model.
 	ErrShapeMismatch = errors.New("gbdt: shape mismatch")
@@ -478,9 +474,6 @@ func (m *Model) GainImportance() ([]float64, error) {
 	if len(m.trees) == 0 {
 		return nil, ErrNotFitted
 	}
-	if m.gain == nil {
-		return nil, ErrNoTrainingState
-	}
 	out := append([]float64(nil), m.gain...)
 	sum := 0.0
 	for _, v := range out {
@@ -499,9 +492,6 @@ func (m *Model) GainImportance() ([]float64, error) {
 func (m *Model) WeightImportance() ([]int, error) {
 	if len(m.trees) == 0 {
 		return nil, ErrNotFitted
-	}
-	if m.splits == nil {
-		return nil, ErrNoTrainingState
 	}
 	return append([]int(nil), m.splits...), nil
 }

@@ -253,46 +253,3 @@ func BenchmarkFit(b *testing.B) {
 		}
 	}
 }
-
-func TestModelSerializationRoundTrip(t *testing.T) {
-	cols, y := blobs(300, 2, 61)
-	m, err := Fit(cols, y, Config{NumRounds: 12, MaxDepth: 3, Eta: 0.3, Lambda: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := UnmarshalModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumTrees() != m.NumTrees() || g.NumFeatures() != m.NumFeatures() {
-		t.Fatal("shape changed after round trip")
-	}
-	rng := rand.New(rand.NewSource(62))
-	x := make([]float64, 3)
-	for trial := 0; trial < 200; trial++ {
-		for j := range x {
-			x[j] = rng.NormFloat64() * 2
-		}
-		if m.PredictProba(x) != g.PredictProba(x) {
-			t.Fatal("prediction changed after round trip")
-		}
-	}
-	// Importance is training-side state and must be gone, loudly.
-	if _, err := g.GainImportance(); err == nil {
-		t.Error("deserialized model should not report importance")
-	}
-}
-
-func TestUnmarshalModelErrors(t *testing.T) {
-	if _, err := UnmarshalModel([]byte("nope")); !errors.Is(err, ErrBadEncoding) {
-		t.Errorf("garbage error = %v", err)
-	}
-	var empty Model
-	if _, err := empty.MarshalBinary(); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("unfitted marshal error = %v", err)
-	}
-}

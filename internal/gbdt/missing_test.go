@@ -73,29 +73,28 @@ func TestFitAllMissingColumnNeverSplit(t *testing.T) {
 	}
 }
 
-func TestSerializePreservesDefaultDirection(t *testing.T) {
+func TestExportPreservesDefaultDirection(t *testing.T) {
 	cols, y := missingInformative(200)
 	m, err := Fit(cols, y, Config{NumRounds: 15, MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := m.MarshalBinary()
+	enc, err := m.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalModel(data)
-	if err != nil {
-		t.Fatal(err)
+	if len(enc.Trees) != len(m.trees) {
+		t.Fatalf("exported %d trees, model has %d", len(enc.Trees), len(m.trees))
 	}
-	probes := [][]float64{
-		{math.NaN(), 5},
-		{3, math.NaN()},
-		{math.NaN(), math.NaN()},
-		{8, 2},
-	}
-	for _, x := range probes {
-		if a, b := m.PredictMargin(x), got.PredictMargin(x); a != b {
-			t.Errorf("margin drift after roundtrip on %v: %v vs %v", x, a, b)
+	for ti, et := range enc.Trees {
+		nodes := m.trees[ti].nodes
+		if len(et.DefaultLeft) != len(nodes) {
+			t.Fatalf("tree %d: %d default directions for %d nodes", ti, len(et.DefaultLeft), len(nodes))
+		}
+		for i, nd := range nodes {
+			if et.DefaultLeft[i] != nd.defaultLeft {
+				t.Errorf("tree %d node %d: exported default-left %v, model %v", ti, i, et.DefaultLeft[i], nd.defaultLeft)
+			}
 		}
 	}
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -203,4 +205,37 @@ func TestWatchPicksUpPromotion(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("watcher never swapped to v%d", v)
+}
+
+// TestReloadKeepsLastGoodOnWidthMismatch: a promoted snapshot whose
+// group feature list disagrees with its model's input width would
+// fail every batch it scores, so reload refuses it as corrupt and the
+// last good version keeps serving.
+func TestReloadKeepsLastGoodOnWidthMismatch(t *testing.T) {
+	s, reg, _ := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, snapA, snapB := testFleet(t)
+	bad := *snapB
+	bad.Groups = append([]engine.GroupSnapshot(nil), snapB.Groups...)
+	g0 := &bad.Groups[0]
+	g0.Features = g0.Features[:len(g0.Features)-1]
+	if _, err := engine.SaveSnapshot(reg, "serving", &bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Reload(); !errors.Is(err, engine.ErrSnapshotCorrupt) {
+		t.Fatalf("reload of a width-mismatched snapshot: error = %v, want ErrSnapshotCorrupt", err)
+	}
+
+	day := snapA.TrainedThrough + 3
+	var got ScoreResponse
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/score",
+		ScoreRequest{Model: "serving", Series: inlineSeries(t, s, day)}, &got)
+	if code != http.StatusOK {
+		t.Fatalf("score after refused reload: HTTP %d: %s", code, body)
+	}
+	if got.Version != 1 || got.ConfigHash != snapA.ConfigHash {
+		t.Errorf("served (v%d, %s); want last good (v1, %s)", got.Version, got.ConfigHash, snapA.ConfigHash)
+	}
 }
