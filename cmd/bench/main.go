@@ -19,11 +19,11 @@
 // million-drive daily scoring through the compiled flat kernel over a
 // disk-spilled columnar fleet (fleet-score; size it with
 // -fleet-drives, default 1,000,000 or 50,000 under -quick), and the
-// online prediction service at saturation (serve-load: an open-loop
-// load scan over a loopback daemon, reporting p50/p99/p999 latency
-// per request path and QPS at saturation), and the ranker-evaluation
-// harness (rank-eval: internal/rankeval over every registered ranker
-// plus the WEFR ensemble on a small fleet).
+// ranker-evaluation harness (rank-eval: internal/rankeval over every
+// registered ranker plus the WEFR ensemble on a small fleet). These
+// are in-process micro-benchmarks; the serving daemon's end-to-end
+// latency and throughput under load are measured out of process by
+// perfbench (bash perfbench/run.sh).
 //
 // After a run, the report is diffed against the most recent prior
 // BENCH_*.json in the working directory (by modification time) and a
@@ -93,7 +93,6 @@ func main() {
 		fleetN   = flag.Int("fleet-drives", 0, "fleet-score fleet size (default 1000000, or 50000 with -quick)")
 	)
 	flag.Parse()
-	quickMode = *quick
 	if *quick {
 		if err := flag.Set("test.benchtime", "1x"); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
@@ -136,25 +135,17 @@ func run(out, baselinePath, only string) error {
 			continue
 		}
 		fmt.Printf("%-22s ", bm.name)
-		var res Result
-		if bm.special != nil {
-			var err error
-			if res, err = bm.special(); err != nil {
-				return fmt.Errorf("%s: %w", bm.name, err)
-			}
-		} else {
-			r := testing.Benchmark(bm.fn)
-			res = Result{
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				N:           r.N,
-			}
-			if len(r.Extra) > 0 {
-				res.Extra = make(map[string]float64, len(r.Extra))
-				for k, v := range r.Extra {
-					res.Extra[k] = v
-				}
+		r := testing.Benchmark(bm.fn)
+		res := Result{
+			NsPerOp:     r.NsPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			N:           r.N,
+		}
+		if len(r.Extra) > 0 {
+			res.Extra = make(map[string]float64, len(r.Extra))
+			for k, v := range r.Extra {
+				res.Extra[k] = v
 			}
 		}
 		if base, ok := rep.Baseline[bm.baselineName()]; ok && res.NsPerOp > 0 {
@@ -164,9 +155,6 @@ func run(out, baselinePath, only string) error {
 		fmt.Printf("%12d ns/op %10d B/op %8d allocs/op", res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
 		if v, ok := res.Extra["drives/sec"]; ok {
 			fmt.Printf("   %.0f drives/sec", v)
-		}
-		if v, ok := res.Extra["qps_saturation"]; ok {
-			fmt.Printf("   %.0f qps@sat", v)
 		}
 		if res.Speedup > 0 {
 			fmt.Printf("   %.2fx vs baseline", res.Speedup)
@@ -342,10 +330,6 @@ type bench struct {
 	name string
 	fn   func(b *testing.B)
 	base string
-	// special replaces the testing.Benchmark harness for benchmarks
-	// that measure something other than a tight loop (e.g. serve-load's
-	// latency distribution under open-loop load).
-	special func() (Result, error)
 }
 
 func (bm bench) baselineName() string {
@@ -365,7 +349,6 @@ var benches = []bench{
 	{name: "series-gen", fn: benchSeriesGen},
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
 	{name: "fleet-score", fn: benchFleetScore},
-	{name: "serve-load", special: benchServeLoad},
 	{name: "rank-eval", fn: benchRankEval},
 }
 
@@ -583,10 +566,6 @@ func benchSeriesGenBatch(b *testing.B) {
 
 // fleetDrives is the fleet-score fleet size, set from -fleet-drives.
 var fleetDrives = 1_000_000
-
-// quickMode mirrors -quick for benchmarks that size their own setup
-// (serve-load shrinks its fleet, forest, and load steps under it).
-var quickMode bool
 
 // fleetFeats is the fleet benchmark's scoring feature set: wear and
 // workload context plus the error counters that drive the paper's

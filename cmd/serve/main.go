@@ -17,21 +17,16 @@
 //
 //	serve -dir runs/mc1/registry -bootstrap             # train v1 if absent, serve on :8089
 //	serve -dir runs/mc1/registry -watch 2s              # pick up controller promotions live
-//	serve -dir runs/mc1/registry -bootstrap -loadgen -qps 800 -load-for 5s
-//	serve -dir runs/mc1/registry -bootstrap -loadgen -saturate
 //
-// With -loadgen the daemon serves itself on a loopback port, drives
-// open-loop Poisson traffic (optionally diurnally modulated) against
-// its own endpoints, and prints a latency/throughput report as JSON
-// instead of staying up.
+// The daemon has no built-in load generator: perfbench drives it from
+// a separate process over HTTP and checks every reply against offline
+// scoring (bash perfbench/run.sh --workload serve-inline).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -77,14 +72,6 @@ type options struct {
 	DrainTimeout     time.Duration
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	Loadgen  bool
-	QPS      float64
-	LoadFor  time.Duration
-	Period   time.Duration
-	Amp      float64
-	Saturate bool
-	SLOP99   time.Duration
 }
 
 func main() {
@@ -112,23 +99,15 @@ func main() {
 	flag.DurationVar(&o.DrainTimeout, "drain-timeout", 10*time.Second, "bound on draining in-flight requests at SIGTERM/SIGINT")
 	flag.IntVar(&o.BreakerThreshold, "breaker-threshold", 0, "consecutive store failures that trip the circuit breaker (0 = default 5)")
 	flag.DurationVar(&o.BreakerCooldown, "breaker-cooldown", 0, "breaker open interval before a half-open probe (0 = default 2s)")
-
-	flag.BoolVar(&o.Loadgen, "loadgen", false, "serve on loopback, generate load against self, print a JSON report, and exit")
-	flag.Float64Var(&o.QPS, "qps", 500, "loadgen mean arrival rate")
-	flag.DurationVar(&o.LoadFor, "load-for", 5*time.Second, "loadgen span (per step when -saturate)")
-	flag.DurationVar(&o.Period, "diurnal-period", 4*time.Second, "loadgen diurnal modulation period (0 = flat rate)")
-	flag.Float64Var(&o.Amp, "diurnal-amp", 0.5, "loadgen diurnal modulation amplitude in [0, 1)")
-	flag.BoolVar(&o.Saturate, "saturate", false, "escalate offered load until the service saturates; report the knee")
-	flag.DurationVar(&o.SLOP99, "slo-p99", 100*time.Millisecond, "p99 latency SLO for the saturation scan")
 	flag.Parse()
 
-	if err := run(o, os.Stdout); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options, out io.Writer) error {
+func run(o options) error {
 	model, err := smart.ParseModel(o.Model)
 	if err != nil {
 		return err
@@ -197,10 +176,6 @@ func run(o options, out io.Writer) error {
 		s.Watch(o.Watch, func(err error) {
 			fmt.Fprintf(os.Stderr, "serve: watch: %v\n", err)
 		})
-	}
-
-	if o.Loadgen {
-		return runLoadgen(o, s, ingest, names, out)
 	}
 
 	ln, err := net.Listen("tcp", o.Addr)
@@ -274,55 +249,4 @@ func bootstrap(reg *core.Registry, name string, src dataset.Source, model smart.
 	}
 	fmt.Fprintf(os.Stderr, "serve: saved %q v%d (config %s)\n", name, v, snap.ConfigHash)
 	return nil
-}
-
-// runLoadgen serves the daemon on a loopback port, fires the load
-// generator at it, and prints the report as JSON.
-func runLoadgen(o options, s *serve.Server, day int, names []string, out io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	spec := serve.LoadSpec{
-		BaseQPS:       o.QPS,
-		Duration:      o.LoadFor,
-		DiurnalPeriod: o.Period,
-		DiurnalAmp:    o.Amp,
-		Cohorts:       defaultCohorts(names),
-		Seed:          o.Seed,
-		Day:           day,
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	var report any
-	if o.Saturate {
-		report, err = serve.SaturationScan(client, base, spec, 1.6, 6, o.SLOP99)
-	} else {
-		report, err = serve.RunLoad(client, base, spec)
-	}
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
-}
-
-// defaultCohorts is the loadgen request mix per served artifact:
-// mostly coalesced single-drive traffic, some kernel-direct batches,
-// an occasional whole-fleet pass.
-func defaultCohorts(names []string) []serve.Cohort {
-	var out []serve.Cohort
-	for _, name := range names {
-		out = append(out,
-			serve.Cohort{Name: name + "/single", Artifact: name, Weight: 0.75, Path: "single"},
-			serve.Cohort{Name: name + "/batch", Artifact: name, Weight: 0.2, Path: "batch", Batch: 64},
-			serve.Cohort{Name: name + "/fleet", Artifact: name, Weight: 0.05, Path: "fleet"},
-		)
-	}
-	return out
 }

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/serve"
 )
 
 // baseOptions is a small, fast option set for end-to-end CLI runs.
@@ -17,41 +13,6 @@ func baseOptions(t *testing.T) options {
 		Dir: t.TempDir(), Artifacts: "serving", Model: "MC1",
 		Drives: 150, Days: 120, Seed: 1, AFRScale: 4,
 		Trees: 4, Depth: 4, Bootstrap: true,
-		Loadgen: true, QPS: 300, LoadFor: 400 * time.Millisecond,
-		Period: 200 * time.Millisecond, Amp: 0.5,
-	}
-}
-
-// TestRunLoadgen exercises the whole CLI end to end: bootstrap-train
-// version 1, serve on loopback, generate mixed-path load against
-// self, and print a well-formed error-free JSON report.
-func TestRunLoadgen(t *testing.T) {
-	o := baseOptions(t)
-	var out bytes.Buffer
-	if err := run(o, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep serve.LoadReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, out.String())
-	}
-	if rep.Requests == 0 {
-		t.Fatal("load run issued no requests")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d of %d requests errored:\n%s", rep.Errors, rep.Requests, out.String())
-	}
-	if len(rep.Paths) == 0 {
-		t.Fatal("report has no per-path stats")
-	}
-
-	// A second run against the same registry must reuse version 1, not
-	// retrain — even without -bootstrap.
-	o.Bootstrap = false
-	o.LoadFor = 100 * time.Millisecond
-	out.Reset()
-	if err := run(o, &out); err != nil {
-		t.Fatalf("second run against existing registry: %v", err)
 	}
 }
 
@@ -84,7 +45,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	for _, tc := range cases {
 		o := baseOptions(t)
 		tc.mutate(&o)
-		err := run(o, &bytes.Buffer{})
+		err := run(o)
 		if err == nil {
 			t.Errorf("%s: run succeeded", tc.name)
 			continue

@@ -92,16 +92,11 @@ func TestChaosOverloadSheds(t *testing.T) {
 	faults.ArmOp(SiteSlowWrite, faults.OpDelay(2*time.Millisecond))
 	t.Cleanup(disarmAll)
 
-	rep, err := RunLoad(ts.Client(), ts.URL, LoadSpec{
-		BaseQPS:  4000,
-		Duration: 600 * time.Millisecond,
-		Cohorts:  []Cohort{{Name: "single", Artifact: "serving", Weight: 1, Path: "single"}},
-		Seed:     42,
-		Workers:  128,
-	})
+	body, err := json.Marshal(ScoreRequest{Model: "serving", Series: inlineSeries(t, s, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := openLoop(ts.Client(), ts.URL+"/v1/score", body, 4000, 600*time.Millisecond, 128)
 	if rep.Errors != 0 {
 		t.Fatalf("overload produced %d hard errors; want only 429/503: %+v", rep.Errors, rep)
 	}

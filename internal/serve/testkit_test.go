@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -105,4 +109,61 @@ func newTestServer(t *testing.T, opts Options) (*Server, *core.Registry, *store.
 	}
 	t.Cleanup(s.Close)
 	return s, reg, st
+}
+
+// loadReport counts one openLoop run's replies by status class.
+type loadReport struct {
+	OfferedQPS  float64
+	Requests    int
+	Accepted    int // 2xx
+	Shed        int // 429
+	Unavailable int // 503
+	Errors      int // transport failures and any other status
+}
+
+// openLoop posts body to url at a fixed rate for span. Arrivals are
+// open-loop: the dispatcher queues each one at its due time without
+// waiting for replies, and workers goroutines drain the queue, so a
+// slow server builds a backlog instead of slowing the offered rate.
+func openLoop(client *http.Client, url string, body []byte, qps float64, span time.Duration, workers int) loadReport {
+	n := int(qps * span.Seconds())
+	gap := time.Duration(float64(time.Second) / qps)
+	queue := make(chan struct{}, n) // one slot per arrival: the dispatcher never blocks
+	var mu sync.Mutex
+	rep := loadReport{OfferedQPS: qps, Requests: n}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range queue {
+				status := 0
+				if resp, err := client.Post(url, "application/json", bytes.NewReader(body)); err == nil {
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					status = resp.StatusCode
+				}
+				mu.Lock()
+				switch {
+				case status >= 200 && status < 300:
+					rep.Accepted++
+				case status == http.StatusTooManyRequests:
+					rep.Shed++
+				case status == http.StatusServiceUnavailable:
+					rep.Unavailable++
+				default:
+					rep.Errors++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * gap)))
+		queue <- struct{}{}
+	}
+	close(queue)
+	wg.Wait()
+	return rep
 }
