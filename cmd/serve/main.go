@@ -3,15 +3,15 @@
 // per-drive, batch, and whole-fleet scoring requests over HTTP/JSON,
 // and admits streaming SMART telemetry into its columnar store.
 //
-// Single-drive requests are micro-batched: a request queues its
-// feature row in a per-group coalescer that flushes to the compiled
-// scoring kernel when the batch fills or ages out, so the hot path is
+// A single-drive request assembles its feature row in pooled scratch
+// and scores it with one call into the compiled scoring kernel, the
+// same call a batch request makes per wear group, so the hot path is
 // allocation-free at steady state. Snapshot promotions (e.g. by the
 // continuous-operation controller writing new registry versions) go
-// live through an atomic hot swap — in-flight requests finish on the
-// snapshot they started with, new requests pick up the new one, and
-// every response echoes the (version, config-hash) identity it was
-// scored under.
+// live through an atomic pointer store — in-flight requests finish on
+// the snapshot they started with, new requests pick up the new one,
+// and every response echoes the (version, config-hash) identity it
+// was scored under.
 //
 // Usage:
 //
@@ -63,8 +63,6 @@ type options struct {
 	TrainDays int
 	Ingest    int
 	Watch     time.Duration
-	Batch     int
-	MaxDelay  time.Duration
 
 	MaxInflight      int
 	DefaultDeadline  time.Duration
@@ -91,8 +89,6 @@ func main() {
 	flag.IntVar(&o.TrainDays, "train-days", 0, "bootstrap training span in days (0 = all but the last 30)")
 	flag.IntVar(&o.Ingest, "ingest-through", 0, "admit source days [0, N] at boot (0 = the full span); later days arrive via POST /v1/ingest")
 	flag.DurationVar(&o.Watch, "watch", 0, "poll the registry at this interval and hot-swap new versions (0 = manual /v1/reload only)")
-	flag.IntVar(&o.Batch, "batch", 0, "coalescer flush size in rows (0 = default)")
-	flag.DurationVar(&o.MaxDelay, "max-delay", 0, "coalescer flush age (0 = default)")
 	flag.IntVar(&o.MaxInflight, "max-inflight", 0, "concurrent single-drive requests admitted (0 = default 256); batch/fleet/ingest caps scale from defaults")
 	flag.DurationVar(&o.DefaultDeadline, "default-deadline", 0, "per-request deadline when the client sends no X-Deadline-Ms (0 = default 2s)")
 	flag.BoolVar(&o.DegradedOK, "degraded-ok", false, "report ready on /readyz even while degraded (breaker open or registry stale)")
@@ -160,7 +156,7 @@ func run(o options) error {
 
 	s, err := serve.New(serve.Options{
 		Registry: reg, Artifacts: names, Store: st,
-		MaxBatch: o.Batch, MaxDelay: o.MaxDelay, Workers: o.Workers,
+		Workers:           o.Workers,
 		MaxInflightSingle: o.MaxInflight,
 		DefaultDeadline:   o.DefaultDeadline,
 		DegradedOK:        o.DegradedOK,
@@ -191,10 +187,9 @@ func run(o options) error {
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case <-ctx.Done():
-		// Graceful drain: stop accepting, let in-flight requests (and
-		// their coalescer flushes) finish within the drain budget, then
-		// exit 0. The deferred s.Close drains the coalescers after the
-		// HTTP layer quiesces.
+		// Graceful drain: stop accepting, let in-flight requests finish
+		// within the drain budget, then exit 0. The deferred s.Close
+		// stops the registry watcher after the HTTP layer quiesces.
 		if o.DrainTimeout <= 0 {
 			o.DrainTimeout = 10 * time.Second
 		}

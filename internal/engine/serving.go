@@ -12,7 +12,8 @@ import (
 // pooled-scratch scoring pass (ScoreInto) plus read-only accessors for
 // the snapshot's group structure, so a server can route a drive to its
 // wear group, assemble that group's model-input columns itself, and
-// push micro-batches straight through the group's compiled model.
+// push single rows or batches straight through the group's compiled
+// model.
 
 // ScoreInto scores days [lo, hi] exactly like Score but draws all of
 // its working state — per-drive accumulators, frame column storage,
@@ -96,9 +97,8 @@ func inputWidth(n int, windows []int) int {
 // ScoreBatch scores a pre-assembled batch through group g's trained
 // model: cols must hold GroupInputWidth(g) equal-length model-input
 // columns, and out must have that common length. Probabilities are
-// row-local — batch composition does not affect them — so a
-// micro-batched server produces bit-identical probabilities to
-// one-at-a-time scoring.
+// row-local — batch composition does not affect them — so scoring a
+// row alone or inside any batch gives bit-identical probabilities.
 func (s *Scorer) ScoreBatch(g int, cols [][]float64, out []float64) error {
 	if g < 0 || g >= len(s.groups) {
 		return fmt.Errorf("pipeline: group %d out of range [0, %d)", g, len(s.groups))

@@ -406,7 +406,7 @@ func (m *Model) NumTrees() int  { return len(m.e.trees) }
 // i's positive-class probability into out[i]. Bit-identical to
 // tree.Classifier.PredictProbaBatch on the source tree.
 func (t *Tree) PredictProbaBatch(cols [][]float64, out []float64) error {
-	return t.e.scoreAll(cols, out, t.Workers, 0, 1, nil)
+	return t.e.scoreAll(cols, out, t.Workers, 0, 1, finishNone)
 }
 
 // PredictProbaBatch scores every row of column-major data, writing row
@@ -414,28 +414,17 @@ func (t *Tree) PredictProbaBatch(cols [][]float64, out []float64) error {
 // forest.Forest.PredictProbaBatch on the source forest for any worker
 // count on either side.
 func (f *Forest) PredictProbaBatch(cols [][]float64, out []float64) error {
-	nt := float64(len(f.e.trees))
-	return f.e.scoreAll(cols, out, f.Workers, 0, 1, func(blk []float64) {
-		// Divide (not multiply-by-reciprocal) exactly as the pointer
-		// forest does, keeping results bit-identical.
-		for i := range blk {
-			blk[i] /= nt
-		}
-	})
+	return f.e.scoreAll(cols, out, f.Workers, 0, 1, finishMean)
 }
 
 // PredictMarginBatch writes each row's raw additive margin (log-odds)
 // into out[i]. Bit-identical to gbdt.Model.PredictMarginBatch.
 func (m *Model) PredictMarginBatch(cols [][]float64, out []float64) error {
-	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, nil)
+	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, finishNone)
 }
 
 // PredictProbaBatch writes each row's positive-class probability into
 // out[i]. Bit-identical to gbdt.Model.PredictProbaBatch.
 func (m *Model) PredictProbaBatch(cols [][]float64, out []float64) error {
-	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, func(blk []float64) {
-		for i, v := range blk {
-			blk[i] = 1 / (1 + math.Exp(-v))
-		}
-	})
+	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, finishSigmoid)
 }

@@ -58,13 +58,24 @@ func getScratch(nCols int) *scratch {
 	return sc
 }
 
+// finish is the elementwise step that turns a block's accumulated sums
+// into outputs. It is a value, not a closure, so a call captures
+// nothing and the one-row serving path allocates nothing.
+type finish uint8
+
+const (
+	finishNone    finish = iota // raw sums (tree probability, GBDT margin)
+	finishMean                  // divide by the tree count (forest vote)
+	finishSigmoid               // logistic of the margin (GBDT probability)
+)
+
 // scoreAll is the shared batch driver. Each block of rows is quantized
 // and pushed through every tree, accumulating init + scale*leaf into
-// out; post (optional) then finishes the block elementwise. Blocks are
+// out; fin then finishes the block elementwise. Blocks are
 // claimed by workers off a shared counter; per-row results do not
 // depend on worker count or claim order, because blocks are disjoint
 // and each is computed fully by one worker.
-func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, scale float64, post func([]float64)) error {
+func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, scale float64, fin finish) error {
 	if len(e.trees) == 0 {
 		return fmt.Errorf("%w: no trees", ErrNotCompilable)
 	}
@@ -92,7 +103,7 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 	if workers <= 1 {
 		sc := getScratch(len(e.q.cols))
 		for b := 0; b < nBlocks; b++ {
-			e.scoreBlock(cols, out, b, init, scale, post, sc)
+			e.scoreBlock(cols, out, b, init, scale, fin, sc)
 		}
 		scratchPool.Put(sc)
 		return nil
@@ -109,7 +120,7 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 				if b >= nBlocks {
 					break
 				}
-				e.scoreBlock(cols, out, b, init, scale, post, sc)
+				e.scoreBlock(cols, out, b, init, scale, fin, sc)
 			}
 			scratchPool.Put(sc)
 		}()
@@ -119,7 +130,7 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 }
 
 // scoreBlock scores block b, rows [b<<blockShift, ...+bn).
-func (e *ensemble) scoreBlock(cols [][]float64, out []float64, b int, init, scale float64, post func([]float64), sc *scratch) {
+func (e *ensemble) scoreBlock(cols [][]float64, out []float64, b int, init, scale float64, fin finish, sc *scratch) {
 	lo := b << blockShift
 	bn := len(out) - lo
 	if bn > blockRows {
@@ -133,8 +144,18 @@ func (e *ensemble) scoreBlock(cols [][]float64, out []float64, b int, init, scal
 	for ti := range e.trees {
 		e.trees[ti].scoreBlockAdd(sc, bn, scale)
 	}
-	if post != nil {
-		post(acc)
+	switch fin {
+	case finishMean:
+		// Divide (not multiply-by-reciprocal) exactly as the pointer
+		// forest does, keeping results bit-identical.
+		nt := float64(len(e.trees))
+		for i := range acc {
+			acc[i] /= nt
+		}
+	case finishSigmoid:
+		for i, v := range acc {
+			acc[i] = 1 / (1 + math.Exp(-v))
+		}
 	}
 	copy(out[lo:lo+bn], acc)
 }

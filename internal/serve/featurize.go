@@ -19,9 +19,12 @@ import (
 // the scored day, the row is bit-identical to the engine's, so online
 // scores match offline ones exactly.
 
-// featScratch is the pooled working state of one row assembly.
+// featScratch is the pooled working state of one row assembly and
+// its kernel call.
 type featScratch struct {
 	row     []float64
+	cols    [][]float64 // width one-row column views into row
+	prob    [1]float64  // the kernel's output for the row
 	gen     [][]float64 // nGen single-day views into genSlab
 	genSlab []float64
 	rolling []stats.RollingStats
@@ -40,6 +43,13 @@ func getScratch(width, nGen int) *featScratch {
 		fs.row = make([]float64, width)
 	}
 	fs.row = fs.row[:width]
+	if cap(fs.cols) < width {
+		fs.cols = make([][]float64, width)
+	}
+	fs.cols = fs.cols[:width]
+	for i := range fs.cols {
+		fs.cols[i] = fs.row[i : i+1]
+	}
 	if cap(fs.genSlab) < nGen {
 		fs.genSlab = make([]float64, nGen)
 	}

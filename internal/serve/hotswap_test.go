@@ -23,11 +23,7 @@ import (
 // at score time — no dropped requests, no mis-versioned responses,
 // no stitched identity across a swap boundary.
 func TestHotSwapZeroDrop(t *testing.T) {
-	s, reg, _ := newTestServer(t, Options{
-		// A small batch plus a visible age bound keeps queued rows
-		// moving through swaps.
-		MaxBatch: 32, MaxDelay: 200 * time.Microsecond,
-	})
+	s, reg, _ := newTestServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -145,10 +141,9 @@ func TestHotSwapZeroDrop(t *testing.T) {
 			if o.hash != want {
 				t.Fatalf("goroutine %d response %d: version %d with hash %s, registry holds %s — mis-versioned response", g, i, o.version, o.hash, want)
 			}
-			// A goroutine's requests are sequential, and a swap
-			// publishes the new serving state before retiring the old,
-			// so the version each goroutine observes can only move
-			// forward.
+			// A goroutine's requests are sequential, and a swap is one
+			// pointer store, so the version each goroutine observes can
+			// only move forward.
 			if o.version < lastVersion {
 				t.Errorf("goroutine %d response %d: version went back from %d to %d", g, i, lastVersion, o.version)
 			}

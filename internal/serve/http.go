@@ -80,7 +80,7 @@ type ScoreResponse struct {
 }
 
 // BatchRequest is the body of POST /v1/score/batch: many drives
-// scored in one call, bypassing the coalescer.
+// scored in one call.
 type BatchRequest struct {
 	Model  string       `json:"model"`
 	Drives []BatchDrive `json:"drives"`
@@ -384,28 +384,19 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// scoreOne scores a single drive-day through the coalescer, retrying
-// transparently when a hot swap retires the serving state mid-flight.
+// scoreOne scores a single drive-day on the artifact's active
+// snapshot, captured once: a concurrent hot swap cannot change the
+// (version, config-hash) the response reports.
 func (s *Server) scoreOne(ctx context.Context, req ScoreRequest) (ScoreResponse, error) {
 	art, ok := s.artifactByName(req.Model)
 	if !ok {
 		return ScoreResponse{}, &reqError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown model %q", req.Model)}
 	}
-	for attempt := 0; attempt < swapAttempts; attempt++ {
-		if attempt > 0 {
-			s.swapRetries.Add(1)
-		}
-		sv := art.cur.Load()
-		resp, err := s.scoreOn(ctx, sv, req)
-		if errors.Is(err, errRetired) {
-			continue
-		}
-		return resp, err
-	}
-	return ScoreResponse{}, &reqError{code: http.StatusServiceUnavailable, kind: kindRegistryDown, msg: "snapshot churn: retried past limit"}
+	return s.scoreOn(ctx, art.cur.Load(), req)
 }
 
-// scoreOn scores the request against one captured serving state.
+// scoreOn scores the request against one captured serving state: the
+// row is assembled in pooled scratch and scored by one kernel call.
 func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (ScoreResponse, error) {
 	series, day, driveID, err := s.resolveSeries(ctx, sv, req.DriveID, req.Day, req.Series)
 	if err != nil {
@@ -418,16 +409,15 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 	}
 	rt := sv.groups[g]
 	fs := getScratch(rt.width, rt.nGen)
-	err = sv.driveRow(rt, series, day, fs)
-	if err != nil {
-		putScratch(fs)
+	defer putScratch(fs)
+	if err := sv.driveRow(rt, series, day, fs); err != nil {
 		return ScoreResponse{}, err
 	}
-	prob, err := rt.co.SubmitCtx(ctx, fs.row)
-	putScratch(fs)
-	if err != nil {
-		return ScoreResponse{}, err
+	if err := sv.scorer.ScoreBatch(g, fs.cols, fs.prob[:]); err != nil {
+		return ScoreResponse{}, fmt.Errorf("serve: score group %d: %w", g, err)
 	}
+	s.singles.Add(1)
+	prob := fs.prob[0]
 	return ScoreResponse{
 		Model: sv.name, Version: sv.version, ConfigHash: sv.hash,
 		DriveID: driveID, Day: day, Group: g,
@@ -556,11 +546,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// scoreBatchOn scores a whole batch on one captured serving state,
-// bypassing the coalescer: rows are bucketed by wear group, each
-// bucket scored in one kernel call, results returned in request
-// order. Validation is all-or-nothing — any bad drive fails the whole
-// batch before anything is scored.
+// scoreBatchOn scores a whole batch on one captured serving state:
+// rows are bucketed by wear group, each bucket scored in one kernel
+// call, results returned in request order. Validation is
+// all-or-nothing — any bad drive fails the whole batch before
+// anything is scored.
 func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest) (BatchResponse, error) {
 	n := len(req.Drives)
 	type placed struct {

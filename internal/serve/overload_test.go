@@ -199,53 +199,3 @@ func TestPerPathBodyLimits(t *testing.T) {
 		}
 	}
 }
-
-// TestSubmitCtxCancel: a coalescer submitter whose context expires
-// abandons the wait promptly with the context error; the batch still
-// flushes without it.
-func TestSubmitCtxCancel(t *testing.T) {
-	flushed := make(chan int, 8)
-	co := newCoalescer(coalescerConfig{
-		nCols:   1,
-		maxRows: 4,
-		maxAge:  50 * time.Millisecond,
-		score: func(cols [][]float64, out []float64) error {
-			for i := range out {
-				out[i] = cols[0][i] * 2
-			}
-			return nil
-		},
-		onFlush: func(rows int, trigger flushTrigger) { flushed <- rows },
-	})
-	defer co.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := co.SubmitCtx(ctx, []float64{1})
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the row queue
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("cancelled submit: %v; want Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled submit did not return")
-	}
-	// The abandoned row still flushes with its batch on the age timer.
-	select {
-	case n := <-flushed:
-		if n != 1 {
-			t.Fatalf("flush carried %d rows; want the abandoned 1", n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("abandoned row never flushed")
-	}
-	// A subsequent submit is unaffected.
-	if p, err := co.Submit([]float64{3}); err != nil || p != 6 {
-		t.Fatalf("submit after abandon: (%v, %v); want (6, nil)", p, err)
-	}
-}

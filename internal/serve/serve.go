@@ -4,21 +4,21 @@
 // new fleet days into the store, and hot-swaps to newly promoted
 // snapshot versions atomically with zero dropped requests.
 //
-// The performance core is a per-(artifact, wear-group) micro-batching
-// coalescer: single-drive requests are queued and flushed — on a
-// size or age trigger — through the compiled flat kernel in one
-// column-major batch, so the steady-state per-request hot path
-// performs no allocations. Batch and fleet requests bypass the
-// coalescer straight into the kernel.
+// Every scoring path ends in the compiled flat kernel: a single-drive
+// request featurizes its row into pooled scratch and scores it with
+// one Scorer.ScoreBatch call, so the steady-state per-request hot
+// path performs no allocations; batch requests bucket their rows by
+// wear group into one call per group; fleet requests run the pooled
+// whole-pass engine path.
 //
 // Hot swap: each artifact's active snapshot lives behind one atomic
 // pointer. A reload builds the new serving state (snapshot decode,
-// scorer, coalescers) off to the side, swaps the pointer, and only
-// then retires the old state by draining its coalescers. Requests
-// that captured the old pointer finish on the old snapshot and echo
-// its (version, config-hash); requests that lose the race to a
-// retired coalescer transparently re-resolve the pointer and score on
-// the new one. No request is dropped or mis-versioned by a swap.
+// scorer) off to the side and stores the pointer. Requests that
+// captured the old pointer finish on the old snapshot and echo its
+// (version, config-hash); later requests load the new one, so no
+// request is dropped or mis-versioned by a swap. A superseded state
+// owns no goroutine or queue and needs no teardown: the garbage
+// collector frees it after its last request returns.
 package serve
 
 import (
@@ -40,8 +40,6 @@ import (
 
 // Defaults for Options fields left zero.
 const (
-	DefaultMaxBatch        = 256
-	DefaultMaxDelay        = 500 * time.Microsecond
 	DefaultMaxBatchRequest = 4096
 	DefaultMaxBodyBytes    = 8 << 20
 	DefaultMaxSeriesDays   = 4096
@@ -75,13 +73,6 @@ var (
 	SiteSlowWrite = faults.RegisterOpSite("serve-slow-write")
 )
 
-// swapAttempts bounds how many times a request re-resolves the active
-// snapshot after losing a race to a hot swap before giving up with
-// 503. Each attempt only fails if another swap landed during it, so
-// more than two in a row means the registry is churning faster than
-// requests complete.
-const swapAttempts = 8
-
 // Options configures a Server.
 type Options struct {
 	// Registry is the snapshot registry to serve from (required).
@@ -93,11 +84,6 @@ type Options struct {
 	// name a drive instead of inlining its series), the fleet scoring
 	// endpoint, and ingest admission.
 	Store *store.Store
-	// MaxBatch is the coalescer's flush size in rows (default 256).
-	MaxBatch int
-	// MaxDelay is the coalescer's flush age: the longest a queued
-	// request waits for co-travelers (default 500µs).
-	MaxDelay time.Duration
 	// Workers bounds fleet-scoring parallelism (0 = GOMAXPROCS).
 	Workers int
 	// MaxBatchRequest caps the number of drives in one batch request
@@ -149,12 +135,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = DefaultMaxDelay
-	}
 	if o.MaxBatchRequest <= 0 {
 		o.MaxBatchRequest = DefaultMaxBatchRequest
 	}
@@ -196,15 +176,18 @@ func (o Options) withDefaults() Options {
 
 // Stats is a snapshot of the server's request counters.
 type Stats struct {
-	Requests    int64 `json:"requests"`     // scoring requests answered (all paths)
-	Errors      int64 `json:"errors"`       // requests answered with an error status
-	Coalesced   int64 `json:"coalesced"`    // rows scored through the coalescers
-	Flushes     int64 `json:"flushes"`      // coalescer batches flushed
-	SizeFlushes int64 `json:"size_flushes"` // flushes triggered by a full batch
-	AgeFlushes  int64 `json:"age_flushes"`  // flushes triggered by the age timer
-	Swaps       int64 `json:"swaps"`        // snapshot hot swaps performed
-	SwapRetries int64 `json:"swap_retries"` // requests that re-resolved after losing to a swap
-	Ingests     int64 `json:"ingests"`      // ingest admissions accepted
+	Requests int64 `json:"requests"` // scoring requests answered (all paths)
+	Errors   int64 `json:"errors"`   // requests answered with an error status
+
+	// Coalesced and Flushes both count single-drive rows scored: each
+	// row is one kernel call. AgeFlushes is always 0. The three fields
+	// stay for existing /v1/stats readers.
+	Coalesced  int64 `json:"coalesced"`
+	Flushes    int64 `json:"flushes"`
+	AgeFlushes int64 `json:"age_flushes"`
+
+	Swaps   int64 `json:"swaps"`   // snapshot hot swaps performed
+	Ingests int64 `json:"ingests"` // ingest admissions accepted
 
 	Accepted         int64  `json:"accepted"`          // requests admitted past the gates
 	Shed             int64  `json:"shed"`              // requests rejected 429 by a full admission queue
@@ -222,17 +205,13 @@ type Server struct {
 	names []string // sorted artifact names
 	arts  map[string]*artifact
 
-	reloadMu sync.Mutex // serializes Reload (swap + retire ordering)
+	reloadMu sync.Mutex // serializes Reload
 
-	requests    atomic.Int64
-	errors      atomic.Int64
-	coalesced   atomic.Int64
-	flushes     atomic.Int64
-	sizeFlushes atomic.Int64
-	ageFlushes  atomic.Int64
-	swaps       atomic.Int64
-	swapRetries atomic.Int64
-	ingests     atomic.Int64
+	requests atomic.Int64
+	errors   atomic.Int64
+	singles  atomic.Int64 // single-drive rows scored
+	swaps    atomic.Int64
+	ingests  atomic.Int64
 
 	accepted         atomic.Int64
 	shed             atomic.Int64
@@ -263,8 +242,8 @@ type artifact struct {
 }
 
 // serving is the immutable runtime state of one loaded snapshot
-// version: the decoded scorer plus one coalescer per wear group. It
-// is replaced wholesale on hot swap, never mutated.
+// version: the decoded scorer plus per-wear-group routing metadata.
+// It is replaced wholesale on hot swap, never mutated.
 type serving struct {
 	name      string
 	version   int
@@ -290,7 +269,6 @@ type groupRT struct {
 	nGen      int // generated stats per original feature
 	width     int // model-input columns
 	threshold float64
-	co        *coalescer
 }
 
 // New loads the latest version of every configured artifact and
@@ -341,7 +319,7 @@ func New(opts Options) (*Server, error) {
 }
 
 // newServing loads and decodes one snapshot version into runtime
-// serving state with fresh coalescers.
+// serving state.
 func (s *Server) newServing(name string, version int) (*serving, error) {
 	if err := faults.Op(context.Background(), SiteRegistryLoad); err != nil {
 		return nil, fmt.Errorf("serve: artifact %q v%d: %w", name, version, err)
@@ -366,45 +344,15 @@ func (s *Server) newServing(name string, version int) (*serving, error) {
 	}
 	nGen := featgen.NumGenerated(sv.windows)
 	for g := 0; g < scorer.NumGroups(); g++ {
-		rt := &groupRT{
+		sv.groups = append(sv.groups, &groupRT{
 			index:     g,
 			feats:     scorer.GroupFeatures(g),
 			nGen:      nGen,
 			width:     scorer.GroupInputWidth(g),
 			threshold: scorer.GroupThreshold(g),
-		}
-		gi := g
-		rt.co = newCoalescer(coalescerConfig{
-			nCols:   rt.width,
-			maxRows: s.opts.MaxBatch,
-			maxAge:  s.opts.MaxDelay,
-			score: func(cols [][]float64, out []float64) error {
-				return scorer.ScoreBatch(gi, cols, out)
-			},
-			onFlush: func(rows int, trigger flushTrigger) {
-				s.coalesced.Add(int64(rows))
-				s.flushes.Add(1)
-				switch trigger {
-				case flushSize:
-					s.sizeFlushes.Add(1)
-				case flushAge:
-					s.ageFlushes.Add(1)
-				}
-			},
 		})
-		sv.groups = append(sv.groups, rt)
 	}
 	return sv, nil
-}
-
-// retire drains the serving state's coalescers: queued rows are
-// flushed and scored (on the old snapshot — they captured it before
-// the swap), and later submitters get errRetired, which sends them
-// back to re-resolve the artifact pointer.
-func (sv *serving) retire() {
-	for _, g := range sv.groups {
-		g.co.Close()
-	}
 }
 
 // Reload checks every artifact for a newer registry version and
@@ -447,12 +395,9 @@ func (s *Server) reloadLocked() ([]string, error) {
 		if err != nil {
 			return swapped, err
 		}
-		old := art.cur.Swap(sv)
+		art.cur.Store(sv)
 		s.swaps.Add(1)
 		swapped = append(swapped, name)
-		if old != nil {
-			old.retire()
-		}
 	}
 	return swapped, nil
 }
@@ -484,18 +429,14 @@ func (s *Server) Watch(interval time.Duration, onErr func(error)) {
 	}()
 }
 
-// Close stops the watcher and drains every coalescer. In-flight
-// requests finish; new Submits fail. Idempotent.
+// Close stops the registry watcher, if Watch started one. Requests
+// still in flight are unaffected: they hold no server resources that
+// Close releases. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.watchStop != nil {
 			close(s.watchStop)
 			<-s.watchDone
-		}
-		for _, name := range s.names {
-			if sv := s.arts[name].cur.Load(); sv != nil {
-				sv.retire()
-			}
 		}
 	})
 }
@@ -503,16 +444,14 @@ func (s *Server) Close() {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
 	state, trips := s.brk.snapshot()
+	singles := s.singles.Load()
 	return Stats{
-		Requests:    s.requests.Load(),
-		Errors:      s.errors.Load(),
-		Coalesced:   s.coalesced.Load(),
-		Flushes:     s.flushes.Load(),
-		SizeFlushes: s.sizeFlushes.Load(),
-		AgeFlushes:  s.ageFlushes.Load(),
-		Swaps:       s.swaps.Load(),
-		SwapRetries: s.swapRetries.Load(),
-		Ingests:     s.ingests.Load(),
+		Requests:  s.requests.Load(),
+		Errors:    s.errors.Load(),
+		Coalesced: singles,
+		Flushes:   singles,
+		Swaps:     s.swaps.Load(),
+		Ingests:   s.ingests.Load(),
 
 		Accepted:         s.accepted.Load(),
 		Shed:             s.shed.Load(),

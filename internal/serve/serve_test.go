@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -36,10 +40,13 @@ func postJSON(t *testing.T, client *http.Client, url string, body any, out any) 
 }
 
 // TestServeParity is the end-to-end bit-identity check: scoring a
-// drive-day over HTTP — through featurization, group routing, and
-// the micro-batching coalescer — must produce exactly the probability
-// the offline engine pass assigns that drive-day, for both the
-// store-backed and inline-series request forms.
+// drive-day over HTTP — through featurization, group routing, and the
+// one-row kernel call — must produce exactly the probability the
+// offline engine pass assigns that drive-day, for both the
+// store-backed and inline-series request forms. The same requests
+// are then sent again from many goroutines at once, each in its own
+// order: pooled scratch must never carry one request's row or score
+// into another's response.
 func TestServeParity(t *testing.T) {
 	s, _, st := newTestServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -59,6 +66,14 @@ func TestServeParity(t *testing.T) {
 		t.Fatal("offline pass scored no drives")
 	}
 
+	// Each case is one request with the offline outcome it must echo.
+	type parityCase struct {
+		label string
+		req   ScoreRequest
+		prob  float64
+		alarm bool
+	}
+	var cases []parityCase
 	snap := st.Snapshot()
 	refs := snap.RefIndex(testModel)
 	checked := 0
@@ -67,22 +82,9 @@ func TestServeParity(t *testing.T) {
 			break
 		}
 		id := o.Pred.DriveID
-
-		var got ScoreResponse
-		code, body := postJSON(t, ts.Client(), ts.URL+"/v1/score",
-			ScoreRequest{Model: "serving", DriveID: &id, Day: &day}, &got)
-		if code != http.StatusOK {
-			t.Fatalf("drive %d: HTTP %d: %s", id, code, body)
-		}
-		if got.Prob != o.MaxProb {
-			t.Errorf("drive %d: online prob %v != offline %v", id, got.Prob, o.MaxProb)
-		}
-		if got.Alarm != (o.Pred.FirstAlarmDay >= 0) {
-			t.Errorf("drive %d: online alarm %v != offline %v", id, got.Alarm, o.Pred.FirstAlarmDay >= 0)
-		}
-		if got.Version != 1 || got.ConfigHash != snapA.ConfigHash {
-			t.Errorf("drive %d: response identity (v%d, %s), want (v1, %s)", id, got.Version, got.ConfigHash, snapA.ConfigHash)
-		}
+		alarm := o.Pred.FirstAlarmDay >= 0
+		cases = append(cases, parityCase{fmt.Sprintf("drive %d", id),
+			ScoreRequest{Model: "serving", DriveID: &id, Day: &day}, o.MaxProb, alarm})
 
 		// Same drive-day as an inline upload: slice the store series to
 		// end at the scored day; generated window statistics then see
@@ -99,26 +101,121 @@ func TestServeParity(t *testing.T) {
 		if data, err := json.Marshal(req); err != nil || !json.Valid(data) {
 			continue // series contains NaN; not expressible as JSON
 		}
-		var in ScoreResponse
-		code, body = postJSON(t, ts.Client(), ts.URL+"/v1/score", req, &in)
-		if code != http.StatusOK {
-			t.Fatalf("drive %d inline: HTTP %d: %s", id, code, body)
-		}
-		if in.Prob != o.MaxProb {
-			t.Errorf("drive %d: inline prob %v != offline %v", id, in.Prob, o.MaxProb)
-		}
+		cases = append(cases, parityCase{fmt.Sprintf("drive %d inline", id), req, o.MaxProb, alarm})
 		checked++
 	}
 	if checked < 10 {
 		t.Fatalf("only %d drives checked end to end", checked)
 	}
-	if st := s.Stats(); st.Coalesced == 0 {
-		t.Error("no rows went through the coalescer")
+
+	check := func(c parityCase) {
+		var got ScoreResponse
+		code, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", c.req, &got)
+		if code != http.StatusOK {
+			t.Errorf("%s: HTTP %d: %s", c.label, code, body)
+			return
+		}
+		if got.Prob != c.prob {
+			t.Errorf("%s: online prob %v != offline %v", c.label, got.Prob, c.prob)
+		}
+		if got.Alarm != c.alarm {
+			t.Errorf("%s: online alarm %v != offline %v", c.label, got.Alarm, c.alarm)
+		}
+		if got.Version != 1 || got.ConfigHash != snapA.ConfigHash {
+			t.Errorf("%s: response identity (v%d, %s), want (v1, %s)", c.label, got.Version, got.ConfigHash, snapA.ConfigHash)
+		}
+	}
+	for _, c := range cases {
+		check(c)
+	}
+	if t.Failed() {
+		return
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		order := rand.New(rand.NewSource(int64(g))).Perm(len(cases))
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, i := range order {
+				check(cases[i])
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	// Every single-drive row is one kernel call, counted in both
+	// legacy flush counters; none is ever age-flushed.
+	want := int64((goroutines + 1) * len(cases))
+	if st := s.Stats(); st.Coalesced != want || st.Flushes != want || st.AgeFlushes != 0 {
+		t.Errorf("stats coalesced/flushes/age_flushes = %d/%d/%d, want %d/%d/0",
+			st.Coalesced, st.Flushes, st.AgeFlushes, want, want)
 	}
 }
 
-// TestServeBatchParity: the kernel-direct batch path must agree with
-// both the coalesced single path and the offline engine.
+// TestScoreConcurrentHammer drives the in-process single-score path
+// from many goroutines at once, each cycling through distinct drives
+// in its own order. Every call borrows pooled scratch for its row and
+// score, so a reused buffer that leaked one caller's row or result
+// into another's would show as a probability that is not the offline
+// one for the drive asked about.
+func TestScoreConcurrentHammer(t *testing.T) {
+	s, _, st := newTestServer(t, Options{})
+	_, snapA, _ := testFleet(t)
+	scorer, err := engine.NewScorer(snapA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := snapA.TrainedThrough + 3
+	offline, err := scorer.Score(st.Snapshot(), day, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offline) < 10 {
+		t.Fatalf("offline pass scored %d drives, want at least 10", len(offline))
+	}
+	ids := make([]int, len(offline))
+	want := make([]float64, len(offline))
+	for i, o := range offline {
+		ids[i], want[i] = o.Pred.DriveID, o.MaxProb
+	}
+
+	const goroutines = 8
+	const perG = 500
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		order := rand.New(rand.NewSource(int64(g))).Perm(len(ids))
+		go func() {
+			defer wg.Done()
+			<-start
+			for n := 0; n < perG; n++ {
+				i := order[n%len(order)]
+				id := ids[i]
+				got, err := s.scoreOne(context.Background(), ScoreRequest{Model: "serving", DriveID: &id, Day: &day})
+				if err != nil {
+					t.Errorf("drive %d: %v", id, err)
+					return
+				}
+				if got.DriveID != id || got.Prob != want[i] {
+					t.Errorf("drive %d: got (drive %d, prob %v), want prob %v", id, got.DriveID, got.Prob, want[i])
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestServeBatchParity: the batch path, which buckets rows by wear
+// group, must agree with the offline engine.
 func TestServeBatchParity(t *testing.T) {
 	s, _, st := newTestServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
