@@ -10,10 +10,10 @@
 //	bench -bench forest-fit        # run a single benchmark
 //	bench -quick                   # one iteration per bench (CI smoke)
 //
-// Benchmarks cover the training hot loop (forest-fit, gbdt-fit, and
-// their histogram-binned variants forest-fit-hist / gbdt-fit-hist),
-// batch scoring (forest-predict-batch), the daily fleet-scoring path
-// the pipeline runs per testing phase (phase-score: frame
+// Benchmarks cover the training hot loop (forest-fit, gbdt-fit; both
+// grow trees by histogram-binned split search), batch scoring
+// (forest-predict-batch), the daily fleet-scoring path the pipeline
+// runs per testing phase (phase-score: frame
 // materialization with feature expansion plus model scoring), the
 // simulator's series generation (series-gen, series-gen-batch), and
 // million-drive daily scoring through the compiled flat kernel over a
@@ -26,9 +26,10 @@
 // perfbench (bash perfbench/run.sh).
 //
 // After a run, the report is diffed against the most recent prior
-// BENCH_*.json in the working directory (by modification time) and a
-// per-benchmark delta table is printed, flagging any benchmark whose
-// ns/op or allocs/op regressed by more than 10%.
+// BENCH_<date>[.N].json in the working directory (by the date and run
+// number in its name) and a per-benchmark delta table is printed,
+// flagging any benchmark whose ns/op or allocs/op regressed by more
+// than 10%.
 package main
 
 import (
@@ -40,6 +41,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +52,6 @@ import (
 	"repro/internal/flat"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/rankeval"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -148,7 +149,7 @@ func run(out, baselinePath, only string) error {
 				res.Extra[k] = v
 			}
 		}
-		if base, ok := rep.Baseline[bm.baselineName()]; ok && res.NsPerOp > 0 {
+		if base, ok := rep.Baseline[bm.name]; ok && res.NsPerOp > 0 {
 			res.Speedup = float64(base.NsPerOp) / float64(res.NsPerOp)
 		}
 		rep.Benchmarks[bm.name] = res
@@ -234,27 +235,26 @@ func freshOutPath(date string) string {
 	}
 }
 
-// latestPriorReport loads the most recently modified BENCH_*.json in
-// dir, excluding the upcoming output path. A nil report (with nil
-// error) means there is no prior run to diff against; an error names
-// the unreadable or corrupt file so the caller can warn about it.
+// latestPriorReport loads the most recent BENCH_<date>[.N].json in dir,
+// excluding the upcoming output path. Reports are ordered by the name
+// (date, then run number, where no suffix is run 1), not by
+// modification time: a fresh checkout gives every report the same
+// mtime. A nil report (with nil error) means there is no prior run to
+// diff against; an error names the unreadable or corrupt file so the
+// caller can warn about it.
 func latestPriorReport(dir, out string) (*Report, string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return nil, "", err
 	}
-	best := ""
-	var bestMod time.Time
+	best, bestDate, bestRun := "", "", 0
 	for _, m := range matches {
 		if filepath.Clean(m) == filepath.Clean(out) {
 			continue
 		}
-		fi, err := os.Stat(m)
-		if err != nil {
-			continue
-		}
-		if best == "" || fi.ModTime().After(bestMod) {
-			best, bestMod = m, fi.ModTime()
+		date, run := reportOrder(filepath.Base(m))
+		if best == "" || date > bestDate || (date == bestDate && run > bestRun) {
+			best, bestDate, bestRun = m, date, run
 		}
 	}
 	if best == "" {
@@ -267,10 +267,22 @@ func latestPriorReport(dir, out string) (*Report, string, error) {
 	return &rep, best, nil
 }
 
+// reportOrder splits a BENCH_<date>[.N].json name into its date and run
+// number; a name without a numeric suffix is run 1 of its date (the
+// suffix freshOutPath appends starts at 2).
+func reportOrder(name string) (date string, run int) {
+	date = strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_"), ".json")
+	if i := strings.LastIndexByte(date, '.'); i >= 0 {
+		if n, err := strconv.Atoi(date[i+1:]); err == nil && n > 0 {
+			return date[:i], n
+		}
+	}
+	return date, 1
+}
+
 // deltaTable renders the per-benchmark comparison against a prior
-// report. Histogram variants (absent from older reports) fall back to
-// their exact-split counterpart's entry. A benchmark whose time or
-// allocation count got more than 10% worse is flagged as a regression.
+// report. A benchmark whose time or allocation count got more than 10%
+// worse is flagged as a regression.
 func deltaTable(cur, prior map[string]Result) string {
 	var names []string
 	for name := range cur {
@@ -280,12 +292,7 @@ func deltaTable(cur, prior map[string]Result) string {
 	var rows [][]string
 	for _, name := range names {
 		res := cur[name]
-		baseName := name
-		base, ok := prior[baseName]
-		if !ok {
-			baseName = strings.TrimSuffix(name, "-hist")
-			base, ok = prior[baseName]
-		}
+		base, ok := prior[name]
 		if !ok || base.NsPerOp <= 0 {
 			rows = append(rows, []string{name, "-", fmt.Sprintf("%d", res.NsPerOp), "-",
 				"-", fmt.Sprintf("%d", res.AllocsPerOp), "-", "new"})
@@ -297,11 +304,8 @@ func deltaTable(cur, prior map[string]Result) string {
 			allocDelta = 100 * (float64(res.AllocsPerOp) - float64(base.AllocsPerOp)) / float64(base.AllocsPerOp)
 		}
 		note := ""
-		if baseName != name {
-			note = "vs " + baseName
-		}
 		if nsDelta > 10 || allocDelta > 10 {
-			note = strings.TrimSpace(note + " REGRESSION")
+			note = "REGRESSION"
 		}
 		rows = append(rows, []string{name,
 			fmt.Sprintf("%d", base.NsPerOp), fmt.Sprintf("%d", res.NsPerOp), fmt.Sprintf("%+.1f%%", nsDelta),
@@ -323,28 +327,16 @@ func readReport(path string) (Report, error) {
 
 // --- benchmark definitions ---
 
-// bench pairs a benchmark with an optional baseline alias: histogram
-// variants compare against their exact-split counterpart's entry in
-// older reports that predate the hist path.
+// bench is one named benchmark.
 type bench struct {
 	name string
 	fn   func(b *testing.B)
-	base string
-}
-
-func (bm bench) baselineName() string {
-	if bm.base != "" {
-		return bm.base
-	}
-	return bm.name
 }
 
 var benches = []bench{
 	{name: "forest-fit", fn: benchForestFit},
-	{name: "forest-fit-hist", fn: benchForestFitHist, base: "forest-fit"},
 	{name: "forest-predict-batch", fn: benchForestPredictBatch},
 	{name: "gbdt-fit", fn: benchGBDTFit},
-	{name: "gbdt-fit-hist", fn: benchGBDTFitHist, base: "gbdt-fit"},
 	{name: "phase-score", fn: benchPhaseScore},
 	{name: "series-gen", fn: benchSeriesGen},
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
@@ -409,20 +401,6 @@ func benchForestFit(b *testing.B) {
 	}
 }
 
-// benchForestFitHist measures the same forest training with the
-// histogram-binned split search (internal/hist).
-func benchForestFitHist(b *testing.B) {
-	cols, y := synthData(4000, 60, 1)
-	cfg := forest.Config{NumTrees: 30, MaxDepth: 12, Seed: 1, SplitMethod: hist.SplitHist}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := forest.Fit(cols, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchForestPredictBatch measures fleet-wide batch scoring with a
 // fitted forest.
 func benchForestPredictBatch(b *testing.B) {
@@ -445,20 +423,6 @@ func benchForestPredictBatch(b *testing.B) {
 func benchGBDTFit(b *testing.B) {
 	cols, y := synthData(3000, 60, 4)
 	cfg := gbdt.Config{NumRounds: 25, MaxDepth: 6, Eta: 0.3, Lambda: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gbdt.Fit(cols, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchGBDTFitHist measures the same boosted-tree training with the
-// histogram-binned split search (internal/hist).
-func benchGBDTFitHist(b *testing.B) {
-	cols, y := synthData(3000, 60, 4)
-	cfg := gbdt.Config{NumRounds: 25, MaxDepth: 6, Eta: 0.3, Lambda: 1, SplitMethod: hist.SplitHist}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -704,7 +668,7 @@ func fleetSetup() error {
 			cols, y := fleetTrainData(6000)
 			f, err := forest.Fit(cols, y, forest.Config{
 				NumTrees: 30, MaxDepth: 8, MinLeafSamples: 64,
-				Seed: 11, SplitMethod: hist.SplitHist, MaxBins: 64,
+				Seed: 11, MaxBins: 64,
 			})
 			if err != nil {
 				return err

@@ -14,13 +14,17 @@ import (
 // delta baseline: a missing prior is not an error, a valid prior
 // loads, and a corrupt or unreadable prior surfaces an error naming
 // the file — which run() downgrades to a warning instead of failing
-// the whole benchmark run.
+// the whole benchmark run. The newest prior is chosen by the date and
+// run number in its name, never by mtime: files get mtimes in lexical
+// name order (or all the same one), which for run suffixes is the
+// wrong order.
 func TestLatestPriorReport(t *testing.T) {
 	valid := `{"date": "2026-01-01", "benchmarks": {"forest-fit": {"ns_per_op": 100}}}`
 	cases := []struct {
 		name     string
 		files    map[string]string
 		unread   string // file to make unreadable (chmod 0)
+		sameTime bool   // give every file one mtime, as a fresh clone does
 		wantNil  bool
 		wantErr  string
 		wantPath string
@@ -57,6 +61,33 @@ func TestLatestPriorReport(t *testing.T) {
 			},
 			wantPath: "BENCH_2026-01-05.json",
 		},
+		{
+			name: "equal mtimes",
+			files: map[string]string{
+				"BENCH_2026-08-06.json":   `corrupt old`,
+				"BENCH_2026-08-06.2.json": `corrupt old`,
+				"BENCH_2026-10-17.json":   valid,
+				"BENCH_2026-08-08.json":   `corrupt old`,
+			},
+			sameTime: true,
+			wantPath: "BENCH_2026-10-17.json",
+		},
+		{
+			name: "run 2 beats no suffix",
+			files: map[string]string{
+				"BENCH_2026-08-06.json":   `corrupt old`,
+				"BENCH_2026-08-06.2.json": valid,
+			},
+			wantPath: "BENCH_2026-08-06.2.json",
+		},
+		{
+			name: "run 10 beats run 9",
+			files: map[string]string{
+				"BENCH_2026-08-06.9.json":  `corrupt old`,
+				"BENCH_2026-08-06.10.json": valid,
+			},
+			wantPath: "BENCH_2026-08-06.10.json",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -72,9 +103,11 @@ func TestLatestPriorReport(t *testing.T) {
 				if err := os.WriteFile(path, []byte(c.files[name]), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				// Lexical name order sets the mtimes, so "newest" is
-				// deterministic.
-				now = now.Add(time.Second)
+				// Lexical name order sets the mtimes, so any reliance on
+				// them is deterministic.
+				if !c.sameTime {
+					now = now.Add(time.Second)
+				}
 				if err := os.Chtimes(path, now, now); err != nil {
 					t.Fatal(err)
 				}

@@ -48,7 +48,7 @@ func scenarioOptions(dir string) options {
 	return options{
 		Model: "MC2", Selector: "wefr", Only: true,
 		Drives: 450, Days: 330, Seed: 1, AFRScale: 6,
-		Trees: 5, Depth: 6, SplitMethod: "exact",
+		Trees: 5, Depth: 6,
 		Dir: dir, Start: 255, End: 320,
 		Canary: 21, Window: 60,
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/pipeline"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -35,18 +34,17 @@ import (
 
 // options are the CLI parameters of one controller run.
 type options struct {
-	Model       string
-	Selector    string
-	Drives      int
-	Days        int
-	Only        bool
-	Seed        int64
-	AFRScale    float64
-	Trees       int
-	Depth       int
-	UseGBDT     bool
-	SplitMethod string
-	Workers     int
+	Model    string
+	Selector string
+	Drives   int
+	Days     int
+	Only     bool
+	Seed     int64
+	AFRScale float64
+	Trees    int
+	Depth    int
+	UseGBDT  bool
+	Workers  int
 
 	Dir    string
 	Start  int
@@ -70,7 +68,6 @@ func main() {
 	flag.IntVar(&o.Trees, "trees", 100, "prediction forest size")
 	flag.IntVar(&o.Depth, "depth", 13, "prediction forest depth")
 	flag.BoolVar(&o.UseGBDT, "gbdt", false, "use the gradient-boosted predictor instead of Random Forest")
-	flag.StringVar(&o.SplitMethod, "split-method", "exact", "tree split search: exact (presorted, bit-stable) or hist (histogram-binned, faster)")
 	flag.IntVar(&o.Workers, "workers", 0, "parallelism (0 = all cores); results are identical for any value")
 	flag.StringVar(&o.Dir, "dir", "", "controller state directory: journal + snapshot registry (required)")
 	flag.IntVar(&o.Start, "start", 230, "first controlled day; bootstrap trains on days [0, start-1]")
@@ -113,15 +110,10 @@ func run(o options) error {
 	if end == 0 {
 		end = src.Days() - 1
 	}
-	sm, err := hist.ParseSplitMethod(o.SplitMethod)
-	if err != nil {
-		return err
-	}
 	ecfg := engine.Config{
-		Forest:      forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
-		SplitMethod: sm,
-		Workers:     o.Workers,
-		Seed:        o.Seed,
+		Forest:  forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
+		Workers: o.Workers,
+		Seed:    o.Seed,
 	}
 	if o.UseGBDT {
 		ecfg.Predictor = engine.PredictorGBDT

@@ -11,7 +11,7 @@ func baseOptions() options {
 	return options{
 		Model: "MC2", Selector: "wefr",
 		Drives: 100, Days: 120, Seed: 1, AFRScale: 3,
-		Trees: 3, Depth: 4, SplitMethod: "exact",
+		Trees: 3, Depth: 4,
 		Dir: "somewhere", Start: 100, End: 110,
 		Canary: 5, Window: 30,
 	}
@@ -29,7 +29,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"unknown model", func(o *options) { o.Model = "MX9" }, "MX9"},
 		{"missing dir", func(o *options) { o.Dir = "" }, "-dir"},
 		{"unknown selector", func(o *options) { o.Selector = "magic" }, "magic"},
-		{"unknown split method", func(o *options) { o.SplitMethod = "guess" }, "guess"},
 		{"end beyond horizon", func(o *options) { o.End = 500 }, "horizon"},
 		{"start without training days", func(o *options) { o.Start = 0 }, "bootstrap"},
 		{"window not above canary", func(o *options) { o.Window = 5; o.Canary = 5 }, "canary"},

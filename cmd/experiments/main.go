@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/hist"
 	"repro/internal/rankeval"
 	"repro/internal/selection"
 	"repro/internal/smart"
@@ -63,7 +62,6 @@ func main() {
 		depth     = flag.Int("depth", 0, "prediction forest depth override (paper: 13)")
 		phases    = flag.Int("phases", 0, "testing phase count (0 = all three)")
 		workers   = flag.Int("workers", 0, "parallel workers for extraction/fitting/scoring (0 = GOMAXPROCS, 1 = serial; results identical)")
-		splitStr  = flag.String("split-method", "exact", "tree split search: exact (presorted, bit-stable) or hist (histogram-binned, faster)")
 		models    = flag.String("models", "", "comma-separated drive models to restrict to (empty = all six)")
 		faultSpec = flag.String("faults", "", `fault-injection spec, e.g. "gaps=0.02,dropout=MA1:wear,nan=0.01,tickets-delay=3d" (implies -robust)`)
 		robust    = flag.Bool("robust", false, "run pipelines in robust (sanitizing, degrading) mode")
@@ -102,8 +100,7 @@ func main() {
 		drives: *drives, rounds: *rounds, trees: *trees, depth: *depth,
 		phases: *phases, workers: *workers,
 		models: *models, faults: *faultSpec, report: *report, robust: *robust,
-		splitMethod: *splitStr, rankers: *rankers,
-		rankEval: *rankEval, rankEvalJSON: *rankJSON,
+		rankers: *rankers, rankEval: *rankEval, rankEvalJSON: *rankJSON,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
@@ -126,7 +123,7 @@ func main() {
 // exercised by tests without a flag.FlagSet.
 type flagValues struct {
 	drives, rounds, trees, depth, phases, workers int
-	models, faults, report, splitMethod           string
+	models, faults, report                        string
 	robust                                        bool
 	rankers, rankEvalJSON                         string
 	rankEval                                      bool
@@ -159,11 +156,6 @@ func applyFlags(cfg *experiments.Config, fv flagValues) error {
 	case fv.workers < 0:
 		return fmt.Errorf("-workers must be >= 0, got %d", fv.workers)
 	}
-	sm, err := hist.ParseSplitMethod(fv.splitMethod)
-	if err != nil {
-		return err
-	}
-	cfg.SplitMethod = sm
 	cfg.Robust = fv.robust
 	if fv.models != "" {
 		ms, err := parseModels(fv.models)
@@ -206,7 +198,7 @@ func parseRankers(list string) ([]string, error) {
 		if spec == "" {
 			continue
 		}
-		if _, err := selection.Resolve(spec, 0, hist.SplitExact); err != nil {
+		if _, err := selection.Resolve(spec, 0, 0); err != nil {
 			return nil, fmt.Errorf("-rankers: %w", err)
 		}
 		out = append(out, spec)

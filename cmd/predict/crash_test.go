@@ -41,7 +41,7 @@ func crashBaseOptions() options {
 	return options{
 		Model: "MC1", Selector: "none", Percent: 0.3,
 		Drives: 400, Seed: 3, AFRScale: 5,
-		Trees: 5, Depth: 5, SplitMethod: "exact",
+		Trees: 5, Depth: 5,
 		SnapshotDir: "unused",
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/selection"
@@ -47,17 +46,16 @@ import (
 
 // options are the CLI parameters of one predict run.
 type options struct {
-	Model       string
-	Selector    string
-	Percent     float64
-	Drives      int
-	Seed        int64
-	AFRScale    float64
-	Trees       int
-	Depth       int
-	UseGBDT     bool
-	SplitMethod string
-	Workers     int
+	Model    string
+	Selector string
+	Percent  float64
+	Drives   int
+	Seed     int64
+	AFRScale float64
+	Trees    int
+	Depth    int
+	UseGBDT  bool
+	Workers  int
 	// Snapshot selects the artifact mode: "" (train and evaluate),
 	// "save" (train, evaluate, save the last phase's trained model),
 	// or "load" (load a saved model and score the held-out window
@@ -91,7 +89,6 @@ func main() {
 	flag.IntVar(&o.Trees, "trees", 100, "prediction forest size")
 	flag.IntVar(&o.Depth, "depth", 13, "prediction forest depth")
 	flag.BoolVar(&o.UseGBDT, "gbdt", false, "use the gradient-boosted predictor instead of Random Forest")
-	flag.StringVar(&o.SplitMethod, "split-method", "exact", "tree split search: exact (presorted, bit-stable) or hist (histogram-binned, faster)")
 	flag.IntVar(&o.Workers, "workers", 0, "parallelism (0 = all cores); results are identical for any value")
 	flag.StringVar(&o.Snapshot, "snapshot", "", "model-snapshot mode: save | load (empty = train and evaluate only)")
 	flag.StringVar(&o.SnapshotDir, "snapshot-dir", "artifacts", "model-snapshot registry directory")
@@ -143,22 +140,17 @@ func newSource(o options) (dataset.Source, error) {
 	return dataset.FleetSource{Fleet: fleet}, nil
 }
 
-func pipelineConfig(o options) (engine.Config, error) {
-	sm, err := hist.ParseSplitMethod(o.SplitMethod)
-	if err != nil {
-		return engine.Config{}, err
-	}
+func pipelineConfig(o options) engine.Config {
 	cfg := engine.Config{
-		Forest:      forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
-		SplitMethod: sm,
-		Workers:     o.Workers,
-		Seed:        o.Seed,
+		Forest:  forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
+		Workers: o.Workers,
+		Seed:    o.Seed,
 	}
 	if o.UseGBDT {
 		cfg.Predictor = engine.PredictorGBDT
 		cfg.GBDT = gbdt.Config{NumRounds: o.Trees, MaxDepth: min(o.Depth, 6), Eta: 0.3, Lambda: 1}
 	}
-	return cfg, nil
+	return cfg
 }
 
 // runTrain trains and evaluates the three standard phases, optionally
@@ -172,10 +164,7 @@ func runTrain(o options, model smart.ModelID) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := pipelineConfig(o)
-	if err != nil {
-		return err
-	}
+	cfg := pipelineConfig(o)
 	phases := engine.StandardPhases(src.Days())
 	fmt.Printf("model %v, selector %s, %d drives, %d phases\n\n", model, sel.Name(), o.Drives, len(phases))
 

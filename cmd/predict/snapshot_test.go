@@ -61,7 +61,7 @@ func TestSnapshotSaveLoadCLI(t *testing.T) {
 	base := options{
 		Model: "MC1", Selector: "none", Percent: 0.3,
 		Drives: 400, Seed: 3, AFRScale: 5,
-		Trees: 10, Depth: 6, SplitMethod: "exact",
+		Trees: 10, Depth: 6,
 		SnapshotDir: dir,
 	}
 

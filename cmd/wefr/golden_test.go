@@ -38,7 +38,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 // fleet and flags.
 func TestGoldenOutput(t *testing.T) {
 	got := captureStdout(t, func() error {
-		return run("MC1", 500, 3, 6, "", "", 20, false, "", "exact", "")
+		return run("MC1", 500, 3, 6, "", "", 20, false, "", "")
 	})
 	goldenPath := filepath.Join("testdata", "golden_mc1.txt")
 	want, err := os.ReadFile(goldenPath)

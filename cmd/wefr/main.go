@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/hist"
 	"repro/internal/selection"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -53,27 +52,22 @@ func main() {
 		negEvery  = flag.Int("neg-every", 15, "negative drive-day sampling stride")
 		noUpdate  = flag.Bool("no-update", false, "skip the wear-out-updating step")
 		faultSpec = flag.String("faults", "", `fault-injection spec, e.g. "gaps=0.02,nan=0.01" (enables robust mode)`)
-		splitStr  = flag.String("split-method", "exact", "tree split search for the ranker ensembles: exact (presorted, bit-stable) or hist (histogram-binned, faster)")
 		rankers   = flag.String("rankers", "", "comma-separated registry specs of the preliminary approaches (empty = the paper's five)")
 	)
 	flag.Parse()
 
-	if err := run(*model, *drives, *seed, *afrScale, *smartCSV, *tickets, *negEvery, *noUpdate, *faultSpec, *splitStr, *rankers); err != nil {
+	if err := run(*model, *drives, *seed, *afrScale, *smartCSV, *tickets, *negEvery, *noUpdate, *faultSpec, *rankers); err != nil {
 		fmt.Fprintf(os.Stderr, "wefr: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(modelName string, drives int, seed int64, afrScale float64, smartCSV, ticketCSV string, negEvery int, noUpdate bool, faultSpec, splitMethod, rankerList string) error {
+func run(modelName string, drives int, seed int64, afrScale float64, smartCSV, ticketCSV string, negEvery int, noUpdate bool, faultSpec, rankerList string) error {
 	model, err := smart.ParseModel(modelName)
 	if err != nil {
 		return err
 	}
-	sm, err := hist.ParseSplitMethod(splitMethod)
-	if err != nil {
-		return err
-	}
-	rankerSpecs, err := parseRankers(rankerList, sm)
+	rankerSpecs, err := parseRankers(rankerList)
 	if err != nil {
 		return err
 	}
@@ -104,7 +98,7 @@ func run(modelName string, drives int, seed int64, afrScale float64, smartCSV, t
 	}
 
 	var injector *faults.Injector
-	coreCfg := core.Config{Seed: seed, SplitMethod: sm, RankerSpecs: rankerSpecs}
+	coreCfg := core.Config{Seed: seed, RankerSpecs: rankerSpecs}
 	frameOpts := dataset.FrameOpts{Model: model, NegEvery: negEvery}
 	var counter dataset.DefectCounter
 	if faultCfg.Enabled() {
@@ -160,7 +154,7 @@ func run(modelName string, drives int, seed int64, afrScale float64, smartCSV, t
 // against the selection registry, so an unknown ranker fails the run
 // before any dataset work with the registered names in the error. An
 // empty list returns nil — the paper's five.
-func parseRankers(list string, sm hist.SplitMethod) ([]string, error) {
+func parseRankers(list string) ([]string, error) {
 	if list == "" {
 		return nil, nil
 	}
@@ -170,7 +164,7 @@ func parseRankers(list string, sm hist.SplitMethod) ([]string, error) {
 		if spec == "" {
 			continue
 		}
-		if _, err := selection.Resolve(spec, 0, sm); err != nil {
+		if _, err := selection.Resolve(spec, 0, 0); err != nil {
 			return nil, fmt.Errorf("-rankers: %w", err)
 		}
 		out = append(out, spec)

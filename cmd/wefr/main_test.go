@@ -13,26 +13,26 @@ import (
 
 func TestRunSynthetic(t *testing.T) {
 	// Small synthetic fleet end to end through the CLI path.
-	if err := run("MB2", 400, 1, 6, "", "", 20, true, "", "exact", ""); err != nil {
+	if err := run("MB2", 400, 1, 6, "", "", 20, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadModel(t *testing.T) {
-	if err := run("NOPE", 400, 1, 1, "", "", 20, true, "", "exact", ""); err == nil {
+	if err := run("NOPE", 400, 1, 1, "", "", 20, true, "", ""); err == nil {
 		t.Error("bad model should fail")
 	}
 }
 
 func TestRunWithFaults(t *testing.T) {
 	// The faulted CLI path must complete in robust mode.
-	if err := run("MB2", 400, 1, 6, "", "", 20, true, "seed=3,gaps=0.02,nan=0.01", "exact", ""); err != nil {
+	if err := run("MB2", 400, 1, 6, "", "", 20, true, "seed=3,gaps=0.02,nan=0.01", ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadFaultSpec(t *testing.T) {
-	if err := run("MB2", 400, 1, 6, "", "", 20, true, "gaps=2", "exact", ""); err == nil {
+	if err := run("MB2", 400, 1, 6, "", "", 20, true, "gaps=2", ""); err == nil {
 		t.Error("out-of-range fault rate should fail")
 	}
 }
@@ -40,7 +40,7 @@ func TestRunBadFaultSpec(t *testing.T) {
 func TestRunCustomRankers(t *testing.T) {
 	// A registry-resolved ensemble (including the new entrants) must
 	// run end to end through the CLI path.
-	if err := run("MB2", 400, 1, 6, "", "", 20, true, "", "exact", "pearson, mutual-info,svm"); err != nil {
+	if err := run("MB2", 400, 1, 6, "", "", 20, true, "", "pearson, mutual-info,svm"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestRunCustomRankers(t *testing.T) {
 func TestRunUnknownRanker(t *testing.T) {
 	// Unknown ranker names fail fast — before any dataset work — with
 	// the registered names in the error.
-	err := run("MB2", 400, 1, 6, "", "", 20, true, "", "exact", "pearson,bogus")
+	err := run("MB2", 400, 1, 6, "", "", 20, true, "", "pearson,bogus")
 	if err == nil {
 		t.Fatal("unknown ranker should fail")
 	}
@@ -94,11 +94,11 @@ func TestLoadCSV(t *testing.T) {
 		t.Errorf("model = %v", logs.Model())
 	}
 	// The CLI path over CSV input.
-	if err := run("MC1", 0, 2, 0, logPath, ticketPath, 20, true, "", "hist", ""); err != nil {
+	if err := run("MC1", 0, 2, 0, logPath, ticketPath, 20, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Model mismatch is rejected.
-	if err := run("MA1", 0, 2, 0, logPath, ticketPath, 20, true, "", "exact", ""); err == nil {
+	if err := run("MA1", 0, 2, 0, logPath, ticketPath, 20, true, "", ""); err == nil {
 		t.Error("model mismatch should fail")
 	}
 }

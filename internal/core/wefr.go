@@ -30,7 +30,6 @@ import (
 	"repro/internal/changepoint"
 	"repro/internal/complexity"
 	"repro/internal/frame"
-	"repro/internal/hist"
 	"repro/internal/selection"
 	"repro/internal/stats"
 	"repro/internal/survival"
@@ -95,9 +94,8 @@ type Config struct {
 	// resolved through the selection registry.
 	Rankers []selection.Ranker
 	// RankerSpecs names registered approaches (selection.Register /
-	// selection.Resolve keys) to build with Seed and SplitMethod when
-	// Rankers is nil; nil means the paper's five
-	// (selection.DefaultSpecs), bit-identical to earlier releases.
+	// selection.Resolve keys) to build with Seed when Rankers is nil;
+	// nil means the paper's five (selection.DefaultSpecs).
 	// Unknown names surface as errors from SelectFeatures and Select.
 	RankerSpecs []string
 	// OutlierZ is the Kendall-tau outlier threshold in standard
@@ -126,10 +124,6 @@ type Config struct {
 	// Seed seeds the default rankers and any randomized ranker
 	// settings.
 	Seed int64
-	// SplitMethod selects the split search of the default tree-based
-	// rankers (exact default, histogram-binned opt-in; see
-	// internal/hist). Ignored when Rankers is set explicitly.
-	SplitMethod hist.SplitMethod
 	// Robust, when non-nil, hardens selection against dirty data: each
 	// preliminary ranker runs under panic recovery and an optional
 	// timeout, and a failing ranker is dropped from the ensemble like a
@@ -151,7 +145,7 @@ type RobustConfig struct {
 
 func (c Config) withDefaults() Config {
 	if c.Rankers == nil && c.RankerSpecs == nil {
-		c.Rankers = selection.DefaultRankersSplit(c.Seed, c.SplitMethod)
+		c.Rankers = selection.DefaultRankers(c.Seed)
 	}
 	if c.OutlierZ <= 0 {
 		c.OutlierZ = DefaultOutlierZ
@@ -256,7 +250,7 @@ func (r Result) FeaturesFor(mwi float64) []string {
 func SelectFeatures(fr *frame.Frame, cfg Config) (Selection, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rankers == nil && cfg.RankerSpecs != nil {
-		rankers, err := selection.ResolveAll(cfg.RankerSpecs, cfg.Seed, cfg.SplitMethod)
+		rankers, err := selection.ResolveAll(cfg.RankerSpecs, cfg.Seed)
 		if err != nil {
 			return Selection{}, fmt.Errorf("core: %w", err)
 		}

@@ -75,14 +75,11 @@ type Config struct {
 	// GBDT configures the boosted-tree predictor when Predictor is
 	// PredictorGBDT; zero NumRounds means gbdt.DefaultConfig.
 	GBDT gbdt.Config
-	// SplitMethod selects the tree learners' split search: exact
-	// presorted (the zero value, bit-identical to earlier releases) or
-	// histogram-binned (see internal/hist). Applied to the Forest and
-	// GBDT configs unless they set their own.
+	// SplitMethod is ignored: the tree learners always use histogram-
+	// binned split search. The field is kept only because perfbench,
+	// which changes only together with the benchmark definition, still
+	// reads it.
 	SplitMethod hist.SplitMethod
-	// MaxBins caps per-feature histogram bins on the hist path; 0
-	// means hist.DefaultMaxBins.
-	MaxBins int
 	// Workers bounds the engine's parallelism — store ingest, frame
 	// extraction across drives, forest fitting, and batch scoring; 0
 	// means GOMAXPROCS. Results are bit-identical for any value (set 1
@@ -116,18 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Forest.Workers == 0 {
 		c.Forest.Workers = c.Workers
-	}
-	if c.Forest.SplitMethod == hist.SplitExact {
-		c.Forest.SplitMethod = c.SplitMethod
-	}
-	if c.Forest.MaxBins == 0 {
-		c.Forest.MaxBins = c.MaxBins
-	}
-	if c.GBDT.SplitMethod == hist.SplitExact {
-		c.GBDT.SplitMethod = c.SplitMethod
-	}
-	if c.GBDT.MaxBins == 0 {
-		c.GBDT.MaxBins = c.MaxBins
 	}
 	if c.NegEvery <= 0 {
 		c.NegEvery = 7

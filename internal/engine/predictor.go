@@ -95,7 +95,6 @@ func fitModel(fr *frame.Frame, cfg Config) (groupModel, error) {
 		g := cfg.GBDT
 		if g.NumRounds == 0 {
 			d := gbdt.DefaultConfig()
-			d.SplitMethod = g.SplitMethod
 			d.MaxBins = g.MaxBins
 			g = d
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/smart"
 )
 
@@ -96,8 +95,6 @@ func (c Config) Hash() string {
 		TargetRecall float64
 		ValFraction  float64
 		Windows      []int
-		SplitMethod  hist.SplitMethod
-		MaxBins      int
 		Seed         int64
 	}{
 		Predictor:    c.predictor(),
@@ -107,8 +104,6 @@ func (c Config) Hash() string {
 		TargetRecall: c.TargetRecall,
 		ValFraction:  c.ValFraction,
 		Windows:      c.Windows,
-		SplitMethod:  c.SplitMethod,
-		MaxBins:      c.MaxBins,
 		Seed:         c.Seed,
 	}
 	// Forest workers are parallelism, not semantics.

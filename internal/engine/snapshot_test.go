@@ -235,122 +235,72 @@ type ptrModel struct{ *forest.Forest }
 
 func (ptrModel) MarshalBinary() ([]byte, error) { return nil, errors.New("oracle model") }
 
-// firstFeats selects the first n features, concentrating a deep
-// forest's splits on few columns (and so many cuts per column).
-type firstFeats int
-
-func (firstFeats) Name() string { return "first" }
-
-func (n firstFeats) Select(fr *frame.Frame, _ survival.Curve) (SelectorResult, error) {
-	return SelectorResult{All: append([]string(nil), fr.Names()[:n]...)}, nil
-}
-
-// maxCutsPerFeature is the largest count of distinct split thresholds
-// the forest uses on any one feature.
-func maxCutsPerFeature(f *forest.Forest) int {
-	cuts := map[int]map[float64]bool{}
-	for _, t := range f.Trees() {
-		e := t.Export()
-		for i, ft := range e.Feature {
-			if ft < 0 {
-				continue
-			}
-			if cuts[ft] == nil {
-				cuts[ft] = map[float64]bool{}
-			}
-			cuts[ft][e.Threshold[i]+0.0] = true
-		}
-	}
-	most := 0
-	for _, cs := range cuts {
-		most = max(most, len(cs))
-	}
-	return most
-}
-
 // TestFlatScoringParity pins the engine-level guarantee behind the
 // compiled scoring path: a phase scored through the flat models decoded
 // from its snapshot is bit-identical, probability by probability, to
 // pointer forests refit from the same training frames and config (fits
-// are deterministic). The deep case puts more than 254 distinct cuts on
-// a feature, so its flat models score through chunked code columns.
+// are deterministic). Histogram binning caps a forest at 255 distinct
+// cuts per feature, so chunked code columns (more than 254 cuts) are
+// covered in internal/flat by TestChunkedCutsBitExact, payload round
+// trip included.
 func TestFlatScoringParity(t *testing.T) {
-	deep := testCfg()
-	deep.Forest = forest.Config{NumTrees: 8, MaxDepth: 16, Seed: 1}
-	deep.NegEvery = 1
-	for _, tc := range []struct {
-		name    string
-		sel     Selector
-		cfg     Config
-		chunked bool
-	}{
-		{"default", allFeats{}, testCfg(), false},
-		{"chunked", firstFeats(1), deep, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			src := testSource(t)
-			ph := StandardPhases(src.Days())[2]
-			pd, err := PreparePhase(src, smart.MC1, ph, tc.cfg)
+	t.Run("default", func(t *testing.T) {
+		src := testSource(t)
+		ph := StandardPhases(src.Days())[2]
+		pd, err := PreparePhase(src, smart.MC1, ph, testCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pd.RunSelector(allFeats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := res.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flatGroups, err := snap.buildGroups(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrGroups := make([]group, len(flatGroups))
+		copy(ptrGroups, flatGroups)
+		for i := range ptrGroups {
+			fr, err := pd.trainFrame(&ptrGroups[i], len(ptrGroups))
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := pd.RunSelector(tc.sel)
+			f, err := forest.Fit(frameCols(fr), fr.Labels(), pd.cfg.Forest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap, err := res.Snapshot()
-			if err != nil {
-				t.Fatal(err)
+			ptrGroups[i].model = ptrModel{f}
+		}
+		cfg := Config{Windows: append([]int(nil), snap.Windows...)}
+		flatScores, _, err := scorePhase(src, snap.Model, flatGroups, ph.TestLo, ph.TestHi, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrScores, _, err := scorePhase(src, snap.Model, ptrGroups, ph.TestLo, ph.TestHi, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(flatScores) == 0 || len(flatScores) != len(ptrScores) {
+			t.Fatalf("scored %d drives flat, %d pointer", len(flatScores), len(ptrScores))
+		}
+		for id, fd := range flatScores {
+			pd, ok := ptrScores[id]
+			if !ok {
+				t.Fatalf("drive %d missing from pointer scores", id)
 			}
-			flatGroups, err := snap.buildGroups(1)
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(fd.days, pd.days) {
+				t.Fatalf("drive %d scored days differ", id)
 			}
-			ptrGroups := make([]group, len(flatGroups))
-			copy(ptrGroups, flatGroups)
-			most := 0
-			for i := range ptrGroups {
-				fr, err := pd.trainFrame(&ptrGroups[i], len(ptrGroups))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := forest.Fit(frameCols(fr), fr.Labels(), pd.cfg.Forest)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ptrGroups[i].model = ptrModel{f}
-				most = max(most, maxCutsPerFeature(f))
-			}
-			t.Logf("most distinct cuts on one feature: %d", most)
-			if chunked := most > 254; chunked != tc.chunked {
-				t.Fatalf("most distinct cuts on a feature = %d; chunked = %v, want %v", most, chunked, tc.chunked)
-			}
-			cfg := Config{Windows: append([]int(nil), snap.Windows...)}
-			flatScores, _, err := scorePhase(src, snap.Model, flatGroups, ph.TestLo, ph.TestHi, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ptrScores, _, err := scorePhase(src, snap.Model, ptrGroups, ph.TestLo, ph.TestHi, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(flatScores) == 0 || len(flatScores) != len(ptrScores) {
-				t.Fatalf("scored %d drives flat, %d pointer", len(flatScores), len(ptrScores))
-			}
-			for id, fd := range flatScores {
-				pd, ok := ptrScores[id]
-				if !ok {
-					t.Fatalf("drive %d missing from pointer scores", id)
-				}
-				if !reflect.DeepEqual(fd.days, pd.days) {
-					t.Fatalf("drive %d scored days differ", id)
-				}
-				for k := range fd.probs {
-					if math.Float64bits(fd.probs[k]) != math.Float64bits(pd.probs[k]) {
-						t.Fatalf("drive %d day %d: flat %v != pointer %v", id, fd.days[k], fd.probs[k], pd.probs[k])
-					}
+			for k := range fd.probs {
+				if math.Float64bits(fd.probs[k]) != math.Float64bits(pd.probs[k]) {
+					t.Fatalf("drive %d day %d: flat %v != pointer %v", id, fd.days[k], fd.probs[k], pd.probs[k])
 				}
 			}
-		})
-	}
+		}
+	})
 }

@@ -145,7 +145,6 @@ func (h *Harness) Exp1() (Exp1Result, error) {
 func (h *Harness) wefrConfig() core.Config {
 	cfg := core.Config{
 		Seed:        h.cfg.Seed,
-		SplitMethod: h.cfg.SplitMethod,
 		RankerSpecs: h.cfg.RankerSpecs,
 	}
 	if h.cfg.Robust {

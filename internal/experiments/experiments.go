@@ -16,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/forest"
-	"repro/internal/hist"
 	"repro/internal/selection"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -50,16 +49,11 @@ type Config struct {
 	// PhaseCount restricts how many of the paper's three testing
 	// phases run (taking the latest ones); 0 means all three.
 	PhaseCount int
-	// SplitMethod selects the tree learners' split search everywhere
-	// the harness trains trees — the prediction models and the
-	// tree-based rankers (exact default, histogram-binned opt-in; see
-	// internal/hist).
-	SplitMethod hist.SplitMethod
 	// RankerSpecs names the preliminary approaches (selection registry
 	// keys) used by the ranker-driven experiments (Exp#1, Exp#4,
 	// Table IV) and by WEFR everywhere the harness runs it; nil means
-	// the paper's five (selection.DefaultSpecs), bit-identical to
-	// earlier releases. Unknown names fail New.
+	// the paper's five (selection.DefaultSpecs). Unknown names fail
+	// New.
 	RankerSpecs []string
 	// Workers bounds the parallelism of frame extraction, forest
 	// fitting, and scoring; 0 means GOMAXPROCS. Results are identical
@@ -154,7 +148,7 @@ type Harness struct {
 func New(cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()
 	if cfg.RankerSpecs != nil {
-		if _, err := selection.ResolveAll(cfg.RankerSpecs, cfg.Seed, cfg.SplitMethod); err != nil {
+		if _, err := selection.ResolveAll(cfg.RankerSpecs, cfg.Seed); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
@@ -217,12 +211,11 @@ func (h *Harness) Models() []smart.ModelID { return h.cfg.Models }
 // pipelineConfig assembles the shared pipeline settings.
 func (h *Harness) pipelineConfig() engine.Config {
 	cfg := engine.Config{
-		Forest:      h.cfg.Forest,
-		NegEvery:    h.cfg.NegEvery,
-		SplitMethod: h.cfg.SplitMethod,
-		Workers:     h.cfg.Workers,
-		Seed:        h.cfg.Seed,
-		Stages:      h.stages,
+		Forest:   h.cfg.Forest,
+		NegEvery: h.cfg.NegEvery,
+		Workers:  h.cfg.Workers,
+		Seed:     h.cfg.Seed,
+		Stages:   h.stages,
 	}
 	if h.cfg.Robust {
 		cfg.Robust = &engine.RobustOpts{
@@ -244,16 +237,13 @@ func (h *Harness) phases() []engine.Phase {
 }
 
 // rankers resolves the harness's preliminary approaches through the
-// selection registry. A nil RankerSpecs resolves the paper's five with
-// exact splits — bit-identical to the pre-registry hardwired set, under
-// any SplitMethod (the golden tables pinned that behaviour); explicit
-// specs inherit the harness's SplitMethod.
+// selection registry; a nil RankerSpecs means the paper's five.
 func (h *Harness) rankers() ([]selection.Ranker, error) {
-	specs, method := h.cfg.RankerSpecs, h.cfg.SplitMethod
+	specs := h.cfg.RankerSpecs
 	if specs == nil {
-		specs, method = selection.DefaultSpecs(), hist.SplitExact
+		specs = selection.DefaultSpecs()
 	}
-	rankers, err := selection.ResolveAll(specs, h.cfg.Seed, method)
+	rankers, err := selection.ResolveAll(specs, h.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

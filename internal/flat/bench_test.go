@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/forest"
-	"repro/internal/hist"
 )
 
 // benchSetup mirrors cmd/bench forest-predict-batch: 30 trees, depth
@@ -18,10 +17,7 @@ func benchSetupDepth(b *testing.B, features, rows, maxBins, depth, minLeaf int) 
 	b.Helper()
 	cols, y := synth(4000, features, 7)
 	cfg := forest.Config{NumTrees: 30, MaxDepth: depth, MinLeafSamples: minLeaf, Seed: 7, Workers: 1}
-	if maxBins > 0 {
-		cfg.SplitMethod = hist.SplitHist
-		cfg.MaxBins = maxBins
-	}
+	cfg.MaxBins = maxBins
 	f, err := forest.Fit(cols, y, cfg)
 	if err != nil {
 		b.Fatal(err)

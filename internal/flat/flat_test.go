@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/tree"
 )
 
@@ -90,8 +89,8 @@ func TestForestFlatBitExact(t *testing.T) {
 		name string
 		cfg  forest.Config
 	}{
-		{"exact", forest.Config{NumTrees: 8, MaxDepth: 5, Seed: 1}},
-		{"hist", forest.Config{NumTrees: 10, MaxDepth: 8, Seed: 2, SplitMethod: hist.SplitHist, MaxBins: 32}},
+		{"default-bins", forest.Config{NumTrees: 8, MaxDepth: 5, Seed: 1}},
+		{"hist", forest.Config{NumTrees: 10, MaxDepth: 8, Seed: 2, MaxBins: 32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cols, y := synth(900, 9, 11)
@@ -125,8 +124,8 @@ func TestGBDTFlatBitExact(t *testing.T) {
 		name string
 		cfg  gbdt.Config
 	}{
-		{"exact", gbdt.Config{NumRounds: 12, MaxDepth: 4, Eta: 0.3}},
-		{"hist", gbdt.Config{NumRounds: 15, MaxDepth: 5, Eta: 0.3, SplitMethod: hist.SplitHist, MaxBins: 32}},
+		{"default-bins", gbdt.Config{NumRounds: 12, MaxDepth: 4, Eta: 0.3}},
+		{"hist", gbdt.Config{NumRounds: 15, MaxDepth: 5, Eta: 0.3, MaxBins: 32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cols, y := synth(900, 9, 21)

@@ -1,8 +1,9 @@
 // Package forest implements a Random Forest binary classifier on top of
 // internal/tree: bootstrap bagging, per-node random feature subsampling,
-// parallel tree induction, probability averaging, and the two feature-
-// importance evaluations the WEFR paper relies on — mean decrease in
-// impurity and out-of-bag permutation importance (Breiman 2001).
+// parallel histogram-binned tree induction, probability averaging, and
+// the two feature-importance evaluations the WEFR paper relies on —
+// mean decrease in impurity and out-of-bag permutation importance
+// (Breiman 2001).
 package forest
 
 import (
@@ -41,13 +42,8 @@ type Config struct {
 	Workers int
 	// Seed makes the fit deterministic.
 	Seed int64
-	// SplitMethod selects exact presorted split search (the zero value,
-	// bit-identical to earlier releases) or the histogram-binned path
-	// (see internal/hist), which quantizes the data once and is
-	// typically several times faster at fleet scale.
-	SplitMethod hist.SplitMethod
 	// MaxBins caps per-feature histogram bins (including the missing
-	// bin) on the hist path; 0 means hist.DefaultMaxBins.
+	// bin); 0 means hist.DefaultMaxBins.
 	MaxBins int
 }
 
@@ -102,7 +98,7 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 	// Draw all bootstrap samples up-front from a single seeded source so
 	// the fit is deterministic regardless of worker scheduling. Each
 	// bootstrap is a per-row draw-count vector rather than a duplicated
-	// index list, which is what lets every tree share one presort.
+	// index list, which is what lets every tree share one binned matrix.
 	boots := make([][]int, cfg.NumTrees)
 	seeds := make([]int64, cfg.NumTrees)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -122,20 +118,10 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 		seeds[t] = rng.Int63()
 	}
 
-	// Shared per-fit training structure: the exact path sorts every
-	// feature once and all trees partition that order; the hist path
-	// quantizes every feature once and all trees share the binned
-	// matrix. Either way the O(features x n log n) preprocessing is
-	// amortized across the whole forest.
-	var (
-		ps *tree.Presorted
-		bm *hist.Matrix
-	)
-	if cfg.SplitMethod == hist.SplitHist {
-		bm = hist.Bin(cols, cfg.MaxBins)
-	} else {
-		ps = tree.Presort(cols)
-	}
+	// Every feature is quantized once and all trees share the binned
+	// matrix, so the O(features x n log n) preprocessing is amortized
+	// across the whole forest.
+	bm := hist.Bin(cols, cfg.MaxBins)
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -159,32 +145,15 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 			// per-tree working memory is allocated workers times total
 			// instead of NumTrees times. Trees depend only on their
 			// pre-drawn bootstrap and seed, so results are bit-identical
-			// at any worker count on both paths.
-			var (
-				sc  *tree.Scratch
-				hsc *tree.HistScratch
-			)
-			if bm != nil {
-				hsc = tree.NewHistScratch()
-			} else {
-				sc = tree.NewScratch()
-			}
+			// at any worker count.
+			sc := tree.NewHistScratch()
 			for t := range work {
-				tc := tree.Config{
+				tr, err := tree.FitClassifierBinned(bm, y, boots[t], tree.Config{
 					MaxDepth:       cfg.MaxDepth,
 					MinLeafSamples: cfg.MinLeafSamples,
 					MaxFeatures:    maxFeat,
 					Seed:           seeds[t],
-				}
-				var (
-					tr  *tree.Classifier
-					err error
-				)
-				if bm != nil {
-					tr, err = tree.FitClassifierBinned(bm, y, boots[t], tc, hsc)
-				} else {
-					tr, err = tree.FitClassifierPresorted(ps, y, boots[t], tc, sc)
-				}
+				}, sc)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {

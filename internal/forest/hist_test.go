@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/hist"
 )
 
 // histBlobs adds NaN holes and a low-cardinality counter column to the
@@ -25,10 +23,10 @@ func histBlobs(n int, seed int64) (cols [][]float64, y []int) {
 	return cols, y
 }
 
-// TestHistWorkerCountInvariance asserts the binned path is bit-identical
-// at any worker count, exactly like the exact path: bootstraps and tree
-// seeds are pre-drawn, and each worker only reads the shared binned
-// matrix.
+// TestHistWorkerCountInvariance asserts the fit is bit-identical at any
+// worker count on data with missing values and tied counters:
+// bootstraps and tree seeds are pre-drawn, and each worker only reads
+// the shared binned matrix.
 func TestHistWorkerCountInvariance(t *testing.T) {
 	cols, y := histBlobs(300, 6)
 	var ref []float64
@@ -36,7 +34,6 @@ func TestHistWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		f, err := Fit(cols, y, Config{
 			NumTrees: 12, MaxDepth: 6, Seed: 11, Workers: workers,
-			SplitMethod: hist.SplitHist,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,12 +63,11 @@ func TestHistWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestHistLearnsSignal asserts the binned forest still separates the
-// clusters — the split-search change must not cost accuracy on clean
-// separable data.
+// TestHistLearnsSignal asserts the binned forest separates the
+// clusters despite missing values and a noise counter column.
 func TestHistLearnsSignal(t *testing.T) {
 	cols, y := histBlobs(400, 1)
-	f, err := Fit(cols, y, Config{NumTrees: 20, MaxDepth: 6, Seed: 1, SplitMethod: hist.SplitHist})
+	f, err := Fit(cols, y, Config{NumTrees: 20, MaxDepth: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,37 +76,5 @@ func TestHistLearnsSignal(t *testing.T) {
 	}
 	if p := f.PredictProba([]float64{-3, 0, 0, 0, 2}); p > 0.2 {
 		t.Errorf("PredictProba(negative cluster) = %v, want < 0.2", p)
-	}
-}
-
-// TestHistExactDefault asserts the zero-value config still runs the
-// exact path: a hist-path regression must never silently change the
-// default's bit-exact behavior.
-func TestHistExactDefault(t *testing.T) {
-	cols, y := blobs(200, 2, 3)
-	cfg := Config{NumTrees: 8, MaxDepth: 5, Seed: 7}
-	if cfg.SplitMethod != hist.SplitExact {
-		t.Fatalf("zero-value SplitMethod = %v, want exact", cfg.SplitMethod)
-	}
-	a, err := Fit(cols, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fit(cols, y, Config{NumTrees: 8, MaxDepth: 5, Seed: 7, SplitMethod: hist.SplitExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, err := a.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := b.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("prob[%d]: %v != %v", i, pa[i], pb[i])
-		}
 	}
 }

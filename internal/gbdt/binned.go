@@ -2,20 +2,19 @@ package gbdt
 
 import "repro/internal/hist"
 
-// fitHist is the histogram-binned training path: every feature is
-// quantized once (internal/hist), and each boosting round grows its
-// tree depth-first over contiguous row segments, accumulating
-// per-node (gradient, hessian, count) histograms over the concatenated
-// feature bins. A node scans rows once to build its histogram; after a
+// fitHist is the boosting loop: every feature is quantized once
+// (internal/hist), and each boosting round grows its tree depth-first
+// over contiguous row segments, accumulating per-node (gradient,
+// hessian, count) histograms over the concatenated feature bins. A node scans rows once to build its histogram; after a
 // split only the smaller child is ever scanned — the larger child's
 // histogram is derived in place by parent − smaller-child subtraction.
 // Leaf margins are applied directly to the leaf's row segment, so no
 // per-round tree walk over the full dataset remains.
 //
-// The path is fully deterministic (single-threaded per fit, no maps)
-// and shares leafWeight/splitGain with the exact path, so the two
-// differ only in the candidate thresholds considered (global bin
-// boundaries instead of node-local midpoints).
+// The loop is fully deterministic (single-threaded per fit, no maps).
+// It shares leafWeight/splitGain with the tests' exact-split reference,
+// so the two differ only in the candidate thresholds considered (global
+// bin boundaries instead of node-local midpoints).
 func (m *Model) fitHist(cols [][]float64, y []int) {
 	cfg := m.cfg
 	n := len(y)
@@ -227,7 +226,7 @@ func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int
 // the Newton structure-score gain, trying each candidate with the
 // node's missing mass routed right and (when present) left, plus the
 // finite/missing boundary itself — the same candidate policy as the
-// exact path restricted to global bin boundaries.
+// exact-split reference restricted to global bin boundaries.
 func (g *histGrower) bestSplit(lo, hi int, hb *histBuf, sumG, sumH float64) histSplit {
 	cfg := g.cfg
 	best := histSplit{feature: -1}

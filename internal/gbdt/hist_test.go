@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/hist"
 )
 
 // histData builds low-cardinality counter columns with NaN holes and a
@@ -39,7 +37,7 @@ func histData(n int, seed int64) (cols [][]float64, y []int) {
 // produce identical models.
 func TestHistDeterministic(t *testing.T) {
 	cols, y := histData(500, 1)
-	cfg := Config{NumRounds: 10, MaxDepth: 4, Eta: 0.3, Lambda: 1, SplitMethod: hist.SplitHist}
+	cfg := Config{NumRounds: 10, MaxDepth: 4, Eta: 0.3, Lambda: 1}
 	a, err := Fit(cols, y, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,21 +57,19 @@ func TestHistDeterministic(t *testing.T) {
 	}
 }
 
-// TestHistMatchesExactPredictions asserts the hist path trains a model
-// whose training-set probabilities track the exact path closely on
+// TestHistMatchesExactPredictions asserts Fit trains a model whose
+// training-set probabilities track the exact reference closely on
 // low-cardinality data: both paths consider the same candidate row
 // partitions there, so only threshold placement (and therefore rare
 // boundary routing) can differ.
 func TestHistMatchesExactPredictions(t *testing.T) {
 	cols, y := histData(800, 2)
 	base := Config{NumRounds: 15, MaxDepth: 4, Eta: 0.3, Lambda: 1}
-	exact, err := Fit(cols, y, base)
+	exact, err := fitExact(cols, y, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	histCfg := base
-	histCfg.SplitMethod = hist.SplitHist
-	binned, err := Fit(cols, y, histCfg)
+	binned, err := Fit(cols, y, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +91,11 @@ func TestHistMatchesExactPredictions(t *testing.T) {
 	}
 }
 
-// TestHistLearnsSignal asserts hist training reaches the same training
-// accuracy regime as the exact path on separable data.
+// TestHistLearnsSignal asserts hist training reaches a high training
+// accuracy on separable data.
 func TestHistLearnsSignal(t *testing.T) {
 	cols, y := histData(600, 3)
-	m, err := Fit(cols, y, Config{NumRounds: 20, MaxDepth: 4, Eta: 0.3, Lambda: 1, SplitMethod: hist.SplitHist})
+	m, err := Fit(cols, y, Config{NumRounds: 20, MaxDepth: 4, Eta: 0.3, Lambda: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +122,7 @@ func TestHistLearnsSignal(t *testing.T) {
 // accounting still ranks the informative features first.
 func TestHistGainImportanceFindsSignal(t *testing.T) {
 	cols, y := histData(800, 4)
-	m, err := Fit(cols, y, Config{NumRounds: 15, MaxDepth: 4, Eta: 0.3, Lambda: 1, SplitMethod: hist.SplitHist})
+	m, err := Fit(cols, y, Config{NumRounds: 15, MaxDepth: 4, Eta: 0.3, Lambda: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,53 +15,22 @@
 // Thresholds are chosen so that routing by bin index and routing raw
 // values through the fitted tree agree: the threshold after bin b is a
 // midpoint strictly below the smallest value of bin b+1 (with the same
-// adjacent-float fallback as the exact path), and the last threshold is
+// adjacent-float fallback as exact search), and the last threshold is
 // the column's largest finite value (the finite/missing boundary cut).
 package hist
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/presort"
 )
 
-// SplitMethod selects the split-search implementation of the tree
-// learners. The zero value is SplitExact, so existing configurations
-// keep the exact presorted path bit-for-bit.
+// SplitMethod is ignored: histogram-binned split search is the only
+// tree grower. The type is kept only because perfbench, which changes
+// only together with the benchmark definition, still names it through
+// engine.Config.SplitMethod and selection.Resolve.
 type SplitMethod int
-
-const (
-	// SplitExact scans presorted rows for the exact best split.
-	SplitExact SplitMethod = iota
-	// SplitHist scans per-node bin histograms over a quantized matrix.
-	SplitHist
-)
-
-// String returns the flag spelling of the method.
-func (m SplitMethod) String() string {
-	switch m {
-	case SplitExact:
-		return "exact"
-	case SplitHist:
-		return "hist"
-	default:
-		return fmt.Sprintf("SplitMethod(%d)", int(m))
-	}
-}
-
-// ParseSplitMethod parses a -split-method flag value.
-func ParseSplitMethod(s string) (SplitMethod, error) {
-	switch s {
-	case "exact", "":
-		return SplitExact, nil
-	case "hist":
-		return SplitHist, nil
-	default:
-		return SplitExact, fmt.Errorf("hist: unknown split method %q (want exact or hist)", s)
-	}
-}
 
 // DefaultMaxBins is the per-feature bin budget (including the missing
 // bin) used when a config leaves MaxBins at zero.
@@ -183,8 +152,9 @@ func buildCuts(col []float64, ord []int32, maxFinite int) []float64 {
 // cutBetween returns a threshold separating adjacent distinct values
 // a < b: their midpoint, or a itself when the midpoint does not land
 // strictly below b (adjacent floats, ±Inf endpoints whose midpoint
-// overflows or degenerates). Mirrors the exact path's fallback so both
-// paths route unseen values identically.
+// overflows or degenerates). Mirrors the fallback of the exact
+// reference (tree.FitClassifier) so both route unseen values
+// identically.
 func cutBetween(a, b float64) float64 {
 	mid := a/2 + b/2
 	if !(mid < b) || math.IsNaN(mid) {

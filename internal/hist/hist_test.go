@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseSplitMethod(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    SplitMethod
-		wantErr bool
-	}{
-		{"exact", SplitExact, false},
-		{"", SplitExact, false},
-		{"hist", SplitHist, false},
-		{"histogram", SplitExact, true},
-		{"EXACT", SplitExact, true},
-	}
-	for _, c := range cases {
-		got, err := ParseSplitMethod(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseSplitMethod(%q): err = %v, wantErr %v", c.in, err, c.wantErr)
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseSplitMethod(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if SplitExact.String() != "exact" || SplitHist.String() != "hist" {
-		t.Errorf("String: got %q, %q", SplitExact, SplitHist)
-	}
-}
-
 func TestBinConstantColumn(t *testing.T) {
 	col := []float64{4, 4, 4, 4, 4}
 	m := Bin([][]float64{col}, 0)

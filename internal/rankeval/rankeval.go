@@ -141,7 +141,7 @@ func Run(src dataset.Source, model smart.ModelID, ph engine.Phase, cfg engine.Co
 	opts = opts.withDefaults()
 	entrants := make([]entrant, 0, len(opts.Specs)+1)
 	for _, spec := range opts.Specs {
-		r, err := selection.Resolve(spec, opts.Seed, cfg.SplitMethod)
+		r, err := selection.Resolve(spec, opts.Seed, 0)
 		if err != nil {
 			return Result{}, fmt.Errorf("rankeval: %w", err)
 		}
@@ -149,7 +149,7 @@ func Run(src dataset.Source, model smart.ModelID, ph engine.Phase, cfg engine.Co
 		entrants = append(entrants, entrant{spec, r.Name(), func(seed int64, fr *frame.Frame) ([]float64, error) {
 			// Re-resolve per seed so seed-sensitive rankers actually
 			// vary across the similarity sweep.
-			rk, err := selection.Resolve(spec, seed, cfg.SplitMethod)
+			rk, err := selection.Resolve(spec, seed, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +161,7 @@ func Run(src dataset.Source, model smart.ModelID, ph engine.Phase, cfg engine.Co
 		}})
 	}
 	entrants = append(entrants, entrant{WEFRSpec, "WEFR ensemble", func(seed int64, fr *frame.Frame) ([]float64, error) {
-		sel, err := core.SelectFeatures(fr, core.Config{Seed: seed, SplitMethod: cfg.SplitMethod})
+		sel, err := core.SelectFeatures(fr, core.Config{Seed: seed})
 		if err != nil {
 			return nil, err
 		}

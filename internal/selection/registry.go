@@ -19,9 +19,6 @@ var ErrUnknownRanker = errors.New("selection: unknown ranker")
 type Params struct {
 	// Seed makes randomized rankers deterministic.
 	Seed int64
-	// SplitMethod selects the split search of tree-based rankers
-	// (exact default, histogram-binned opt-in; see internal/hist).
-	SplitMethod hist.SplitMethod
 }
 
 // Factory builds one ranker instance from deterministic parameters.
@@ -105,7 +102,11 @@ func Registered() []string {
 // deterministic parameters. An unknown spec returns ErrUnknownRanker
 // carrying the registered names, so CLI surfaces fail fast with the
 // full menu.
-func Resolve(spec string, seed int64, m hist.SplitMethod) (Ranker, error) {
+//
+// The third parameter is ignored: it is kept only because perfbench,
+// which changes only together with the benchmark definition, still
+// passes engine.Config.SplitMethod.
+func Resolve(spec string, seed int64, _ hist.SplitMethod) (Ranker, error) {
 	registry.RLock()
 	f, ok := registry.byKey[normalizeSpec(spec)]
 	registry.RUnlock()
@@ -113,15 +114,15 @@ func Resolve(spec string, seed int64, m hist.SplitMethod) (Ranker, error) {
 		return nil, fmt.Errorf("%w %q (registered: %s)",
 			ErrUnknownRanker, spec, strings.Join(Registered(), ", "))
 	}
-	return f(Params{Seed: seed, SplitMethod: m}), nil
+	return f(Params{Seed: seed}), nil
 }
 
 // ResolveAll resolves every spec in order; the first unknown name
 // fails the whole batch.
-func ResolveAll(specs []string, seed int64, m hist.SplitMethod) ([]Ranker, error) {
+func ResolveAll(specs []string, seed int64) ([]Ranker, error) {
 	out := make([]Ranker, 0, len(specs))
 	for _, spec := range specs {
-		r, err := Resolve(spec, seed, m)
+		r, err := Resolve(spec, seed, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +133,7 @@ func ResolveAll(specs []string, seed int64, m hist.SplitMethod) ([]Ranker, error
 
 // DefaultSpecs returns the registry specs of the paper's five
 // preliminary approaches, in the paper's order. Resolving them is
-// bit-identical to DefaultRankersSplit.
+// bit-identical to DefaultRankers.
 func DefaultSpecs() []string {
 	return []string{"pearson", "spearman", "j-index", "random-forest", "xgboost"}
 }
@@ -142,11 +143,9 @@ func init() {
 	Register("spearman", func(Params) Ranker { return Spearman{} })
 	Register("j-index", func(Params) Ranker { return JIndex{} }, "youden")
 	Register("random-forest", func(p Params) Ranker {
-		return RandomForest{Seed: p.Seed, SplitMethod: p.SplitMethod}
+		return RandomForest{Seed: p.Seed}
 	}, "rf")
-	Register("xgboost", func(p Params) Ranker {
-		return XGBoost{SplitMethod: p.SplitMethod}
-	}, "xgb")
+	Register("xgboost", func(Params) Ranker { return XGBoost{} }, "xgb")
 	Register("mutual-info", func(Params) Ranker { return MutualInfo{} },
 		"mi", "mutual-information")
 	Register("svm-margin", func(p Params) Ranker {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/frame"
-	"repro/internal/hist"
 )
 
 func TestResolveKnownNames(t *testing.T) {
@@ -35,7 +34,7 @@ func TestResolveKnownNames(t *testing.T) {
 		{"svm", "SVM-margin"},
 	}
 	for _, c := range cases {
-		r, err := Resolve(c.spec, 1, hist.SplitExact)
+		r, err := Resolve(c.spec, 1, 0)
 		if err != nil {
 			t.Errorf("Resolve(%q): %v", c.spec, err)
 			continue
@@ -47,7 +46,7 @@ func TestResolveKnownNames(t *testing.T) {
 }
 
 func TestResolveUnknown(t *testing.T) {
-	_, err := Resolve("bogus", 1, hist.SplitExact)
+	_, err := Resolve("bogus", 1, 0)
 	if !errors.Is(err, ErrUnknownRanker) {
 		t.Fatalf("error = %v, want ErrUnknownRanker", err)
 	}
@@ -63,7 +62,7 @@ func TestResolveUnknown(t *testing.T) {
 }
 
 func TestResolveAllFailsFast(t *testing.T) {
-	_, err := ResolveAll([]string{"pearson", "nope", "spearman"}, 1, hist.SplitExact)
+	_, err := ResolveAll([]string{"pearson", "nope", "spearman"}, 1)
 	if !errors.Is(err, ErrUnknownRanker) {
 		t.Fatalf("error = %v, want ErrUnknownRanker", err)
 	}
@@ -115,24 +114,25 @@ func TestRegisterNilFactoryPanics(t *testing.T) {
 }
 
 // TestDefaultSpecsMatchDefaultRankers pins that resolving DefaultSpecs
-// builds exactly the structs the pre-registry DefaultRankers returned,
-// for both split methods — the bit-identity contract of the refactor.
+// builds exactly the structs the pre-registry DefaultRankers returned —
+// the bit-identity contract of the refactor.
 func TestDefaultSpecsMatchDefaultRankers(t *testing.T) {
-	for _, m := range []hist.SplitMethod{hist.SplitExact, hist.SplitHist} {
-		got, err := ResolveAll(DefaultSpecs(), 42, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []Ranker{
-			Pearson{},
-			Spearman{},
-			JIndex{},
-			RandomForest{Seed: 42, SplitMethod: m},
-			XGBoost{SplitMethod: m},
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("split %v: ResolveAll(DefaultSpecs) = %#v, want %#v", m, got, want)
-		}
+	got, err := ResolveAll(DefaultSpecs(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Ranker{
+		Pearson{},
+		Spearman{},
+		JIndex{},
+		RandomForest{Seed: 42},
+		XGBoost{},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ResolveAll(DefaultSpecs) = %#v, want %#v", got, want)
+	}
+	if !reflect.DeepEqual(DefaultRankers(42), want) {
+		t.Errorf("DefaultRankers = %#v, want %#v", DefaultRankers(42), want)
 	}
 }
 
@@ -180,7 +180,7 @@ func degenerateFrames(t *testing.T) map[string]*frame.Frame {
 func TestRegisteredRankersDegenerateFrames(t *testing.T) {
 	frames := degenerateFrames(t)
 	for _, spec := range Registered() {
-		r, err := Resolve(spec, 3, hist.SplitExact)
+		r, err := Resolve(spec, 3, 0)
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", spec, err)
 		}

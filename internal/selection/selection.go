@@ -20,7 +20,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/frame"
 	"repro/internal/gbdt"
-	"repro/internal/hist"
 	"repro/internal/stats"
 )
 
@@ -278,9 +277,6 @@ type RandomForest struct {
 	MaxDepth int
 	// Seed makes ranking deterministic.
 	Seed int64
-	// SplitMethod selects the forest's split search (exact default,
-	// histogram-binned opt-in; see internal/hist).
-	SplitMethod hist.SplitMethod
 }
 
 var _ Ranker = RandomForest{}
@@ -306,7 +302,7 @@ func (r RandomForest) Rank(fr *frame.Frame) (Result, error) {
 		cols[i] = fr.Col(i)
 	}
 	f, err := forest.Fit(cols, fr.Labels(), forest.Config{
-		NumTrees: trees, MaxDepth: depth, Seed: r.Seed, SplitMethod: r.SplitMethod,
+		NumTrees: trees, MaxDepth: depth, Seed: r.Seed,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("selection: random forest: %w", err)
@@ -325,9 +321,6 @@ type XGBoost struct {
 	Rounds int
 	// MaxDepth limits tree depth; 0 means 5.
 	MaxDepth int
-	// SplitMethod selects the booster's split search (exact default,
-	// histogram-binned opt-in; see internal/hist).
-	SplitMethod hist.SplitMethod
 }
 
 var _ Ranker = XGBoost{}
@@ -353,7 +346,7 @@ func (x XGBoost) Rank(fr *frame.Frame) (Result, error) {
 		cols[i] = fr.Col(i)
 	}
 	m, err := gbdt.Fit(cols, fr.Labels(), gbdt.Config{
-		NumRounds: rounds, MaxDepth: depth, Eta: 0.3, Lambda: 1, SplitMethod: x.SplitMethod,
+		NumRounds: rounds, MaxDepth: depth, Eta: 0.3, Lambda: 1,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("selection: xgboost: %w", err)
@@ -366,16 +359,10 @@ func (x XGBoost) Rank(fr *frame.Frame) (Result, error) {
 }
 
 // DefaultRankers returns the paper's five preliminary approaches with
-// deterministic settings derived from seed.
+// deterministic settings derived from seed: DefaultSpecs resolved
+// through the registry.
 func DefaultRankers(seed int64) []Ranker {
-	return DefaultRankersSplit(seed, hist.SplitExact)
-}
-
-// DefaultRankersSplit is DefaultRankers with the tree-based approaches
-// using the given split search method. The set is DefaultSpecs
-// resolved through the registry.
-func DefaultRankersSplit(seed int64, m hist.SplitMethod) []Ranker {
-	rankers, err := ResolveAll(DefaultSpecs(), seed, m)
+	rankers, err := ResolveAll(DefaultSpecs(), seed)
 	if err != nil {
 		// Unreachable: the default specs are registered in this
 		// package's init.

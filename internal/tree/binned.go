@@ -57,20 +57,18 @@ func (s *HistScratch) ensure(features, rows int) {
 
 // FitClassifierBinned grows a classification tree over a histogram-
 // binned matrix (see internal/hist), with bootstrap replication
-// expressed as integer per-row sample weights exactly as in
-// FitClassifierPresorted. Split search at a node accumulates one
+// expressed as integer per-row sample weights (weight 0 excludes a row;
+// weight k counts it k times). Split search at a node accumulates one
 // (weight, positive-weight) histogram per candidate feature and scans
 // bins instead of sorted rows; the node's rows are then partitioned by
 // bin index. Because every feature shares one row list, the per-node
-// partition cost is a single pass regardless of feature count — the
-// structural advantage over the presorted path, which must maintain one
-// order per feature.
+// partition cost is a single pass regardless of feature count.
 //
 // Candidate cuts lie on the matrix's global bin boundaries, so deep in
-// the tree the split thresholds can differ from the exact path's
-// node-local midpoints, but on columns with fewer distinct values than
-// bins the candidate set — and therefore the grown tree's routing of
-// the in-bag (weight > 0) rows — is identical.
+// the tree the split thresholds can differ from the exact reference's
+// (FitClassifier) node-local midpoints, but on columns with fewer
+// distinct values than bins the candidate set — and therefore the grown
+// tree's routing of the in-bag (weight > 0) rows — is identical.
 //
 // sc may be nil; passing a reused HistScratch eliminates per-fit
 // allocation of the row list.
@@ -139,8 +137,8 @@ type binnedBuilder struct {
 }
 
 // grow recursively grows the subtree over the row segment [lo, hi) and
-// returns its node index. Mirrors builder.grow with one row list in
-// place of per-feature orders.
+// returns its node index. Mirrors the exact builder's grow with one row
+// list in place of per-feature orders.
 func (b *binnedBuilder) grow(lo, hi, wTotal, wPos, depth int) int {
 	nodeIdx := len(b.t.nodes)
 	b.t.nodes = append(b.t.nodes, node{
@@ -163,8 +161,8 @@ func (b *binnedBuilder) grow(lo, hi, wTotal, wPos, depth int) int {
 
 	wRight, wPosRight := wTotal-wLeft, wPos-wPosLeft
 	nlRows := 0
-	// As in the exact path, when both children are guaranteed leaves no
-	// descendant reads the row list, so the partition is skipped.
+	// When both children are guaranteed leaves no descendant reads the
+	// row list, so the partition is skipped.
 	if !(leafStop(b.cfg, wLeft, wPosLeft, depth+1) && leafStop(b.cfg, wRight, wPosRight, depth+1)) {
 		bins := b.bm.Bins(feature)
 		missBin := uint8(b.bm.MissingBin(feature))

@@ -52,7 +52,13 @@ func TestBinnedMatchesExactOnLowCardinality(t *testing.T) {
 	}
 	cfg := Config{MaxDepth: 6, MaxFeatures: 3, Seed: 5}
 
-	exact, err := FitClassifierPresorted(Presort(cols), y, weights, cfg, nil)
+	var idx []int
+	for i, w := range weights {
+		for ; w > 0; w-- {
+			idx = append(idx, i)
+		}
+	}
+	exact, err := FitClassifier(cols, y, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

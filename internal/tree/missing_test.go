@@ -25,78 +25,86 @@ func missingInformative(n int) (cols [][]float64, y []int) {
 }
 
 func TestFitLearnsDefaultDirection(t *testing.T) {
-	cols, y := missingInformative(200)
-	c, err := FitClassifier(cols, y, nil, Config{MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pMissing := c.PredictProba([]float64{math.NaN(), 5})
-	pPresent := c.PredictProba([]float64{3, 5})
-	if pMissing < 0.9 {
-		t.Errorf("P(pos | feature missing) = %v, want >= 0.9", pMissing)
-	}
-	if pPresent > 0.1 {
-		t.Errorf("P(pos | feature present) = %v, want <= 0.1", pPresent)
-	}
+	eachGrower(t, func(t *testing.T, fit fitFunc) {
+		cols, y := missingInformative(200)
+		c, err := fit(cols, y, nil, Config{MaxDepth: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pMissing := c.PredictProba([]float64{math.NaN(), 5})
+		pPresent := c.PredictProba([]float64{3, 5})
+		if pMissing < 0.9 {
+			t.Errorf("P(pos | feature missing) = %v, want >= 0.9", pMissing)
+		}
+		if pPresent > 0.1 {
+			t.Errorf("P(pos | feature present) = %v, want <= 0.1", pPresent)
+		}
+	})
 }
 
 func TestFitMissingOppositeDirection(t *testing.T) {
-	// Same construction, labels flipped: NaN now marks negatives, so the
-	// learned default direction must route missing to the negative leaf.
-	cols, y := missingInformative(200)
-	for i := range y {
-		y[i] = 1 - y[i]
-	}
-	c, err := FitClassifier(cols, y, nil, Config{MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := c.PredictProba([]float64{math.NaN(), 5}); p > 0.1 {
-		t.Errorf("P(pos | feature missing) = %v, want <= 0.1", p)
-	}
+	eachGrower(t, func(t *testing.T, fit fitFunc) {
+		// Same construction, labels flipped: NaN now marks negatives, so the
+		// learned default direction must route missing to the negative leaf.
+		cols, y := missingInformative(200)
+		for i := range y {
+			y[i] = 1 - y[i]
+		}
+		c, err := fit(cols, y, nil, Config{MaxDepth: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := c.PredictProba([]float64{math.NaN(), 5}); p > 0.1 {
+			t.Errorf("P(pos | feature missing) = %v, want <= 0.1", p)
+		}
+	})
 }
 
 func TestFitAllMissingColumnNeverSplit(t *testing.T) {
-	n := 100
-	cols := [][]float64{make([]float64, n), make([]float64, n)}
-	y := make([]int, n)
-	for i := 0; i < n; i++ {
-		cols[0][i] = math.NaN()
-		cols[1][i] = float64(i)
-		if i >= n/2 {
-			y[i] = 1
+	eachGrower(t, func(t *testing.T, fit fitFunc) {
+		n := 100
+		cols := [][]float64{make([]float64, n), make([]float64, n)}
+		y := make([]int, n)
+		for i := 0; i < n; i++ {
+			cols[0][i] = math.NaN()
+			cols[1][i] = float64(i)
+			if i >= n/2 {
+				y[i] = 1
+			}
 		}
-	}
-	c, err := FitClassifier(cols, y, nil, Config{MaxDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp := c.Importance(); imp[0] != 0 {
-		t.Errorf("all-NaN column importance = %v, want 0", imp[0])
-	}
-	if c.NumNodes() < 3 {
-		t.Errorf("tree did not split on the informative column at all")
-	}
+		c, err := fit(cols, y, nil, Config{MaxDepth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if imp := c.Importance(); imp[0] != 0 {
+			t.Errorf("all-NaN column importance = %v, want 0", imp[0])
+		}
+		if c.NumNodes() < 3 {
+			t.Errorf("tree did not split on the informative column at all")
+		}
+	})
 }
 
 func TestFitMissingDeterministic(t *testing.T) {
-	cols, y := missingInformative(300)
-	// Sprinkle partial missingness into the second feature too.
-	for i := 0; i < 300; i += 7 {
-		cols[1][i] = math.NaN()
-	}
-	cfg := Config{MaxDepth: 5, MaxFeatures: 1, Seed: 42}
-	a, err := FitClassifier(cols, y, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FitClassifier(cols, y, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Export(), b.Export()) {
-		t.Error("two fits with identical data, config, and seed differ")
-	}
+	eachGrower(t, func(t *testing.T, fit fitFunc) {
+		cols, y := missingInformative(300)
+		// Sprinkle partial missingness into the second feature too.
+		for i := 0; i < 300; i += 7 {
+			cols[1][i] = math.NaN()
+		}
+		cfg := Config{MaxDepth: 5, MaxFeatures: 1, Seed: 42}
+		a, err := fit(cols, y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fit(cols, y, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Export(), b.Export()) {
+			t.Error("two fits with identical data, config, and seed differ")
+		}
+	})
 }
 
 func TestExportImportPreservesDefaultDirection(t *testing.T) {

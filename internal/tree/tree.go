@@ -1,21 +1,23 @@
 // Package tree implements CART-style binary decision trees from scratch:
-// a Gini-impurity classifier used by the Random Forest, with exact split
-// search, depth and leaf-size limits, and per-feature random subsampling.
-// The gradient-boosted (Newton) regression tree lives in internal/gbdt,
-// which reuses this package's node layout.
+// a Gini-impurity classifier used by the Random Forest, with depth and
+// leaf-size limits and per-feature random subsampling. The gradient-
+// boosted (Newton) regression tree lives in internal/gbdt, which reuses
+// this package's node layout.
 //
 // Trees operate on column-major data (cols[f][i] is feature f of sample
 // i) because split search iterates feature-wise; prediction takes a
 // row-major feature vector or, for batches, the column-major data
 // directly.
 //
-// Training is sort-once, partition-thereafter: each feature's row order
-// is argsorted exactly once per fit (internal/presort) and maintained
-// down the tree by stable in-place partitioning, so split search at a
-// node is a linear scan instead of a per-node re-sort. Bootstrap
-// replicates are expressed as integer per-row sample weights, which
-// lets a Random Forest share one fleet-wide presort across all of its
-// trees (see Presort / FitClassifierPresorted).
+// FitClassifierBinned is the grower: split search scans per-node bin
+// histograms over a matrix quantized once per dataset (internal/hist),
+// and bootstrap replicates are integer per-row sample weights, so a
+// Random Forest shares one binned matrix across all of its trees.
+// FitClassifier is the exact reference the binned grower is tested
+// against: each feature's row order is argsorted once
+// (internal/presort) and maintained down the tree by stable in-place
+// partitioning, and every node scans its sorted segment for the exact
+// best midpoint.
 package tree
 
 import (
@@ -90,84 +92,10 @@ type Classifier struct {
 	depth      int
 }
 
-// Presorted holds the per-feature argsorted row orders of one
-// column-major dataset. Computing it once and passing it to
-// FitClassifierPresorted amortizes the O(features x n log n) sort
-// across many fits — a Random Forest presorts its training data once
-// and shares the result across every tree.
-type Presorted struct {
-	cols  [][]float64
-	order [][]int32
-}
-
-// Presort argsorts every column of the dataset. The returned value
-// references cols; neither may be mutated while fits are in flight.
-func Presort(cols [][]float64) *Presorted {
-	return &Presorted{cols: cols, order: presort.All(cols)}
-}
-
-// NumFeatures returns the presorted feature count.
-func (p *Presorted) NumFeatures() int { return len(p.cols) }
-
-// NumRows returns the presorted row count.
-func (p *Presorted) NumRows() int {
-	if len(p.cols) == 0 {
-		return 0
-	}
-	return len(p.cols[0])
-}
-
-// Scratch holds the reusable working memory of one tree fit: the
-// per-feature working orders and the partition buffer. A worker fitting
-// many trees (as the forest does) allocates one Scratch and reuses it
-// across fits, eliminating per-tree allocation of the order arrays.
-// A Scratch must not be used by two fits concurrently.
-type Scratch struct {
-	ord  [][]int32
-	buf  []int32
-	side []byte
-	wy   []int32
-	feat []int
-}
-
-// NewScratch returns an empty Scratch; buffers are sized on first use.
-func NewScratch() *Scratch { return &Scratch{} }
-
-func (s *Scratch) ensure(features, rows int) {
-	if cap(s.ord) < features {
-		s.ord = make([][]int32, features)
-	}
-	s.ord = s.ord[:features]
-	for f := range s.ord {
-		if cap(s.ord[f]) < rows {
-			s.ord[f] = make([]int32, 0, rows)
-		}
-	}
-	if cap(s.buf) < rows {
-		s.buf = make([]int32, rows)
-	}
-	s.buf = s.buf[:rows]
-	if cap(s.side) < rows {
-		s.side = make([]byte, rows)
-	}
-	s.side = s.side[:rows]
-	if cap(s.wy) < rows {
-		s.wy = make([]int32, rows)
-	}
-	s.wy = s.wy[:rows]
-	if cap(s.feat) < features {
-		s.feat = make([]int, features)
-	}
-	s.feat = s.feat[:features]
-}
-
 // FitClassifier grows a classification tree on the given column-major
-// data. idx selects the training rows (pass nil to use every row); the
-// same row may appear multiple times (bootstrap replicates).
-//
-// This entry point presorts the data itself. Callers fitting many trees
-// on the same data should call Presort once and use
-// FitClassifierPresorted with per-row weights instead.
+// data with exact split search. idx selects the training rows (pass nil
+// to use every row); the same row may appear multiple times (bootstrap
+// replicates), which the fit counts as an integer per-row weight.
 func FitClassifier(cols [][]float64, y []int, idx []int, cfg Config) (*Classifier, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrNoData)
@@ -191,36 +119,8 @@ func FitClassifier(cols [][]float64, y []int, idx []int, cfg Config) (*Classifie
 			weights[i]++
 		}
 	}
-	return FitClassifierPresorted(Presort(cols), y, weights, cfg, NewScratch())
-}
 
-// FitClassifierPresorted grows a classification tree from an existing
-// presort, with bootstrap replication expressed as integer per-row
-// sample weights (weight 0 excludes a row; weight k counts it k times).
-// It is equivalent to FitClassifier over an index list holding each row
-// weights[i] times, but performs no sorting: the shared presorted
-// orders are filtered to in-bag rows and maintained by stable
-// partitioning down the tree.
-//
-// sc may be nil; passing a reused Scratch eliminates the per-fit
-// allocation of working orders.
-func FitClassifierPresorted(ps *Presorted, y []int, weights []int, cfg Config, sc *Scratch) (*Classifier, error) {
-	if ps == nil || ps.NumFeatures() == 0 {
-		return nil, fmt.Errorf("%w: no feature columns", ErrNoData)
-	}
-	n := len(y)
-	if ps.NumRows() != n {
-		return nil, fmt.Errorf("%w: presort has %d rows, labels have %d", ErrShapeMismatch, ps.NumRows(), n)
-	}
-	if len(weights) != n {
-		return nil, fmt.Errorf("%w: %d weights, %d labels", ErrShapeMismatch, len(weights), n)
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.ensure(len(ps.cols), n)
-
-	// Filter the shared orders down to in-bag rows (weight > 0),
+	// Filter the presorted orders down to in-bag rows (weight > 0),
 	// preserving sortedness. Weighted totals replace duplicated indices.
 	wTotal, wPos := 0, 0
 	for i, wi := range weights {
@@ -235,44 +135,42 @@ func FitClassifierPresorted(ps *Presorted, y []int, weights []int, cfg Config, s
 	// A byte in-bag mask keeps the filter loop's random accesses inside
 	// L1 instead of striding the full weight slice per feature, and the
 	// filter itself is branchless (cursor advances by the mask value).
+	side := make([]byte, n)
+	wy := make([]int32, n)
 	for i, wi := range weights {
 		if wi > 0 {
-			sc.side[i] = 1
-		} else {
-			sc.side[i] = 0
+			side[i] = 1
 		}
 		// Weight and label packed into one int32 so the split scan's
 		// random per-row access touches a single L1-resident array.
-		sc.wy[i] = int32(wi<<1) | int32(y[i])
+		wy[i] = int32(wi<<1) | int32(y[i])
 	}
+	ord := presort.All(cols)
 	rows := 0
-	for f, full := range ps.order {
-		dst := sc.ord[f][:n]
+	for f, full := range ord {
 		w := 0
 		for _, i := range full {
-			dst[w] = i
-			w += int(sc.side[i])
+			full[w] = i
+			w += int(side[i])
 		}
-		sc.ord[f] = dst[:w]
+		ord[f] = full[:w]
 		rows = w
 	}
 
 	t := &Classifier{
-		nFeatures:  len(ps.cols),
-		importance: make([]float64, len(ps.cols)),
+		nFeatures:  len(cols),
+		importance: make([]float64, len(cols)),
 	}
 	b := &builder{
-		cols: ps.cols,
-		y:    y,
-		w:    weights,
+		cols: cols,
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		t:    t,
-		feat: sc.feat,
-		ord:  sc.ord,
-		buf:  sc.buf,
-		side: sc.side,
-		wy:   sc.wy,
+		feat: make([]int, len(cols)),
+		ord:  ord,
+		buf:  make([]int32, n),
+		side: side,
+		wy:   wy,
 	}
 	for i := range b.feat {
 		b.feat[i] = i
@@ -284,8 +182,6 @@ func FitClassifierPresorted(ps *Presorted, y []int, weights []int, cfg Config, s
 // builder carries the shared state of one tree induction.
 type builder struct {
 	cols [][]float64
-	y    []int
-	w    []int // per-row sample weights (bootstrap multiplicities)
 	cfg  Config
 	rng  *rand.Rand
 	t    *Classifier
