@@ -3,8 +3,12 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/changepoint"
 	"repro/internal/frame"
@@ -231,6 +235,57 @@ func TestSerialMatchesParallel(t *testing.T) {
 	}
 	if !equalStrings(a.Features, b.Features) {
 		t.Errorf("parallel %v != serial %v", a.Features, b.Features)
+	}
+}
+
+// barrierRanker delegates to a real ranker once every ranker sharing
+// its entered group has started, and fails after the timeout otherwise:
+// rankers that all get through ran at the same time.
+type barrierRanker struct {
+	selection.Ranker
+	entered *sync.WaitGroup
+	timeout time.Duration
+}
+
+func (r barrierRanker) Rank(fr *frame.Frame) (selection.Result, error) {
+	r.entered.Done()
+	all := make(chan struct{})
+	go func() {
+		r.entered.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+		return r.Ranker.Rank(fr)
+	case <-time.After(r.timeout):
+		return selection.Result{}, fmt.Errorf("barrier: not every ranker started within %v", r.timeout)
+	}
+}
+
+func barrierRankers(seed int64, timeout time.Duration) []selection.Ranker {
+	inner := selection.DefaultRankers(seed)
+	entered := &sync.WaitGroup{}
+	entered.Add(len(inner))
+	out := make([]selection.Ranker, len(inner))
+	for i, r := range inner {
+		out[i] = barrierRanker{Ranker: r, entered: entered, timeout: timeout}
+	}
+	return out
+}
+
+// TestRankersRunConcurrently checks that WEFR runs its preliminary
+// rankers at the same time, not one after another: each ranker blocks
+// until all of them have started, which only a concurrent run passes.
+// The serial ablation must fail the same barrier, so the check cannot
+// pass vacuously.
+func TestRankersRunConcurrently(t *testing.T) {
+	fr := labFrame(t, 400, 3, 6, false, 7)
+	if _, err := SelectFeatures(fr, Config{Seed: 7, Rankers: barrierRankers(7, 10*time.Second)}); err != nil {
+		t.Fatalf("default path: %v", err)
+	}
+	_, err := SelectFeatures(fr, Config{Seed: 7, Serial: true, Rankers: barrierRankers(7, 50*time.Millisecond)})
+	if err == nil || !strings.Contains(err.Error(), "barrier") {
+		t.Fatalf("serial path error = %v, want a barrier timeout", err)
 	}
 }
 

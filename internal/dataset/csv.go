@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"strconv"
 
@@ -272,73 +271,4 @@ func ReadModelCSV(r io.Reader) (*Logs, error) {
 		return nil, fmt.Errorf("%w: no data rows", ErrBadCSV)
 	}
 	return l, nil
-}
-
-// CorruptOptions injects the defects of real-world log collection into
-// a CSV export: dropped days and blanked cells. Together with
-// ReadModelCSVWith it lets the preprocessing path be exercised end to
-// end against ground truth.
-type CorruptOptions struct {
-	// DropDayRate is the probability each non-final drive-day row is
-	// omitted entirely.
-	DropDayRate float64
-	// BlankCellRate is the probability each value cell is written
-	// empty.
-	BlankCellRate float64
-	// Seed drives the corruption deterministically.
-	Seed int64
-}
-
-// WriteModelCSVCorrupted writes the daily SMART logs of one model with
-// injected collection defects. Day 0 and each drive's final day are
-// never dropped (the lenient reader requires day 0, and dropping the
-// final day would change the observation span).
-func WriteModelCSVCorrupted(w io.Writer, src Source, model smart.ModelID, opts CorruptOptions) error {
-	if !model.Valid() {
-		return fmt.Errorf("dataset: invalid model %v", model)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	feats := smart.MustSpec(model).Features()
-	cw := csv.NewWriter(w)
-	header := []string{"day", "model", "drive_id"}
-	for _, ft := range feats {
-		header = append(header, ft.String())
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("dataset: write header: %w", err)
-	}
-
-	drives := src.DrivesOf(model)
-	sort.Slice(drives, func(i, j int) bool { return drives[i].ID < drives[j].ID })
-	row := make([]string, len(header))
-	for _, ref := range drives {
-		series, lastDay, err := src.Series(ref)
-		if err != nil {
-			return err
-		}
-		for day := 0; day <= lastDay; day++ {
-			if day != 0 && day != lastDay && rng.Float64() < opts.DropDayRate {
-				continue
-			}
-			row[0] = strconv.Itoa(day)
-			row[1] = model.String()
-			row[2] = strconv.Itoa(ref.ID)
-			for i, ft := range feats {
-				col, ok := series[ft]
-				if !ok {
-					return fmt.Errorf("dataset: model %v drive %d missing %v", model, ref.ID, ft)
-				}
-				if rng.Float64() < opts.BlankCellRate {
-					row[3+i] = ""
-					continue
-				}
-				row[3+i] = strconv.FormatFloat(col[day], 'g', -1, 64)
-			}
-			if err := cw.Write(row); err != nil {
-				return fmt.Errorf("dataset: write row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

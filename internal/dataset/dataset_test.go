@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/featgen"
@@ -319,15 +320,19 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestReadModelCSVErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":        "",
-		"bad header":   "a,b,c\n",
-		"bad feature":  "day,model,drive_id,BOGUS_R\n",
-		"no rows":      "day,model,drive_id,UCE_R\n",
-		"bad day":      "day,model,drive_id,UCE_R\nx,MC1,1,0\n",
-		"bad model":    "day,model,drive_id,UCE_R\n0,NOPE,1,0\n",
-		"bad value":    "day,model,drive_id,UCE_R\n0,MC1,1,zzz\n",
-		"gap in days":  "day,model,drive_id,UCE_R\n0,MC1,1,0\n2,MC1,1,0\n",
-		"mixed models": "day,model,drive_id,UCE_R\n0,MC1,1,0\n0,MC2,2,0\n",
+		"empty":              "",
+		"bad header":         "a,b,c\n",
+		"bad feature":        "day,model,drive_id,BOGUS_R\n",
+		"no rows":            "day,model,drive_id,UCE_R\n",
+		"bad day":            "day,model,drive_id,UCE_R\nx,MC1,1,0\n",
+		"bad model":          "day,model,drive_id,UCE_R\n0,NOPE,1,0\n",
+		"bad value":          "day,model,drive_id,UCE_R\n0,MC1,1,zzz\n",
+		"gap in days":        "day,model,drive_id,UCE_R\n0,MC1,1,0\n2,MC1,1,0\n",
+		"mixed models":       "day,model,drive_id,UCE_R\n0,MC1,1,0\n0,MC2,2,0\n",
+		"blank cell":         "day,model,drive_id,UCE_R\n0,MC1,1,\n",
+		"repeated day":       "day,model,drive_id,UCE_R\n0,MC1,1,0\n0,MC1,1,1\n",
+		"day out of order":   "day,model,drive_id,UCE_R\n0,MC1,1,0\n1,MC1,1,1\n0,MC1,1,2\n",
+		"first day not zero": "day,model,drive_id,UCE_R\n3,MC1,1,0\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -335,6 +340,52 @@ func TestReadModelCSVErrors(t *testing.T) {
 				t.Errorf("error = %v, want ErrBadCSV", err)
 			}
 		})
+	}
+}
+
+// TestGapWithoutOptionFails checks that a missing day in a drive's
+// series is rejected by the reader rather than filled: gap handling
+// belongs to the frame sanitizer, which sees a NaN reading, not a
+// skipped row.
+func TestGapWithoutOptionFails(t *testing.T) {
+	in := "day,model,drive_id,UCE_R,UCE_N\n0,MC1,1,1,100\n2,MC1,1,2,99\n"
+	if _, err := ReadModelCSV(bytes.NewReader([]byte(in))); !errors.Is(err, ErrBadCSV) {
+		t.Errorf("error = %v, want ErrBadCSV", err)
+	}
+}
+
+// TestNaNCellReadsAsMissing checks the one way a CSV carries a missing
+// reading: the strict reader rejects a blank cell but parses a literal
+// NaN, and the frame sanitizer imputes it.
+func TestNaNCellReadsAsMissing(t *testing.T) {
+	in := "day,model,drive_id,UCE_R\n0,MC1,1,1\n1,MC1,1,NaN\n2,MC1,1,3\n"
+	logs, err := ReadModelCSV(bytes.NewReader([]byte(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uceR := smart.Feature{Attr: smart.UCE, Kind: smart.Raw}
+	cols, _, err := logs.Series(DriveRef{ID: 1, Model: smart.MC1, FailDay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(cols[uceR][1]) {
+		t.Fatalf("NaN cell read as %v", cols[uceR][1])
+	}
+	ctr := &DefectCounter{}
+	fr, err := Frame(logs, FrameOpts{
+		Model: smart.MC1, NegEvery: 1, Features: []smart.Feature{uceR},
+		Sanitize: &SanitizeOpts{Counter: ctr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ctr.Snapshot().ImputedCells; got == 0 {
+		t.Errorf("ImputedCells = %d, want > 0", got)
+	}
+	for i, v := range fr.Col(0) {
+		if math.IsNaN(v) {
+			t.Errorf("frame row %d still NaN after sanitize", i)
+		}
 	}
 }
 

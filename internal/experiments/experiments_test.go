@@ -366,20 +366,15 @@ func TestExp4(t *testing.T) {
 	if len(r.Names) != 6 { // five approaches + WEFR
 		t.Fatalf("names = %v", r.Names)
 	}
-	wefr, ok := r.RuntimeOf("WEFR")
-	if !ok {
+	if _, ok := r.RuntimeOf("WEFR"); !ok {
 		t.Fatal("missing WEFR runtime")
 	}
-	slowest := r.SlowestRanker()
-	if slowest <= 0 {
+	if r.SlowestRanker() <= 0 {
 		t.Fatal("no ranker runtimes")
 	}
-	// Exp#4's claim: parallel WEFR costs close to the slowest single
-	// approach, not their sum (allow generous slack for the complexity
-	// scan and scheduling).
-	if wefr > slowest*3 {
-		t.Errorf("WEFR runtime %v should track the slowest ranker %v", wefr, slowest)
-	}
+	// Exp#4's claim, that parallel WEFR costs the slowest approach and
+	// not their sum, rests on the rankers running concurrently; that is
+	// checked without a clock by core.TestRankersRunConcurrently.
 	if !strings.Contains(r.Render(), "serial ablation") {
 		t.Error("render incomplete")
 	}

@@ -1,9 +1,8 @@
 // Package forest implements a Random Forest binary classifier on top of
 // internal/tree: bootstrap bagging, per-node random feature subsampling,
 // parallel histogram-binned tree induction, probability averaging, and
-// the two feature-importance evaluations the WEFR paper relies on —
-// mean decrease in impurity and out-of-bag permutation importance
-// (Breiman 2001).
+// the mean-decrease-in-impurity feature importance the WEFR paper ranks
+// with (Breiman 2001).
 package forest
 
 import (
@@ -56,11 +55,8 @@ func DefaultConfig() Config {
 // Forest is a fitted Random Forest.
 type Forest struct {
 	trees     []*tree.Classifier
-	oob       [][]int // per-tree out-of-bag row indices
 	nFeatures int
 	cfg       Config
-	cols      [][]float64 // training columns, retained for OOB importance
-	y         []int
 }
 
 // Fit trains a forest on column-major data (cols[f][i] is feature f of
@@ -88,11 +84,8 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 	n := len(y)
 	f := &Forest{
 		trees:     make([]*tree.Classifier, cfg.NumTrees),
-		oob:       make([][]int, cfg.NumTrees),
 		nFeatures: len(cols),
 		cfg:       cfg,
-		cols:      cols,
-		y:         y,
 	}
 
 	// Draw all bootstrap samples up-front from a single seeded source so
@@ -108,13 +101,6 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 			w[rng.Intn(n)]++
 		}
 		boots[t] = w
-		var oob []int
-		for i, wi := range w {
-			if wi == 0 {
-				oob = append(oob, i)
-			}
-		}
-		f.oob[t] = oob
 		seeds[t] = rng.Int63()
 	}
 
@@ -185,15 +171,6 @@ func (f *Forest) PredictProba(x []float64) float64 {
 		sum += t.PredictProba(x)
 	}
 	return sum / float64(len(f.trees))
-}
-
-// Predict returns the hard 0/1 prediction at the given probability
-// threshold.
-func (f *Forest) Predict(x []float64, threshold float64) int {
-	if f.PredictProba(x) >= threshold {
-		return 1
-	}
-	return 0
 }
 
 // PredictProbaAll scores every row of column-major data and returns the
@@ -318,108 +295,4 @@ func (f *Forest) ImpurityImportance() ([]float64, error) {
 		}
 	}
 	return total, nil
-}
-
-// PermutationImportance returns Breiman-style out-of-bag permutation
-// importance: for each feature, the mean decrease in OOB accuracy after
-// permuting that feature's values, averaged over trees. Negative values
-// are reported as-is (they indicate pure-noise features). The rng seed
-// controls the permutations.
-func (f *Forest) PermutationImportance(seed int64) ([]float64, error) {
-	if len(f.trees) == 0 {
-		return nil, ErrNotFitted
-	}
-	rng := rand.New(rand.NewSource(seed))
-	imp := make([]float64, f.nFeatures)
-	counted := make([]int, f.nFeatures)
-
-	x := make([]float64, f.nFeatures)
-	for ti, t := range f.trees {
-		oob := f.oob[ti]
-		if len(oob) == 0 {
-			continue
-		}
-		// Baseline OOB accuracy of this tree.
-		base := 0
-		for _, i := range oob {
-			for j := range f.cols {
-				x[j] = f.cols[j][i]
-			}
-			pred := 0
-			if t.PredictProba(x) >= 0.5 {
-				pred = 1
-			}
-			if pred == f.y[i] {
-				base++
-			}
-		}
-		baseAcc := float64(base) / float64(len(oob))
-
-		perm := make([]int, len(oob))
-		for feat := 0; feat < f.nFeatures; feat++ {
-			copy(perm, oob)
-			rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-			correct := 0
-			for k, i := range oob {
-				for j := range f.cols {
-					x[j] = f.cols[j][i]
-				}
-				x[feat] = f.cols[feat][perm[k]] // permuted value
-				pred := 0
-				if t.PredictProba(x) >= 0.5 {
-					pred = 1
-				}
-				if pred == f.y[i] {
-					correct++
-				}
-			}
-			imp[feat] += baseAcc - float64(correct)/float64(len(oob))
-			counted[feat]++
-		}
-	}
-	for i := range imp {
-		if counted[i] > 0 {
-			imp[i] /= float64(counted[i])
-		}
-	}
-	return imp, nil
-}
-
-// OOBAccuracy returns the out-of-bag accuracy estimate: each sample is
-// scored only by trees that did not see it in their bootstrap.
-func (f *Forest) OOBAccuracy() (float64, error) {
-	if len(f.trees) == 0 {
-		return 0, ErrNotFitted
-	}
-	n := len(f.y)
-	votes := make([]float64, n)
-	counts := make([]int, n)
-	x := make([]float64, f.nFeatures)
-	for ti, t := range f.trees {
-		for _, i := range f.oob[ti] {
-			for j := range f.cols {
-				x[j] = f.cols[j][i]
-			}
-			votes[i] += t.PredictProba(x)
-			counts[i]++
-		}
-	}
-	correct, scored := 0, 0
-	for i := 0; i < n; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		scored++
-		pred := 0
-		if votes[i]/float64(counts[i]) >= 0.5 {
-			pred = 1
-		}
-		if pred == f.y[i] {
-			correct++
-		}
-	}
-	if scored == 0 {
-		return 0, errors.New("forest: no out-of-bag samples")
-	}
-	return float64(correct) / float64(scored), nil
 }

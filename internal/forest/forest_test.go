@@ -46,11 +46,11 @@ func TestFitAndPredict(t *testing.T) {
 	if p := f.PredictProba([]float64{-3, 0, 0}); p > 0.2 {
 		t.Errorf("PredictProba(negative cluster) = %v, want < 0.2", p)
 	}
-	if f.Predict([]float64{3, 0, 0}, 0.5) != 1 {
-		t.Error("Predict should be 1 in positive cluster")
+	if f.PredictProba([]float64{3, 0, 0}) < 0.5 {
+		t.Error("positive cluster should score at or above 0.5")
 	}
-	if f.Predict([]float64{-3, 0, 0}, 0.5) != 0 {
-		t.Error("Predict should be 0 in negative cluster")
+	if f.PredictProba([]float64{-3, 0, 0}) >= 0.5 {
+		t.Error("negative cluster should score below 0.5")
 	}
 }
 
@@ -183,51 +183,10 @@ func TestImpurityImportanceFindsSignal(t *testing.T) {
 	}
 }
 
-func TestPermutationImportanceFindsSignal(t *testing.T) {
-	cols, y := blobs(500, 3, 6)
-	f, err := Fit(cols, y, Config{NumTrees: 25, MaxDepth: 6, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, err := f.PermutationImportance(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 1; j < len(imp); j++ {
-		if imp[0] <= imp[j] {
-			t.Errorf("signal perm importance %v should exceed noise[%d] %v", imp[0], j, imp[j])
-		}
-	}
-	if imp[0] < 0.1 {
-		t.Errorf("signal perm importance = %v, want substantial", imp[0])
-	}
-}
-
-func TestOOBAccuracy(t *testing.T) {
-	cols, y := blobs(400, 2, 7)
-	f, err := Fit(cols, y, Config{NumTrees: 30, MaxDepth: 8, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := f.OOBAccuracy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Errorf("OOB accuracy on separable blobs = %v, want >= 0.9", acc)
-	}
-}
-
 func TestNotFitted(t *testing.T) {
 	var f Forest
 	if _, err := f.ImpurityImportance(); !errors.Is(err, ErrNotFitted) {
 		t.Errorf("ImpurityImportance error = %v", err)
-	}
-	if _, err := f.PermutationImportance(1); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("PermutationImportance error = %v", err)
-	}
-	if _, err := f.OOBAccuracy(); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("OOBAccuracy error = %v", err)
 	}
 }
 

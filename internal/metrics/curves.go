@@ -84,72 +84,3 @@ func AUC(scores []float64, labels []int) (float64, error) {
 	}
 	return area, nil
 }
-
-// PRPoint is one operating point of a precision-recall curve.
-type PRPoint struct {
-	Threshold float64
-	Precision float64
-	Recall    float64
-}
-
-// PrecisionRecall computes the PR curve, one point per distinct
-// threshold, from the strictest threshold (highest score) down.
-func PrecisionRecall(scores []float64, labels []int) ([]PRPoint, error) {
-	n := len(scores)
-	if n == 0 || n != len(labels) {
-		return nil, ErrNoScores
-	}
-	pos := 0
-	for _, y := range labels {
-		pos += y
-	}
-	if pos == 0 || pos == n {
-		return nil, ErrCurveSingleClass
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-
-	var out []PRPoint
-	tp, fp := 0, 0
-	for k := 0; k < n; k++ {
-		i := idx[k]
-		if labels[i] == 1 {
-			tp++
-		} else {
-			fp++
-		}
-		if k+1 < n && scores[idx[k+1]] == scores[i] {
-			continue
-		}
-		out = append(out, PRPoint{
-			Threshold: scores[i],
-			Precision: float64(tp) / float64(tp+fp),
-			Recall:    float64(tp) / float64(pos),
-		})
-	}
-	return out, nil
-}
-
-// BestF05Threshold scans the PR curve for the threshold maximizing the
-// F0.5-score and returns (threshold, F0.5).
-func BestF05Threshold(scores []float64, labels []int) (float64, float64, error) {
-	curve, err := PrecisionRecall(scores, labels)
-	if err != nil {
-		return 0, 0, err
-	}
-	bestT, bestF := 0.0, -1.0
-	for _, p := range curve {
-		if p.Precision == 0 && p.Recall == 0 {
-			continue
-		}
-		f := 1.25 * p.Precision * p.Recall / (0.25*p.Precision + p.Recall)
-		if f > bestF {
-			bestF = f
-			bestT = p.Threshold
-		}
-	}
-	return bestT, bestF, nil
-}

@@ -97,57 +97,6 @@ func TestROCErrors(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecallCurve(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.1}
-	labels := []int{1, 0, 1, 0}
-	curve, err := PrecisionRecall(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At threshold 0.9: P=1, R=0.5. At 0.8: P=0.5, R=0.5. At 0.7:
-	// P=2/3, R=1. At 0.1: P=0.5, R=1.
-	want := []PRPoint{
-		{0.9, 1, 0.5},
-		{0.8, 0.5, 0.5},
-		{0.7, 2.0 / 3, 1},
-		{0.1, 0.5, 1},
-	}
-	if len(curve) != len(want) {
-		t.Fatalf("curve len = %d, want %d", len(curve), len(want))
-	}
-	for i := range want {
-		if math.Abs(curve[i].Precision-want[i].Precision) > 1e-12 ||
-			math.Abs(curve[i].Recall-want[i].Recall) > 1e-12 {
-			t.Errorf("point %d = %+v, want %+v", i, curve[i], want[i])
-		}
-	}
-}
-
-func TestPrecisionRecallErrors(t *testing.T) {
-	if _, err := PrecisionRecall(nil, nil); !errors.Is(err, ErrNoScores) {
-		t.Errorf("empty error = %v", err)
-	}
-	if _, err := PrecisionRecall([]float64{1, 2}, []int{1, 1}); !errors.Is(err, ErrCurveSingleClass) {
-		t.Errorf("single-class error = %v", err)
-	}
-}
-
-func TestBestF05Threshold(t *testing.T) {
-	// A perfect classifier peaks at the threshold separating classes.
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []int{1, 1, 0, 0}
-	thr, f, err := BestF05Threshold(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 1 {
-		t.Errorf("best F0.5 = %v, want 1", f)
-	}
-	if thr != 0.8 {
-		t.Errorf("best threshold = %v, want 0.8", thr)
-	}
-}
-
 func TestAUCInvariantToMonotoneTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 500

@@ -26,7 +26,7 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestPrecisionRecall(t *testing.T) {
+func TestPrecisionAndRecall(t *testing.T) {
 	c := Confusion{TP: 6, FP: 2, FN: 4}
 	if got := c.Precision(); got != 0.75 {
 		t.Errorf("precision = %v", got)

@@ -71,22 +71,37 @@ func FuzzArgsort(f *testing.F) {
 	})
 }
 
-// FuzzPartition checks that threshold partitioning of a presorted order
-// is a stable permutation with every left row <= threshold (NaN always
-// routes right: the missing-tail invariant the tree learners rely on).
+// FuzzPartition checks the tree learners' mask partition on a
+// presorted order: with the mask built from col[i] <= threshold (NaN
+// always routes right: the missing-tail invariant the tree learners
+// rely on), PartitionBySide must reproduce the threshold reference
+// exactly and be a stable permutation with every left row <= threshold.
 func FuzzPartition(f *testing.F) {
 	f.Add(floatsToBytes([]float64{0.5, 2, math.NaN(), -1, 0.5}), 0.5)
 	f.Add(floatsToBytes([]float64{math.Inf(1), math.Inf(-1), 0}), 0.0)
 	f.Add(floatsToBytes([]float64{1, 2, 3, 4}), math.NaN())
 	f.Fuzz(func(t *testing.T, data []byte, threshold float64) {
 		col := bytesToFloats(data)
+		side := make([]byte, len(col))
+		for i, v := range col {
+			if v <= threshold {
+				side[i] = 1
+			}
+		}
 		ord := Argsort(col)
 		before := append([]int32(nil), ord...)
+		ref := append([]int32(nil), ord...)
 		scratch := make([]int32, len(ord))
-		nLeft := PartitionByThreshold(ord, 0, len(ord), col, threshold, scratch)
+		nLeft := PartitionBySide(ord, 0, len(ord), side, scratch)
+		nRef := PartitionByThreshold(ref, 0, len(ref), col, threshold, scratch)
 
-		if nLeft < 0 || nLeft > len(ord) {
-			t.Fatalf("left size %d out of range", nLeft)
+		if nLeft != nRef {
+			t.Fatalf("left size %d, reference %d", nLeft, nRef)
+		}
+		for k := range ord {
+			if ord[k] != ref[k] {
+				t.Fatalf("order differs from reference at %d: %v vs %v", k, ord, ref)
+			}
 		}
 		for k, i := range ord {
 			inLeft := col[i] <= threshold

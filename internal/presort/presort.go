@@ -128,40 +128,17 @@ func All(cols [][]float64) [][]int32 {
 	return out
 }
 
-// PartitionByThreshold stably partitions ord[lo:hi] in place so that
-// rows with col[row] <= threshold come first, preserving the relative
-// order within both halves. It returns the size of the left half.
-// scratch must have capacity at least hi-lo; it is used to hold the
-// right half during the single pass.
-//
-// Stability is what lets a fit maintain sortedness for free: if
-// ord[lo:hi] is sorted by any feature's value, both halves remain
-// sorted by that feature after partitioning by any other feature.
-func PartitionByThreshold(ord []int32, lo, hi int, col []float64, threshold float64, scratch []int32) int {
-	scratch = scratch[:0]
-	w := lo
-	for k := lo; k < hi; k++ {
-		i := ord[k]
-		if col[i] <= threshold {
-			ord[w] = i
-			w++
-		} else {
-			scratch = append(scratch, i)
-		}
-	}
-	copy(ord[w:hi], scratch)
-	return w - lo
-}
-
 // PartitionBySide stably partitions ord[lo:hi] in place by a per-row
 // side mask: rows with side[row] == 1 come first. It returns the size
 // of the left half; scratch must have length at least hi-lo.
 //
-// This is the cache-friendly form of PartitionByThreshold for trees:
-// the split feature's sorted segment is scanned once to fill the byte
-// mask, then every other feature's order partitions against the mask —
-// one byte load per row instead of a random float64 load from the
-// split column.
+// Stability is what lets a fit maintain sortedness for free: if
+// ord[lo:hi] is sorted by any feature's value, both halves remain
+// sorted by that feature after partitioning by any other feature. The
+// split feature's sorted segment is scanned once to fill the byte mask,
+// then every other feature's order partitions against the mask — one
+// byte load per row instead of a random float64 load from the split
+// column.
 // The mask must hold exactly 0 or 1 per row: the loop is branchless
 // (both destinations are written every iteration, cursors advance by
 // the mask value), which sidesteps the ~50% mispredicted branch a
@@ -177,24 +154,5 @@ func PartitionBySide(ord []int32, lo, hi int, side []byte, scratch []int32) int 
 		r += 1 - s
 	}
 	copy(ord[w:hi], scratch[:r])
-	return w - lo
-}
-
-// StablePartition stably partitions ord[lo:hi] in place by an arbitrary
-// predicate, returning the size of the left (predicate-true) half.
-// scratch must have capacity at least hi-lo.
-func StablePartition(ord []int32, lo, hi int, left func(int32) bool, scratch []int32) int {
-	scratch = scratch[:0]
-	w := lo
-	for k := lo; k < hi; k++ {
-		i := ord[k]
-		if left(i) {
-			ord[w] = i
-			w++
-		} else {
-			scratch = append(scratch, i)
-		}
-	}
-	copy(ord[w:hi], scratch)
 	return w - lo
 }

@@ -107,6 +107,27 @@ func TestAll(t *testing.T) {
 	}
 }
 
+// PartitionByThreshold is the reference partition PartitionBySide is
+// checked against: it stably partitions ord[lo:hi] in place so that
+// rows with col[row] <= threshold come first (NaN goes right), and
+// returns the size of the left half. scratch must have capacity at
+// least hi-lo.
+func PartitionByThreshold(ord []int32, lo, hi int, col []float64, threshold float64, scratch []int32) int {
+	scratch = scratch[:0]
+	w := lo
+	for k := lo; k < hi; k++ {
+		i := ord[k]
+		if col[i] <= threshold {
+			ord[w] = i
+			w++
+		} else {
+			scratch = append(scratch, i)
+		}
+	}
+	copy(ord[w:hi], scratch)
+	return w - lo
+}
+
 func TestPartitionByThreshold(t *testing.T) {
 	col := []float64{5, 1, 4, 2, 3, 0}
 	ord := Argsort(col) // 5 1 3 4 2 0 (values 0 1 2 3 4 5)
@@ -211,21 +232,6 @@ func TestPartitionBySideMatchesThreshold(t *testing.T) {
 	checkSorted(t, bySide[5+nl2:n-3], a)
 }
 
-func TestStablePartition(t *testing.T) {
-	ord := []int32{0, 1, 2, 3, 4, 5}
-	scratch := make([]int32, 6)
-	nl := StablePartition(ord, 0, 6, func(i int32) bool { return i%2 == 0 }, scratch)
-	if nl != 3 {
-		t.Fatalf("left size = %d", nl)
-	}
-	want := []int32{0, 2, 4, 1, 3, 5}
-	for i, v := range want {
-		if ord[i] != v {
-			t.Fatalf("ord = %v, want %v", ord, want)
-		}
-	}
-}
-
 func BenchmarkArgsort(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	col := make([]float64, 10000)
@@ -245,12 +251,18 @@ func BenchmarkPartition(b *testing.B) {
 	for i := range col {
 		col[i] = rng.NormFloat64()
 	}
+	side := make([]byte, len(col))
+	for i, v := range col {
+		if v <= 0 {
+			side[i] = 1
+		}
+	}
 	ord := Argsort(col)
 	scratch := make([]int32, len(ord))
 	work := make([]int32, len(ord))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, ord)
-		PartitionByThreshold(work, 0, len(work), col, 0, scratch)
+		PartitionBySide(work, 0, len(work), side, scratch)
 	}
 }
