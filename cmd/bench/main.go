@@ -11,9 +11,10 @@
 //	bench -quick                   # one iteration per bench (CI smoke)
 //
 // Benchmarks cover the training hot loop (forest-fit, gbdt-fit; both
-// grow trees by histogram-binned split search), batch scoring
-// (forest-predict-batch), the daily fleet-scoring path the pipeline
-// runs per testing phase (phase-score: frame
+// grow trees by histogram-binned split search, and hist-bin times the
+// binning they start with on a training-frame-sized matrix), batch
+// scoring (forest-predict-batch), the daily fleet-scoring path the
+// pipeline runs per testing phase (phase-score: frame
 // materialization with feature expansion plus model scoring), the
 // simulator's series generation (series-gen, series-gen-batch), and
 // million-drive daily scoring through the compiled flat kernel over a
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,6 +54,7 @@ import (
 	"repro/internal/flat"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
+	"repro/internal/hist"
 	"repro/internal/rankeval"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -337,6 +340,7 @@ var benches = []bench{
 	{name: "forest-fit", fn: benchForestFit},
 	{name: "forest-predict-batch", fn: benchForestPredictBatch},
 	{name: "gbdt-fit", fn: benchGBDTFit},
+	{name: "hist-bin", fn: benchHistBin},
 	{name: "phase-score", fn: benchPhaseScore},
 	{name: "series-gen", fn: benchSeriesGen},
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
@@ -428,6 +432,40 @@ func benchGBDTFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := gbdt.Fit(cols, y, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchHistBin measures hist.Bin on a matrix the size of the drift
+// controller's training frames (33,126 rows x 104 columns) with their
+// column mix: 56 small-span integer counters, 27 further
+// low-cardinality columns and 21 continuous ones, each about 1% NaN.
+func benchHistBin(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	cols := make([][]float64, 104)
+	for f := range cols {
+		c := make([]float64, 33126)
+		for i := range c {
+			switch {
+			case rng.Intn(100) == 0:
+				c[i] = math.NaN()
+			case f < 56:
+				if rng.Intn(4) == 0 {
+					c[i] = float64(rng.Intn(4*f + 1))
+				}
+			case f < 83:
+				c[i] = float64(rng.Intn(200)) / 7
+			default:
+				c[i] = rng.NormFloat64() * float64(f)
+			}
+		}
+		cols[f] = c
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := hist.Bin(cols, 0, 0); m.NumRows() != 33126 {
+			b.Fatalf("binned %d rows", m.NumRows())
 		}
 	}
 }

@@ -104,10 +104,10 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 		seeds[t] = rng.Int63()
 	}
 
-	// Every feature is quantized once and all trees share the binned
-	// matrix, so the O(features x n log n) preprocessing is amortized
-	// across the whole forest.
-	bm := hist.Bin(cols, cfg.MaxBins)
+	// Every feature is quantized once, columns spread across the same
+	// Workers that grow the trees, and all trees share the binned
+	// matrix. Binning does not depend on the worker count.
+	bm := hist.Bin(cols, cfg.MaxBins, cfg.Workers)
 
 	workers := cfg.Workers
 	if workers <= 0 {

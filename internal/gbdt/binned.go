@@ -3,22 +3,26 @@ package gbdt
 import "repro/internal/hist"
 
 // fitHist is the boosting loop: every feature is quantized once
-// (internal/hist), and each boosting round grows its tree depth-first
-// over contiguous row segments, accumulating per-node (gradient,
-// hessian, count) histograms over the concatenated feature bins. A node scans rows once to build its histogram; after a
-// split only the smaller child is ever scanned — the larger child's
-// histogram is derived in place by parent − smaller-child subtraction.
-// Leaf margins are applied directly to the leaf's row segment, so no
-// per-round tree walk over the full dataset remains.
+// (internal/hist, columns spread over GOMAXPROCS goroutines), and each
+// boosting round grows its tree depth-first over contiguous row
+// segments, accumulating per-node (gradient, hessian, count) histograms
+// over the concatenated feature bins. A node scans rows once to build
+// its histogram; after a split only the smaller child is ever scanned —
+// the larger child's histogram is derived in place by parent −
+// smaller-child subtraction. Leaf margins are applied directly to the
+// leaf's row segment, so no per-round tree walk over the full dataset
+// remains.
 //
-// The loop is fully deterministic (single-threaded per fit, no maps).
-// It shares leafWeight/splitGain with the tests' exact-split reference,
-// so the two differ only in the candidate thresholds considered (global
-// bin boundaries instead of node-local midpoints).
+// The result is fully deterministic: binning does not depend on the
+// goroutine count, and the boosting rounds run on the calling goroutine
+// with no maps. It shares leafWeight/splitGain with the tests'
+// exact-split reference, so the two differ only in the candidate
+// thresholds considered (global bin boundaries instead of node-local
+// midpoints).
 func (m *Model) fitHist(cols [][]float64, y []int) {
 	cfg := m.cfg
 	n := len(y)
-	bm := hist.Bin(cols, cfg.MaxBins)
+	bm := hist.Bin(cols, cfg.MaxBins, 0)
 
 	// Per-feature base offsets into the concatenated histogram layout;
 	// feature f occupies [off[f], off[f]+FiniteBins(f)] with the missing

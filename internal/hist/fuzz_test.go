@@ -38,7 +38,7 @@ func FuzzBin(f *testing.F) {
 	f.Add(floatsToBytes([]float64{1, math.Nextafter(1, 2), math.Nextafter(1, 0)}), 256)
 	f.Fuzz(func(t *testing.T, data []byte, maxBins int) {
 		col := bytesToFloats(data)
-		m := Bin([][]float64{col}, maxBins)
+		m := Bin([][]float64{col}, maxBins, 1)
 
 		nb := m.FiniteBins(0)
 		maxFinite := math.Inf(-1)
@@ -107,6 +107,60 @@ func FuzzBin(f *testing.F) {
 					t.Fatalf("order violated: %v (bin %d) < %v (bin %d)", u, bins[i], v, bins[j])
 				}
 			}
+		}
+	})
+}
+
+// FuzzBinMatchesReference pins Bin to binReference, the argsort binning
+// it replaced: every column's thresholds must be bit-equal (so -0 and
+// +0 differ) and every row's bin equal, at any worker count. Each
+// payload yields two columns: its raw float64 bit patterns, and small
+// integers (with some NaNs) drawn from each value's low byte, which
+// gives the quantile path repeated values to group.
+func FuzzBinMatchesReference(f *testing.F) {
+	nan := math.NaN()
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	payloadNaN := math.Float64frombits(0xfff0_0000_dead_beef) // sign bit set
+	negZero := math.Copysign(0, -1)
+	distinct := func(n int) []float64 {
+		out := make([]float64, 2*n)
+		for i := range out {
+			out[i] = float64(i%n) * 0.5
+		}
+		return out
+	}
+	f.Add(floatsToBytes([]float64{nan, 1, negNaN, 2, payloadNaN, 1, nan}), 256, uint8(1))
+	f.Add(floatsToBytes([]float64{math.Inf(1), 3, math.Inf(-1), math.Inf(1), -3, nan}), 256, uint8(2))
+	f.Add(floatsToBytes([]float64{0, negZero, 1, 0, -1, negZero}), 256, uint8(1))
+	f.Add(floatsToBytes([]float64{-2, 0, -1, negZero, 0}), 256, uint8(1)) // zero group is the max
+	f.Add(floatsToBytes([]float64{0, 0, negZero}), 256, uint8(1))
+	f.Add(floatsToBytes([]float64{negZero, 0, -1, 1, 2, 3}), 3, uint8(1))
+	// Quantile path with a -0 threshold below the last: the cut between
+	// the zero group and +Inf falls back to -0, and +0 rows must bin
+	// with it.
+	f.Add(floatsToBytes([]float64{-2, 0, -1, negZero, math.Inf(1), math.Inf(1)}), 3, uint8(1))
+	f.Add(floatsToBytes([]float64{0, 0, 5, negZero}), 2, uint8(1))
+	f.Add(floatsToBytes([]float64{1, math.Nextafter(1, 2), math.Nextafter(1, 0), 1, math.Nextafter(1, 2)}), 256, uint8(1))
+	f.Add(floatsToBytes([]float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, negZero, -math.SmallestNonzeroFloat64}), 4, uint8(1))
+	f.Add(floatsToBytes([]float64{7, 7, 7, 7, 7, 7}), 256, uint8(3))
+	f.Add(floatsToBytes([]float64{nan, negNaN, nan, payloadNaN}), 256, uint8(1))
+	f.Add(floatsToBytes(distinct(255)), 256, uint8(2))
+	f.Add(floatsToBytes(distinct(256)), 256, uint8(2))
+	f.Add(floatsToBytes(distinct(40)), 2, uint8(1))
+	f.Add(floatsToBytes(distinct(300)), 17, uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, maxBins int, workers uint8) {
+		raw := bytesToFloats(data)
+		small := make([]float64, len(raw))
+		for i := range small {
+			if b := int8(data[8*i]); b == math.MinInt8 {
+				small[i] = math.NaN()
+			} else {
+				small[i] = float64(b)
+			}
+		}
+		cols := [][]float64{raw, small}
+		if d := diffMatrix(Bin(cols, maxBins, int(workers%4)), binReference(cols, maxBins)); d != "" {
+			t.Fatalf("maxBins %d: %s", maxBins, d)
 		}
 	})
 }

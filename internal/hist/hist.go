@@ -17,13 +17,35 @@
 // midpoint strictly below the smallest value of bin b+1 (with the same
 // adjacent-float fallback as exact search), and the last threshold is
 // the column's largest finite value (the finite/missing boundary cut).
+//
+// Cuts need only each column's distinct values and their counts, never
+// its row order, so Bin takes one of two paths per column:
+//
+//   - Low cardinality: the distinct finite values are collected into a
+//     small hash table, giving up once more than maxBins-1 appear. The
+//     at most 255 values are sorted, one bin is cut per value, and every
+//     row is binned by table lookup.
+//   - High cardinality: the finite values' order-preserving uint64 keys
+//     (not row indices) are radix-sorted and grouped into distinct values
+//     with counts, quantile cuts are placed on the groups, and every row
+//     is binned by binary search over the thresholds.
+//
+// Columns are independent, so Bin spreads them across workers; the
+// result does not depend on the worker count. Both paths are pinned to
+// the argsort binning they replaced, kept in the tests as binReference:
+// FuzzBinMatchesReference requires bit-equal thresholds and equal bins.
 package hist
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
+	"slices"
 	"sort"
-
-	"repro/internal/presort"
+	"sync"
+	"sync/atomic"
 )
 
 // SplitMethod is ignored: histogram-binned split search is the only
@@ -48,8 +70,10 @@ type Matrix struct {
 
 // Bin quantizes every column into at most maxBins bins (maxBins-1
 // finite plus the missing bin; values outside [2, 256] mean
-// DefaultMaxBins). Columns must share one length.
-func Bin(cols [][]float64, maxBins int) *Matrix {
+// DefaultMaxBins), binning columns on up to workers goroutines
+// (<= 0 means GOMAXPROCS). Columns must share one length; ragged
+// columns panic.
+func Bin(cols [][]float64, maxBins, workers int) *Matrix {
 	if maxBins < 2 || maxBins > 256 {
 		maxBins = DefaultMaxBins
 	}
@@ -57,15 +81,42 @@ func Bin(cols [][]float64, maxBins int) *Matrix {
 		bins: make([][]uint8, len(cols)),
 		thr:  make([][]float64, len(cols)),
 	}
-	if len(cols) > 0 {
-		m.rows = len(cols[0])
+	if len(cols) == 0 {
+		return m
 	}
-	ord := make([]int32, m.rows)
+	n := len(cols[0])
 	for f, col := range cols {
-		presort.ArgsortInto(ord, col)
-		m.thr[f] = buildCuts(col, ord, maxBins-1)
-		m.bins[f] = quantizeSorted(col, ord, m.thr[f])
+		if len(col) != n {
+			panic(fmt.Sprintf("hist: column %d has %d rows, column 0 has %d", f, len(col), n))
+		}
 	}
+	m.rows = n
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(cols))
+
+	// One backing array for every column's bins; each worker claims
+	// whole columns and writes only their disjoint slices.
+	all := make([]uint8, len(cols)*n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := new(scratch)
+			for f := int(next.Add(1) - 1); f < len(cols); f = int(next.Add(1) - 1) {
+				bins := all[f*n : (f+1)*n : (f+1)*n]
+				thr, ok := sc.binFew(cols[f], bins, maxBins-1)
+				if !ok {
+					thr = sc.binMany(cols[f], bins, maxBins-1)
+				}
+				m.thr[f], m.bins[f] = thr, bins
+			}
+		}()
+	}
+	wg.Wait()
 	return m
 }
 
@@ -92,24 +143,124 @@ func (m *Matrix) Threshold(f, b int) float64 { return m.thr[f][b] }
 // BinOf quantizes one value of feature f, for tests and diagnostics.
 func (m *Matrix) BinOf(f int, v float64) int { return binOf(m.thr[f], v) }
 
-// buildCuts derives the per-bin upper thresholds of one column from its
-// presorted order. The result has one entry per finite bin; entry b is
-// the largest value routed into bins 0..b, strictly below the smallest
-// value of bin b+1. The final entry is the column's largest finite
-// value.
-func buildCuts(col []float64, ord []int32, maxFinite int) []float64 {
-	// Group the sorted finite values into distinct values with counts.
-	// NaNs are skipped wherever they sort: quiet NaNs form the tail,
-	// but sign-bit-set NaN payloads order before every finite value.
-	vals := make([]float64, 0, min(len(ord), 2*maxFinite))
-	cnts := make([]int, 0, cap(vals))
-	fin := 0
-	for _, i := range ord {
-		v := col[i]
+// Low-cardinality table: open addressing over tableSize slots keyed by
+// a value's float64 bits, so at most 255 entries keep it under half
+// full. No NaN is ever inserted, which frees the all-ones NaN pattern
+// to mark empty slots.
+const (
+	tableBits = 9
+	tableSize = 1 << tableBits
+	emptyKey  = math.MaxUint64
+	negZero   = 1 << 63 // bits of -0
+	missingID = 255     // row marker for NaN; distinct-value ids stay below
+)
+
+// scratch is one worker's reusable per-column working memory.
+type scratch struct {
+	// Low-cardinality path.
+	slot [tableSize]uint64  // value bits per slot, emptyKey when free
+	id   [tableSize]uint8   // distinct-value id of the value in each slot
+	few  [missingID]float64 // distinct values by id
+	// High-cardinality path.
+	keys []uint64  // sorted finite keys
+	tmp  []uint64  // radix sort buffer
+	vals []float64 // distinct values in sorted order
+	cnts []int     // row count per distinct value
+}
+
+// binFew bins a column with at most maxFinite distinct finite values:
+// one bin per distinct value, rows binned by table lookup. It reports
+// false, leaving bins partly written, once a column shows more.
+func (sc *scratch) binFew(col []float64, bins []uint8, maxFinite int) ([]float64, bool) {
+	for i := range sc.slot {
+		sc.slot[i] = emptyKey
+	}
+	vals := sc.few[:0]
+	sawNegZero, zeroID := false, -1
+	for i, v := range col {
 		if v != v {
+			bins[i] = missingID
 			continue
 		}
-		fin++
+		// -0 and +0 compare equal and share a bin, so they share a key.
+		k := math.Float64bits(v)
+		if k == negZero {
+			sawNegZero, k = true, 0
+		}
+		h := (k * 0x9E3779B97F4A7C15) >> (64 - tableBits)
+		for sc.slot[h] != k && sc.slot[h] != emptyKey {
+			h = (h + 1) & (tableSize - 1)
+		}
+		if sc.slot[h] == emptyKey {
+			if len(vals) == maxFinite {
+				return nil, false
+			}
+			if k == 0 {
+				zeroID = len(vals)
+			}
+			sc.slot[h], sc.id[h] = k, uint8(len(vals))
+			vals = append(vals, math.Float64frombits(k))
+		}
+		bins[i] = sc.id[h]
+	}
+	// Sorted order keeps the first of the values that compare equal,
+	// and -0 sorts before +0: the merged zero group is -0 whenever any
+	// row is.
+	if sawNegZero {
+		vals[zeroID] = math.Copysign(0, -1)
+	}
+
+	// Sort the ids by value, cut between neighbours, and remap each id
+	// to its rank.
+	d := len(vals)
+	var thr []float64
+	var order, remap [256]uint8
+	if d > 0 {
+		ids := order[:d]
+		for g := range ids {
+			ids[g] = uint8(g)
+		}
+		slices.SortFunc(ids, func(a, b uint8) int { return cmp.Compare(vals[a], vals[b]) })
+		thr = make([]float64, d)
+		for g, id := range ids {
+			remap[id] = uint8(g)
+			if g > 0 {
+				thr[g-1] = cutBetween(vals[ids[g-1]], vals[id])
+			}
+		}
+		thr[d-1] = vals[ids[d-1]]
+	}
+	remap[missingID] = uint8(d)
+	for i, b := range bins {
+		bins[i] = remap[b]
+	}
+	return thr, true
+}
+
+// binMany bins a column with more than maxFinite distinct finite
+// values: quantile cuts over its sorted finite values, rows binned by
+// binary search over the thresholds.
+func (sc *scratch) binMany(col []float64, bins []uint8, maxFinite int) []float64 {
+	if cap(sc.keys) < len(col) {
+		sc.keys = make([]uint64, 0, len(col))
+		sc.tmp = make([]uint64, len(col))
+		sc.vals = make([]float64, 0, len(col))
+		sc.cnts = make([]int, 0, len(col))
+	}
+	keys := sc.keys[:0]
+	for _, v := range col {
+		if v == v {
+			keys = append(keys, floatKey(v))
+		}
+	}
+	radixSort(keys, sc.tmp[:len(keys)])
+
+	// Group into distinct values with counts. Equal-comparing values
+	// merge into the first in sorted order, exactly as in cut placement
+	// over an argsort.
+	vals, cnts := sc.vals[:0], sc.cnts[:0]
+	for _, k := range keys {
+		v := keyFloat(k)
 		if len(vals) > 0 && v == vals[len(vals)-1] {
 			cnts[len(cnts)-1]++
 		} else {
@@ -117,24 +268,33 @@ func buildCuts(col []float64, ord []int32, maxFinite int) []float64 {
 			cnts = append(cnts, 1)
 		}
 	}
-	if fin == 0 {
-		return nil
-	}
+	thr := quantileCuts(vals, cnts, len(keys), maxFinite)
 
-	d := len(vals)
-	thr := make([]float64, 0, min(d, maxFinite))
-	if d <= maxFinite {
-		// One bin per distinct value: binned search is exactly as
-		// expressive as the exact presorted scan on this column.
-		for g := 0; g < d-1; g++ {
-			thr = append(thr, cutBetween(vals[g], vals[g+1]))
+	// The sorted keys are spent; their buffer holds the thresholds'
+	// keys. Adding +0 turns -0 into +0, so key order agrees with float
+	// comparison, under which -0 and +0 are equal.
+	ks := sc.keys[:len(thr)]
+	for b, t := range thr {
+		ks[b] = floatKey(t + 0)
+	}
+	miss := uint8(len(thr))
+	for i, v := range col {
+		if v != v {
+			bins[i] = miss
+			continue
 		}
-		return append(thr, vals[d-1])
+		bins[i] = uint8(searchCuts(ks, floatKey(v+0)))
 	}
+	return thr
+}
 
-	// Greedy quantile cuts: close a bin whenever the cumulative row
-	// count reaches the next evenly spaced rank. Every bin is nonempty
-	// and value groups are never split across bins.
+// quantileCuts places greedy quantile cuts over d > maxFinite sorted
+// distinct values with counts summing to fin: a bin closes whenever
+// the cumulative row count reaches the next evenly spaced rank. Every
+// bin is nonempty and value groups are never split across bins.
+func quantileCuts(vals []float64, cnts []int, fin, maxFinite int) []float64 {
+	d := len(vals)
+	thr := make([]float64, 0, maxFinite)
 	cum := 0
 	for g := 0; g < d; g++ {
 		cum += cnts[g]
@@ -149,6 +309,78 @@ func buildCuts(col []float64, ord []int32, maxFinite int) []float64 {
 	return thr
 }
 
+// floatKey maps a float64 to a uint64 whose unsigned order matches the
+// float's total order: flip all bits of negatives, flip only the sign
+// bit of non-negatives (so -0 sorts just below +0).
+func floatKey(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u&(1<<63) != 0 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+// keyFloat inverts floatKey.
+func keyFloat(k uint64) float64 {
+	if k&(1<<63) != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// radixSort sorts keys ascending by LSD byte passes through tmp (of the
+// same length), skipping every pass whose byte all keys share.
+func radixSort(keys, tmp []uint64) {
+	if len(keys) < 2 {
+		return
+	}
+	var count [8][256]int
+	for _, k := range keys {
+		for p := range count {
+			count[p][byte(k>>(8*p))]++
+		}
+	}
+	src, dst := keys, tmp
+	for p := range count {
+		c := &count[p]
+		shift := uint(8 * p)
+		if c[byte(src[0]>>shift)] == len(src) {
+			continue
+		}
+		pos := 0
+		for b, n := range c {
+			c[b] = pos
+			pos += n
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// searchCuts returns the bin of finite value key k among threshold
+// keys ks: the first bin whose threshold is >= the value, or the last
+// bin for values above every threshold. Keys compare as integers and
+// the subtraction's borrow advances the base, so the halving step has
+// no branch, whose outcome would be a coin flip per row on continuous
+// columns.
+func searchCuts(ks []uint64, k uint64) int {
+	base, n := 0, len(ks)
+	for n > 1 {
+		half := n >> 1
+		_, lt := bits.Sub64(ks[base+half-1], k, 0) // 1 when ks[...] < k
+		base += half & -int(lt)
+		n -= half
+	}
+	return base
+}
+
 // cutBetween returns a threshold separating adjacent distinct values
 // a < b: their midpoint, or a itself when the midpoint does not land
 // strictly below b (adjacent floats, ±Inf endpoints whose midpoint
@@ -161,29 +393,6 @@ func cutBetween(a, b float64) float64 {
 		return a
 	}
 	return mid
-}
-
-// quantizeSorted maps every row to its bin by walking the presorted
-// order with a monotone bin cursor — O(rows + bins) rather than a
-// binary search per row. Produces exactly binOf(thr, col[i]) for every
-// row (NaNs, forming the sorted tail, land in the missing bin).
-func quantizeSorted(col []float64, ord []int32, thr []float64) []uint8 {
-	bins := make([]uint8, len(col))
-	miss := uint8(len(thr))
-	b := 0
-	last := len(thr) - 1
-	for _, i := range ord {
-		v := col[i]
-		if v != v {
-			bins[i] = miss
-			continue
-		}
-		for b < last && thr[b] < v {
-			b++
-		}
-		bins[i] = uint8(b)
-	}
-	return bins
 }
 
 // binOf returns the bin of one value: the first bin whose threshold is

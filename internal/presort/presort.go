@@ -1,14 +1,14 @@
-// Package presort provides sort-once machinery for the tree learners:
+// Package presort provides sort-once machinery for exact split search:
 // per-feature argsorted row orders computed once per dataset, and the
 // stable in-place partitioning that maintains them down a tree.
 //
-// internal/hist argsorts each column once to place its bin cuts. The
-// exact-split references the tests compare the binned growers against
-// (tree.FitClassifier and gbdt's test-only exact loop) consume the
-// orders directly: instead of re-sorting every candidate feature at
-// every node — O(nodes x features x n log n) — a fit sorts each feature
-// exactly once and thereafter only scans and partitions, which is
-// linear per level. Row indices are int32: fleets of up to two
+// It serves only the exact-split oracles the tests compare the binned
+// growers against (tree.FitClassifier and gbdt's test-only exact loop),
+// plus internal/hist's test reference binning; production binning
+// needs no row order. Instead of re-sorting every candidate feature at
+// every node — O(nodes x features x n log n) — an exact fit sorts each
+// feature exactly once and thereafter only scans and partitions, which
+// is linear per level. Row indices are int32: fleets of up to two
 // billion drive-days fit, and the halved index footprint keeps more of
 // the order arrays in cache during the per-node scans.
 package presort

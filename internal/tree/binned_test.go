@@ -62,7 +62,7 @@ func TestBinnedMatchesExactOnLowCardinality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binned, err := FitClassifierBinned(hist.Bin(cols, 0), y, weights, cfg, nil)
+	binned, err := FitClassifierBinned(hist.Bin(cols, 0, 0), y, weights, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBinnedDeterministic(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1 + i%2
 	}
-	bm := hist.Bin(cols, 0)
+	bm := hist.Bin(cols, 0, 0)
 	cfg := Config{MaxDepth: 8, MaxFeatures: 2, Seed: 9}
 
 	a, err := FitClassifierBinned(bm, y, weights, cfg, nil)
@@ -143,7 +143,7 @@ func TestBinnedAllMissingFeature(t *testing.T) {
 		}
 		weights[i] = 1
 	}
-	bm := hist.Bin([][]float64{allMiss, signal}, 0)
+	bm := hist.Bin([][]float64{allMiss, signal}, 0, 0)
 	c, err := FitClassifierBinned(bm, y, weights, Config{MaxDepth: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)

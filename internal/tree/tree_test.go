@@ -36,7 +36,7 @@ func fitBinned(cols [][]float64, y []int, idx []int, cfg Config) (*Classifier, e
 	for _, i := range idx {
 		weights[i]++
 	}
-	return FitClassifierBinned(hist.Bin(cols, 0), y, weights, cfg, nil)
+	return FitClassifierBinned(hist.Bin(cols, 0, 0), y, weights, cfg, nil)
 }
 
 // eachGrower runs test as one subtest per grower.
