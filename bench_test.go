@@ -17,12 +17,9 @@ import (
 	"repro/internal/complexity"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/forest"
 	"repro/internal/frame"
-	"repro/internal/gbdt"
-	"repro/internal/pipeline"
 	"repro/internal/selection"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -324,30 +321,6 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		b.Run(agg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.SelectFeatures(d.fr, core.Config{Seed: 1, Aggregate: agg}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPredictor compares the Random Forest prediction
-// model against the gradient-boosted alternative on one phase.
-func BenchmarkAblationPredictor(b *testing.B) {
-	h := harness(b)
-	ph := engine.StandardPhases(730)[2]
-	for _, pred := range []engine.Predictor{engine.PredictorForest, engine.PredictorGBDT} {
-		pred := pred
-		b.Run(pred.String(), func(b *testing.B) {
-			cfg := engine.Config{
-				Forest:    forest.Config{NumTrees: 15, MaxDepth: 8, Seed: 1},
-				GBDT:      gbdt.Config{NumRounds: 15, MaxDepth: 3, Eta: 0.3, Lambda: 1},
-				NegEvery:  40,
-				Predictor: pred,
-				Seed:      1,
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.RunPhase(h.Source(), smart.MC1, pipeline.WEFR{NoUpdate: true}, ph, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/pipeline"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -43,7 +42,6 @@ type options struct {
 	AFRScale float64
 	Trees    int
 	Depth    int
-	UseGBDT  bool
 	Workers  int
 
 	Dir    string
@@ -67,7 +65,6 @@ func main() {
 	flag.Float64Var(&o.AFRScale, "afr-scale", 3, "failure densifier")
 	flag.IntVar(&o.Trees, "trees", 100, "prediction forest size")
 	flag.IntVar(&o.Depth, "depth", 13, "prediction forest depth")
-	flag.BoolVar(&o.UseGBDT, "gbdt", false, "use the gradient-boosted predictor instead of Random Forest")
 	flag.IntVar(&o.Workers, "workers", 0, "parallelism (0 = all cores); results are identical for any value")
 	flag.StringVar(&o.Dir, "dir", "", "controller state directory: journal + snapshot registry (required)")
 	flag.IntVar(&o.Start, "start", 230, "first controlled day; bootstrap trains on days [0, start-1]")
@@ -114,10 +111,6 @@ func run(o options) error {
 		Forest:  forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
 		Workers: o.Workers,
 		Seed:    o.Seed,
-	}
-	if o.UseGBDT {
-		ecfg.Predictor = engine.PredictorGBDT
-		ecfg.GBDT = gbdt.Config{NumRounds: o.Trees, MaxDepth: min(o.Depth, 6), Eta: 0.3, Lambda: 1}
 	}
 	res, err := control.Run(src, control.Config{
 		Model:        model,

@@ -35,7 +35,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/selection"
@@ -54,7 +53,6 @@ type options struct {
 	AFRScale float64
 	Trees    int
 	Depth    int
-	UseGBDT  bool
 	Workers  int
 	// Snapshot selects the artifact mode: "" (train and evaluate),
 	// "save" (train, evaluate, save the last phase's trained model),
@@ -88,7 +86,6 @@ func main() {
 	flag.Float64Var(&o.AFRScale, "afr-scale", 3, "failure densifier")
 	flag.IntVar(&o.Trees, "trees", 100, "prediction forest size")
 	flag.IntVar(&o.Depth, "depth", 13, "prediction forest depth")
-	flag.BoolVar(&o.UseGBDT, "gbdt", false, "use the gradient-boosted predictor instead of Random Forest")
 	flag.IntVar(&o.Workers, "workers", 0, "parallelism (0 = all cores); results are identical for any value")
 	flag.StringVar(&o.Snapshot, "snapshot", "", "model-snapshot mode: save | load (empty = train and evaluate only)")
 	flag.StringVar(&o.SnapshotDir, "snapshot-dir", "artifacts", "model-snapshot registry directory")
@@ -141,16 +138,11 @@ func newSource(o options) (dataset.Source, error) {
 }
 
 func pipelineConfig(o options) engine.Config {
-	cfg := engine.Config{
+	return engine.Config{
 		Forest:  forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
 		Workers: o.Workers,
 		Seed:    o.Seed,
 	}
-	if o.UseGBDT {
-		cfg.Predictor = engine.PredictorGBDT
-		cfg.GBDT = gbdt.Config{NumRounds: o.Trees, MaxDepth: min(o.Depth, 6), Eta: 0.3, Lambda: 1}
-	}
-	return cfg
 }
 
 // runTrain trains and evaluates the three standard phases, optionally

@@ -21,9 +21,9 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
+	"repro/internal/flat"
 	"repro/internal/forest"
 	"repro/internal/frame"
-	"repro/internal/gbdt"
 	"repro/internal/hist"
 	"repro/internal/metrics"
 	"repro/internal/smart"
@@ -69,12 +69,6 @@ type Config struct {
 	// Windows are the feature-generation windows; nil means 3 and 7
 	// days.
 	Windows []int
-	// Predictor selects the prediction-model family; 0 means the
-	// paper's Random Forest.
-	Predictor Predictor
-	// GBDT configures the boosted-tree predictor when Predictor is
-	// PredictorGBDT; zero NumRounds means gbdt.DefaultConfig.
-	GBDT gbdt.Config
 	// SplitMethod is ignored: the tree learners always use histogram-
 	// binned split search. The field is kept only because perfbench,
 	// which changes only together with the benchmark definition, still
@@ -95,13 +89,6 @@ type Config struct {
 	// counts across every phase the engine runs with this config. Per
 	// -phase stats are also attached to each PhaseResult.
 	Stages *StageReport
-}
-
-func (c Config) predictor() Predictor {
-	if c.Predictor == 0 {
-		return PredictorForest
-	}
-	return c.Predictor
 }
 
 func (c Config) withDefaults() Config {
@@ -207,7 +194,7 @@ type group struct {
 	names      []string
 	mwiBelow   float64
 	mwiAtLeast float64
-	model      groupModel
+	model      *flat.Forest
 }
 
 // Engine runs phases over one append-only fleet store. Create with
@@ -483,6 +470,32 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 		cfg:        cfg,
 		trainHi:    ph.TrainHi,
 	}, nil
+}
+
+// fitModel trains the group's Random Forest on an expanded frame and
+// compiles it for flat scoring, the only form the engine scores with
+// or persists. Compilation is total on cut count; a structurally
+// uncompilable forest (flat.ErrNotCompilable) fails the fit.
+func fitModel(fr *frame.Frame, cfg Config) (*flat.Forest, error) {
+	f, err := forest.Fit(frameCols(fr), fr.Labels(), cfg.Forest)
+	if err != nil {
+		return nil, err
+	}
+	fl, err := flat.CompileForest(f)
+	if err != nil {
+		return nil, err
+	}
+	fl.Workers = cfg.Workers
+	return fl, nil
+}
+
+// frameCols returns the frame's columns in model-input order.
+func frameCols(fr *frame.Frame) [][]float64 {
+	cols := make([][]float64, fr.NumFeatures())
+	for i := range cols {
+		cols[i] = fr.Col(i)
+	}
+	return cols
 }
 
 // RunPhase executes the full staged workflow for one selector, model,

@@ -11,11 +11,11 @@ import (
 	"repro/internal/forest"
 )
 
-// realSnapshot returns the bytes of a valid format-2 snapshot: one
-// wear group over one feature, holding a compiled forest of the
-// group's input width, so fuzz mutations reach flat decoding.
-func realSnapshot(f *testing.F) []byte {
-	f.Helper()
+// forestSnapshot returns a valid format-2 snapshot: one wear group
+// over one feature, holding a compiled forest of the group's input
+// width, so fuzz mutations reach flat decoding.
+func forestSnapshot(tb testing.TB) ModelSnapshot {
+	tb.Helper()
 	width := inputWidth(1, nil)
 	rng := rand.New(rand.NewSource(1))
 	cols := make([][]float64, width)
@@ -33,23 +33,29 @@ func realSnapshot(f *testing.F) []byte {
 	}
 	fo, err := forest.Fit(cols, y, forest.Config{NumTrees: 2, MaxDepth: 3, Seed: 1})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	fl, err := flat.CompileForest(fo)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	payload, err := fl.MarshalBinary()
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	data, err := json.Marshal(ModelSnapshot{
+	return ModelSnapshot{
 		Format: SnapshotFormat, Model: 1, Selector: "wefr", TrainedThrough: 600,
 		Groups: []GroupSnapshot{{
-			Features: []string{"MWI_N"}, Predictor: PredictorForest, FlatData: payload,
+			Features: []string{"MWI_N"}, Predictor: predictorForest, FlatData: payload,
 		}},
 		Thresholds: []float64{0.5}, ConfigHash: "abcd",
-	})
+	}
+}
+
+// realSnapshot returns the bytes of forestSnapshot, checked to load.
+func realSnapshot(f *testing.F) []byte {
+	f.Helper()
+	data, err := json.Marshal(forestSnapshot(f))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -59,6 +65,20 @@ func realSnapshot(f *testing.F) []byte {
 	}
 	if err != nil {
 		f.Fatalf("seed snapshot does not load: %v", err)
+	}
+	return data
+}
+
+// gbdtSnapshot returns forestSnapshot's bytes with its group tagged as
+// the removed gradient-boosted family. Its payload is a valid forest,
+// so only the tag stands between it and scoring.
+func gbdtSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	snap := forestSnapshot(tb)
+	snap.Groups[0].Predictor = predictorGBDT
+	data, err := json.Marshal(snap)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return data
 }
@@ -79,6 +99,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`))
 	f.Add([]byte(`{"format": 2, "groups": [{"features": ["not-a-feature"]}], "thresholds": [0.1]}`))
 	f.Add(realSnapshot(f))
+	f.Add(gbdtSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/flat"
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/smart"
 )
 
@@ -22,6 +22,15 @@ const SnapshotFormat = 2
 
 // ErrSnapshotFormat indicates a snapshot with an incompatible format.
 var ErrSnapshotFormat = errors.New("pipeline: incompatible snapshot format")
+
+// Values of GroupSnapshot.Predictor. The Random Forest is the only
+// model family this build trains or scores; 2 marked gradient-boosted
+// groups, whose payloads gob-decode as a forest without error and
+// would then score garbage, so they are refused by tag.
+const (
+	predictorForest = 1
+	predictorGBDT   = 2
+)
 
 // ErrSnapshotCorrupt indicates snapshot bytes that do not decode as a
 // ModelSnapshot — a truncated or damaged artifact, as opposed to a
@@ -41,8 +50,9 @@ type GroupSnapshot struct {
 	// MWIBelow / MWIAtLeast bound the group's wear filter (0 = none).
 	MWIBelow   float64 `json:"mwi_below,omitempty"`
 	MWIAtLeast float64 `json:"mwi_at_least,omitempty"`
-	// Predictor is the trained model family.
-	Predictor Predictor `json:"predictor"`
+	// Predictor tags the trained model family; every snapshot this
+	// build writes carries 1 (Random Forest), the only value it reads.
+	Predictor int `json:"predictor"`
 	// FlatData is the serialized compiled flat model (base64 in JSON);
 	// loaders score through it without recompiling.
 	FlatData []byte `json:"flat_data"`
@@ -88,18 +98,14 @@ type ModelSnapshot struct {
 func (c Config) Hash() string {
 	c = c.withDefaults()
 	h := struct {
-		Predictor    Predictor
 		Forest       forest.Config
-		GBDT         gbdt.Config
 		NegEvery     int
 		TargetRecall float64
 		ValFraction  float64
 		Windows      []int
 		Seed         int64
 	}{
-		Predictor:    c.predictor(),
 		Forest:       c.Forest,
-		GBDT:         c.GBDT,
 		NegEvery:     c.NegEvery,
 		TargetRecall: c.TargetRecall,
 		ValFraction:  c.ValFraction,
@@ -147,7 +153,7 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 			Features:   append([]string(nil), g.names...),
 			MWIBelow:   g.mwiBelow,
 			MWIAtLeast: g.mwiAtLeast,
-			Predictor:  r.cfg.predictor(),
+			Predictor:  predictorForest,
 			FlatData:   data,
 		})
 	}
@@ -159,7 +165,7 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 // is rejected as corrupt: it would decode cleanly and then fail every
 // batch it scores.
 func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
-	if err := checkFormat(s.Format); err != nil {
+	if err := s.checkFormat(); err != nil {
 		return nil, err
 	}
 	if len(s.Groups) == 0 || len(s.Thresholds) != len(s.Groups) {
@@ -175,10 +181,11 @@ func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 			}
 			feats[j] = ft
 		}
-		m, err := unmarshalModel(gs.Predictor, gs.FlatData, workers)
+		m, err := flat.UnmarshalForest(gs.FlatData)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: snapshot group %d: %w", i, err)
 		}
+		m.Workers = workers
 		if want := inputWidth(len(feats), s.Windows); m.NumFeatures() != want {
 			return nil, fmt.Errorf("%w: group %d model has %d input columns, its %d features need %d",
 				ErrSnapshotCorrupt, i, m.NumFeatures(), len(feats), want)
@@ -267,27 +274,39 @@ func SaveSnapshot(reg *core.Registry, name string, snap *ModelSnapshot) (int, er
 
 // DecodeSnapshot decodes serialized snapshot bytes, distinguishing
 // undecodable input (ErrSnapshotCorrupt) from an incompatible format
-// number (ErrSnapshotFormat). It validates the serialization envelope
-// only; the per-group model payloads are checked when the groups are
-// built for scoring.
+// number or model family (ErrSnapshotFormat). It validates the
+// serialization envelope only; the per-group model payloads are
+// checked when the groups are built for scoring.
 func DecodeSnapshot(data []byte) (*ModelSnapshot, error) {
 	var snap ModelSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	if err := checkFormat(snap.Format); err != nil {
+	if err := snap.checkFormat(); err != nil {
 		return nil, err
 	}
 	return &snap, nil
 }
 
-// checkFormat rejects a snapshot format other than SnapshotFormat.
-func checkFormat(format int) error {
-	if format == SnapshotFormat {
-		return nil
+// checkFormat rejects a snapshot format other than SnapshotFormat and
+// any group not tagged as a Random Forest.
+func (s *ModelSnapshot) checkFormat() error {
+	if s.Format != SnapshotFormat {
+		return fmt.Errorf("%w: format %d, this build reads format %d; retrain to produce a format-%d snapshot",
+			ErrSnapshotFormat, s.Format, SnapshotFormat, SnapshotFormat)
 	}
-	return fmt.Errorf("%w: format %d, this build reads format %d; retrain to produce a format-%d snapshot",
-		ErrSnapshotFormat, format, SnapshotFormat, SnapshotFormat)
+	for i, g := range s.Groups {
+		switch g.Predictor {
+		case predictorForest:
+		case predictorGBDT:
+			return fmt.Errorf("%w: group %d holds a gradient-boosted model, a family this build no longer scores; retrain to produce a Random Forest snapshot",
+				ErrSnapshotFormat, i)
+		default:
+			return fmt.Errorf("%w: group %d has predictor %d, this build reads only %d (Random Forest); retrain",
+				ErrSnapshotFormat, i, g.Predictor, predictorForest)
+		}
+	}
+	return nil
 }
 
 // LoadSnapshot loads a snapshot version from the registry; version <= 0

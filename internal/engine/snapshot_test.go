@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,6 +144,52 @@ func TestLoadSnapshotRejectsBadFormat(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRefusesNonForestGroups pins the model-family tag:
+// a format-2 snapshot whose group is tagged as the removed
+// gradient-boosted family, or carries no tag, is refused with
+// ErrSnapshotFormat before any scoring, although its payload is a
+// valid forest that would otherwise decode and score.
+func TestDecodeSnapshotRefusesNonForestGroups(t *testing.T) {
+	var absent map[string]any
+	if err := json.Unmarshal(gbdtSnapshot(t), &absent); err != nil {
+		t.Fatal(err)
+	}
+	delete(absent["groups"].([]any)[0].(map[string]any), "predictor")
+	noTag, err := json.Marshal(absent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"gbdt", gbdtSnapshot(t), "gradient-boosted"},
+		{"absent", noTag, "predictor 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DecodeSnapshot(tc.data)
+			if !errors.Is(err, ErrSnapshotFormat) {
+				t.Fatalf("error = %v, want ErrSnapshotFormat", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "retrain") {
+				t.Errorf("error %q does not name %q and say retrain", err, tc.want)
+			}
+		})
+	}
+	// A snapshot built in memory is checked again when its groups are
+	// decoded for scoring.
+	snap := forestSnapshot(t)
+	snap.Groups[0].Predictor = predictorGBDT
+	if _, err := NewScorer(&snap, 1); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("NewScorer error = %v, want ErrSnapshotFormat", err)
+	}
+	snap.Groups[0].Predictor = predictorForest
+	if _, err := NewScorer(&snap, 1); err != nil {
+		t.Errorf("forest-tagged snapshot: %v", err)
+	}
+}
+
 // TestPhaseAdvanceReusesIngestedDays is the append-only acceptance
 // check: running successive phases on one engine must not re-extract
 // already-ingested days — upstream series fetches stay flat after the
@@ -229,20 +277,15 @@ func TestStageStatsOnResult(t *testing.T) {
 	}
 }
 
-// ptrModel puts a pointer forest in a scoring group as the parity
-// oracle; it is never persisted.
-type ptrModel struct{ *forest.Forest }
-
-func (ptrModel) MarshalBinary() ([]byte, error) { return nil, errors.New("oracle model") }
-
 // TestFlatScoringParity pins the engine-level guarantee behind the
 // compiled scoring path: a phase scored through the flat models decoded
 // from its snapshot is bit-identical, probability by probability, to
 // pointer forests refit from the same training frames and config (fits
-// are deterministic). Histogram binning caps a forest at 255 distinct
-// cuts per feature, so chunked code columns (more than 254 cuts) are
-// covered in internal/flat by TestChunkedCutsBitExact, payload round
-// trip included.
+// are deterministic) scoring the frames scorePhase builds for each
+// group. Histogram binning caps a forest at 255 distinct cuts per
+// feature, so chunked code columns (more than 254 cuts) are covered in
+// internal/flat by TestChunkedCutsBitExact, payload round trip
+// included.
 func TestFlatScoringParity(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		src := testSource(t)
@@ -263,44 +306,59 @@ func TestFlatScoringParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ptrGroups := make([]group, len(flatGroups))
-		copy(ptrGroups, flatGroups)
-		for i := range ptrGroups {
-			fr, err := pd.trainFrame(&ptrGroups[i], len(ptrGroups))
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := forest.Fit(frameCols(fr), fr.Labels(), pd.cfg.Forest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ptrGroups[i].model = ptrModel{f}
-		}
 		cfg := Config{Windows: append([]int(nil), snap.Windows...)}
 		flatScores, _, err := scorePhase(src, snap.Model, flatGroups, ph.TestLo, ph.TestHi, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ptrScores, _, err := scorePhase(src, snap.Model, ptrGroups, ph.TestLo, ph.TestHi, cfg)
-		if err != nil {
-			t.Fatal(err)
+		type driveDay struct{ drive, day int }
+		ptrScores := make(map[driveDay]float64)
+		for i := range flatGroups {
+			g := &flatGroups[i]
+			trainFr, err := pd.trainFrame(g, len(flatGroups))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := forest.Fit(frameCols(trainFr), trainFr.Labels(), pd.cfg.Forest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := dataset.Frame(src, dataset.FrameOpts{
+				Model: snap.Model, DayLo: ph.TestLo, DayHi: ph.TestHi, NegEvery: 1,
+				Features: g.feats, Expand: true, Windows: cfg.Windows,
+				MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
+				Sanitize: cfg.sanitizeOpts(true),
+			})
+			if errors.Is(err, dataset.ErrNoSamples) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			probs, err := f.PredictProbaAll(frameCols(fr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, p := range probs {
+				m := fr.Meta(r)
+				ptrScores[driveDay{m.DriveID, m.Day}] = p
+			}
 		}
-		if len(flatScores) == 0 || len(flatScores) != len(ptrScores) {
-			t.Fatalf("scored %d drives flat, %d pointer", len(flatScores), len(ptrScores))
-		}
+		scored := 0
 		for id, fd := range flatScores {
-			pd, ok := ptrScores[id]
-			if !ok {
-				t.Fatalf("drive %d missing from pointer scores", id)
-			}
-			if !reflect.DeepEqual(fd.days, pd.days) {
-				t.Fatalf("drive %d scored days differ", id)
-			}
-			for k := range fd.probs {
-				if math.Float64bits(fd.probs[k]) != math.Float64bits(pd.probs[k]) {
-					t.Fatalf("drive %d day %d: flat %v != pointer %v", id, fd.days[k], fd.probs[k], pd.probs[k])
+			for k, day := range fd.days {
+				want, ok := ptrScores[driveDay{id, day}]
+				if !ok {
+					t.Fatalf("drive %d day %d missing from pointer scores", id, day)
 				}
+				if math.Float64bits(fd.probs[k]) != math.Float64bits(want) {
+					t.Fatalf("drive %d day %d: flat %v != pointer %v", id, day, fd.probs[k], want)
+				}
+				scored++
 			}
+		}
+		if scored == 0 || scored != len(ptrScores) {
+			t.Fatalf("scored %d drive-days flat, %d pointer", scored, len(ptrScores))
 		}
 	})
 }

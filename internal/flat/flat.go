@@ -1,8 +1,8 @@
-// Package flat compiles fitted tree ensembles (tree.Classifier,
-// forest.Forest, gbdt.Model) into flat, cache-friendly node arrays
-// scored over uint8 histogram codes instead of float64 columns.
+// Package flat compiles a fitted Random Forest (forest.Forest) into
+// flat, cache-friendly node arrays scored over uint8 histogram codes
+// instead of float64 columns.
 //
-// Compilation derives a per-feature cut set from the ensemble itself:
+// Compilation derives a per-feature cut set from the forest itself:
 // the sorted distinct split thresholds actually used by its nodes. A
 // feature's cut list is split into consecutive chunks of at most 254
 // cuts, each its own uint8 code column quantized from the same input
@@ -15,9 +15,9 @@
 //	code(v) <= splitBin  <=>  v <= threshold
 //
 // holds for all float64 values by construction, so flat predictions are
-// bit-identical to the exact pointer-tree paths, including NaN routing
-// via each node's missing-direction bit and the ordering of float
-// accumulation across trees.
+// bit-identical to the pointer forest, including NaN routing via each
+// node's missing-direction bit and the ordering of float accumulation
+// across trees.
 //
 // Scoring is row-blocked: a block of rows is quantized into an
 // L2-resident code matrix, then each tree partitions the block's row
@@ -33,7 +33,6 @@ import (
 	"sort"
 
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/tree"
 )
 
@@ -50,14 +49,14 @@ const (
 
 // Errors returned by compilation and decoding.
 var (
-	// ErrNotCompilable indicates an ensemble outside the flat layout's
+	// ErrNotCompilable indicates a forest outside the flat layout's
 	// structural limits (feature, node or code-column counts).
 	ErrNotCompilable = errors.New("flat: not compilable")
 	// ErrBadEncoding indicates serialized bytes that do not decode into
-	// a valid compiled ensemble.
+	// a valid compiled forest.
 	ErrBadEncoding = errors.New("flat: bad encoding")
 	// ErrShapeMismatch indicates prediction input whose shape does not
-	// match the compiled ensemble.
+	// match the compiled forest.
 	ErrShapeMismatch = errors.New("flat: shape mismatch")
 )
 
@@ -78,7 +77,7 @@ type codeCol struct {
 }
 
 // quantizer maps raw float64 feature values to uint8 codes. Code
-// column f < len(cuts) holds feature f's first chunk, so an ensemble
+// column f < len(cuts) holds feature f's first chunk, so a forest
 // with at most maxCuts cuts per feature has one column per feature, at
 // the feature's own index; the further chunks of features with more
 // cuts follow in feature order.
@@ -202,22 +201,25 @@ type flatTree struct {
 	bin     []uint8   // split code: route left iff code <= bin
 	missL   []uint8   // 1 when missing (code 255) routes left
 	left    []int32   // left child; right child is left+1
-	value   []float64 // leaf payload (prob or weight); 0 on internal nodes
+	value   []float64 // leaf probability; 0 on internal nodes
 }
 
-// ensemble is the shared compiled form behind Tree, Forest, and Model.
-type ensemble struct {
+// Forest is a compiled forest.Forest: its trees share one quantizer.
+type Forest struct {
 	q         *quantizer
 	trees     []flatTree
 	nFeatures int
+	// Workers bounds scoring concurrency; <= 0 means GOMAXPROCS.
+	// Results are bit-identical for any value.
+	Workers int
 }
 
 // compileTree renumbers one tree's nodes into BFS order with adjacent
 // siblings and translates thresholds to codes. Inputs are the parallel
-// arrays of the source encodings; defaultLeft may be nil (missing
-// routes right, matching pre-missing-support encodings).
-func compileTree(q *quantizer, feature []int, threshold []float64, left, right []int, value []float64, defaultLeft []bool) (flatTree, error) {
-	n := len(feature)
+// arrays of the source encoding; a nil DefaultLeft routes missing
+// right, matching pre-missing-support encodings.
+func compileTree(q *quantizer, e tree.Encoded) (flatTree, error) {
+	n := len(e.Feature)
 	if n == 0 || n > math.MaxInt32/2 {
 		return flatTree{}, fmt.Errorf("%w: %d nodes", ErrNotCompilable, n)
 	}
@@ -237,24 +239,24 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 		if src < 0 || src >= n {
 			return flatTree{}, fmt.Errorf("%w: child index %d of %d nodes", ErrNotCompilable, src, n)
 		}
-		f := feature[src]
+		f := e.Feature[src]
 		if f < 0 {
 			ft.featOff = append(ft.featOff, -1)
 			ft.bin = append(ft.bin, missingCode)
 			ft.missL = append(ft.missL, 0)
 			ft.left = append(ft.left, int32(at)) // self-link; never followed
-			ft.value = append(ft.value, value[src])
+			ft.value = append(ft.value, e.Prob[src])
 			continue
 		}
 		if f >= len(q.cuts) {
 			return flatTree{}, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, len(q.cuts))
 		}
-		col, sb, err := q.cutIndex(f, threshold[src])
+		col, sb, err := q.cutIndex(f, e.Threshold[src])
 		if err != nil {
 			return flatTree{}, err
 		}
 		var ml uint8
-		if defaultLeft != nil && defaultLeft[src] {
+		if e.DefaultLeft != nil && e.DefaultLeft[src] {
 			ml = 1
 		}
 		ft.featOff = append(ft.featOff, int32(col)<<blockShift)
@@ -262,7 +264,7 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 		ft.missL = append(ft.missL, ml)
 		ft.left = append(ft.left, int32(len(order))) // next frontier slot
 		ft.value = append(ft.value, 0)
-		order = append(order, left[src], right[src])
+		order = append(order, e.Left[src], e.Right[src])
 	}
 	if len(order) != n {
 		return flatTree{}, fmt.Errorf("%w: %d reachable of %d nodes", ErrNotCompilable, len(order), n)
@@ -270,161 +272,49 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 	return ft, nil
 }
 
-// Tree is a compiled tree.Classifier.
-type Tree struct {
-	e ensemble
-	// Workers bounds scoring concurrency; <= 0 means GOMAXPROCS.
-	// Results are bit-identical for any value.
-	Workers int
-}
-
-// Forest is a compiled forest.Forest.
-type Forest struct {
-	e ensemble
-	// Workers bounds scoring concurrency; <= 0 means GOMAXPROCS.
-	// Results are bit-identical for any value.
-	Workers int
-}
-
-// Model is a compiled gbdt.Model.
-type Model struct {
-	e    ensemble
-	base float64
-	eta  float64
-	// Workers bounds scoring concurrency; <= 0 means GOMAXPROCS.
-	// Results are bit-identical for any value.
-	Workers int
-}
-
-// CompileTree compiles a fitted classification tree.
-func CompileTree(t *tree.Classifier) (*Tree, error) {
-	e := t.Export()
-	return compileTreeEncoded(e)
-}
-
-func compileTreeEncoded(e tree.Encoded) (*Tree, error) {
-	if e.NFeatures <= 0 || e.NFeatures > maxFeatures {
-		return nil, fmt.Errorf("%w: %d features", ErrNotCompilable, e.NFeatures)
-	}
-	q, err := buildQuantizer(e.NFeatures, [][]int{e.Feature}, [][]float64{e.Threshold})
-	if err != nil {
-		return nil, err
-	}
-	ft, err := compileTree(q, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{e: ensemble{q: q, trees: []flatTree{ft}, nFeatures: e.NFeatures}}, nil
-}
-
 // CompileForest compiles a fitted forest; all trees share one cut set.
 func CompileForest(f *forest.Forest) (*Forest, error) {
 	trees := f.Trees()
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("%w: no trees", ErrNotCompilable)
-	}
 	encs := make([]tree.Encoded, len(trees))
-	features := make([][]int, len(trees))
-	thresholds := make([][]float64, len(trees))
 	for i, t := range trees {
 		encs[i] = t.Export()
-		features[i] = encs[i].Feature
-		thresholds[i] = encs[i].Threshold
 	}
-	nf := f.NumFeatures()
+	return compile(f.NumFeatures(), encs)
+}
+
+// compile builds the compiled form of nf-feature trees given as their
+// exported encodings.
+func compile(nf int, encs []tree.Encoded) (*Forest, error) {
+	if len(encs) == 0 {
+		return nil, fmt.Errorf("%w: no trees", ErrNotCompilable)
+	}
 	if nf <= 0 || nf > maxFeatures {
 		return nil, fmt.Errorf("%w: %d features", ErrNotCompilable, nf)
+	}
+	features := make([][]int, len(encs))
+	thresholds := make([][]float64, len(encs))
+	for i, e := range encs {
+		features[i] = e.Feature
+		thresholds[i] = e.Threshold
 	}
 	q, err := buildQuantizer(nf, features, thresholds)
 	if err != nil {
 		return nil, err
 	}
-	out := &Forest{e: ensemble{q: q, nFeatures: nf}}
+	out := &Forest{q: q, nFeatures: nf}
 	for i, e := range encs {
 		if e.NFeatures != nf {
 			return nil, fmt.Errorf("%w: tree %d has %d features, forest %d", ErrNotCompilable, i, e.NFeatures, nf)
 		}
-		ft, err := compileTree(q, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
+		ft, err := compileTree(q, e)
 		if err != nil {
 			return nil, err
 		}
-		out.e.trees = append(out.e.trees, ft)
+		out.trees = append(out.trees, ft)
 	}
 	return out, nil
 }
 
-// CompileModel compiles a fitted boosted model; all trees share one cut
-// set.
-func CompileModel(m *gbdt.Model) (*Model, error) {
-	enc, err := m.Export()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotCompilable, err)
-	}
-	return compileModelEncoded(enc)
-}
-
-func compileModelEncoded(enc gbdt.Encoded) (*Model, error) {
-	if enc.NFeatures <= 0 || enc.NFeatures > maxFeatures {
-		return nil, fmt.Errorf("%w: %d features", ErrNotCompilable, enc.NFeatures)
-	}
-	features := make([][]int, len(enc.Trees))
-	thresholds := make([][]float64, len(enc.Trees))
-	for i := range enc.Trees {
-		features[i] = enc.Trees[i].Feature
-		thresholds[i] = enc.Trees[i].Threshold
-	}
-	q, err := buildQuantizer(enc.NFeatures, features, thresholds)
-	if err != nil {
-		return nil, err
-	}
-	out := &Model{
-		e:    ensemble{q: q, nFeatures: enc.NFeatures},
-		base: enc.Base,
-		eta:  enc.Eta,
-	}
-	for _, et := range enc.Trees {
-		ft, err := compileTree(q, et.Feature, et.Threshold, et.Left, et.Right, et.Weight, et.DefaultLeft)
-		if err != nil {
-			return nil, err
-		}
-		out.e.trees = append(out.e.trees, ft)
-	}
-	return out, nil
-}
-
-// NumFeatures returns the feature count the source ensemble was fitted
+// NumFeatures returns the feature count the source forest was fitted
 // with.
-func (t *Tree) NumFeatures() int   { return t.e.nFeatures }
-func (f *Forest) NumFeatures() int { return f.e.nFeatures }
-func (m *Model) NumFeatures() int  { return m.e.nFeatures }
-
-// NumTrees returns the compiled tree count.
-func (f *Forest) NumTrees() int { return len(f.e.trees) }
-func (m *Model) NumTrees() int  { return len(m.e.trees) }
-
-// PredictProbaBatch scores every row of column-major data, writing row
-// i's positive-class probability into out[i]. Bit-identical to
-// tree.Classifier.PredictProbaBatch on the source tree.
-func (t *Tree) PredictProbaBatch(cols [][]float64, out []float64) error {
-	return t.e.scoreAll(cols, out, t.Workers, 0, 1, finishNone)
-}
-
-// PredictProbaBatch scores every row of column-major data, writing row
-// i's probability into out[i]. Bit-identical to
-// forest.Forest.PredictProbaBatch on the source forest for any worker
-// count on either side.
-func (f *Forest) PredictProbaBatch(cols [][]float64, out []float64) error {
-	return f.e.scoreAll(cols, out, f.Workers, 0, 1, finishMean)
-}
-
-// PredictMarginBatch writes each row's raw additive margin (log-odds)
-// into out[i]. Bit-identical to gbdt.Model.PredictMarginBatch.
-func (m *Model) PredictMarginBatch(cols [][]float64, out []float64) error {
-	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, finishNone)
-}
-
-// PredictProbaBatch writes each row's positive-class probability into
-// out[i]. Bit-identical to gbdt.Model.PredictProbaBatch.
-func (m *Model) PredictProbaBatch(cols [][]float64, out []float64) error {
-	return m.e.scoreAll(cols, out, m.Workers, m.base, m.eta, finishSigmoid)
-}
+func (f *Forest) NumFeatures() int { return f.nFeatures }

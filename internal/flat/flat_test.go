@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/tree"
 )
 
@@ -119,47 +118,17 @@ func TestForestFlatBitExact(t *testing.T) {
 	}
 }
 
-func TestGBDTFlatBitExact(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  gbdt.Config
-	}{
-		{"default-bins", gbdt.Config{NumRounds: 12, MaxDepth: 4, Eta: 0.3}},
-		{"hist", gbdt.Config{NumRounds: 15, MaxDepth: 5, Eta: 0.3, MaxBins: 32}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cols, y := synth(900, 9, 21)
-			m, err := gbdt.Fit(cols, y, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := CompileModel(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := scoreInputs(cols, testRows, 202)
-			wantP := make([]float64, testRows)
-			if err := m.PredictProbaBatch(in, wantP); err != nil {
-				t.Fatal(err)
-			}
-			wantM := make([]float64, testRows)
-			if err := m.PredictMarginBatch(in, wantM); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3} {
-				fl.Workers = workers
-				got := make([]float64, testRows)
-				if err := fl.PredictProbaBatch(in, got); err != nil {
-					t.Fatal(err)
-				}
-				requireBitEqual(t, wantP, got, "proba")
-				if err := fl.PredictMarginBatch(in, got); err != nil {
-					t.Fatal(err)
-				}
-				requireBitEqual(t, wantM, got, "margin")
-			}
-		})
+// compileOne compiles a single tree as a one-tree forest through the
+// production compile path; dividing its sums by one tree count keeps
+// every probability bit-identical to the tree's own.
+func compileOne(t *testing.T, cl *tree.Classifier) *Forest {
+	t.Helper()
+	e := cl.Export()
+	fl, err := compile(e.NFeatures, []tree.Encoded{e})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return fl
 }
 
 func TestTreeFlatBitExact(t *testing.T) {
@@ -168,10 +137,7 @@ func TestTreeFlatBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := CompileTree(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := compileOne(t, cl)
 	in := scoreInputs(cols, testRows, 303)
 	want := make([]float64, testRows)
 	if err := cl.PredictProbaBatch(in, want); err != nil {
@@ -213,30 +179,6 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, want, got, "forest round-trip")
-
-	m, err := gbdt.Fit(cols, y, gbdt.Config{NumRounds: 8, MaxDepth: 4, Eta: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := CompileModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err = ml.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml2, err := UnmarshalModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ml.PredictProbaBatch(in, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := ml2.PredictProbaBatch(in, got); err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, want, got, "gbdt round-trip")
 
 	if _, err := UnmarshalForest([]byte("junk")); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("junk decode: %v", err)
@@ -300,12 +242,9 @@ func TestChunkedCutsBitExact(t *testing.T) {
 				order[i] = cuts[j]
 			}
 			cl := chainTree(t, order)
-			fl, err := CompileTree(cl)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fl := compileOne(t, cl)
 			chunks := (splits + maxCuts - 1) / maxCuts
-			if got := len(fl.e.q.cols); got != chunks {
+			if got := len(fl.q.cols); got != chunks {
 				t.Fatalf("%d code columns, want %d", got, chunks)
 			}
 
@@ -339,11 +278,10 @@ func TestChunkedCutsBitExact(t *testing.T) {
 			}
 			requireBitEqual(t, want, got, "chunked")
 
-			e, err := decodeEnsemble(fl.e.encode())
+			rt, err := decode(fl.encode())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt := &Tree{e: e}
 			if err := rt.PredictProbaBatch(cols, got); err != nil {
 				t.Fatal(err)
 			}
@@ -369,10 +307,7 @@ func TestZeroRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := CompileTree(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := compileOne(t, cl)
 	in := [][]float64{{math.Copysign(0, -1), 0.0, 5e-324, -5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}}
 	want := make([]float64, len(in[0]))
 	if err := cl.PredictProbaBatch(in, want); err != nil {

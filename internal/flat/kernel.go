@@ -58,42 +58,37 @@ func getScratch(nCols int) *scratch {
 	return sc
 }
 
-// finish is the elementwise step that turns a block's accumulated sums
-// into outputs. It is a value, not a closure, so a call captures
-// nothing and the one-row serving path allocates nothing.
-type finish uint8
-
-const (
-	finishNone    finish = iota // raw sums (tree probability, GBDT margin)
-	finishMean                  // divide by the tree count (forest vote)
-	finishSigmoid               // logistic of the margin (GBDT probability)
-)
-
-// scoreAll is the shared batch driver. Each block of rows is quantized
-// and pushed through every tree, accumulating init + scale*leaf into
-// out; fin then finishes the block elementwise. Blocks are
-// claimed by workers off a shared counter; per-row results do not
-// depend on worker count or claim order, because blocks are disjoint
-// and each is computed fully by one worker.
-func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, scale float64, fin finish) error {
-	if len(e.trees) == 0 {
+// PredictProbaBatch scores every row of column-major data, writing row
+// i's probability into out[i]. Bit-identical to
+// forest.Forest.PredictProbaBatch on the source forest for any worker
+// count on either side.
+//
+// Each block of rows is quantized and pushed through every tree,
+// summing the leaf probabilities each row reaches; the block's sums are
+// then divided by the tree count. Blocks are claimed by workers off a
+// shared counter; per-row results do not depend on worker count or
+// claim order, because blocks are disjoint and each is computed fully
+// by one worker.
+func (f *Forest) PredictProbaBatch(cols [][]float64, out []float64) error {
+	if len(f.trees) == 0 {
 		return fmt.Errorf("%w: no trees", ErrNotCompilable)
 	}
-	if len(cols) != e.nFeatures {
-		return fmt.Errorf("%w: %d columns, compiled with %d", ErrShapeMismatch, len(cols), e.nFeatures)
+	if len(cols) != f.nFeatures {
+		return fmt.Errorf("%w: %d columns, compiled with %d", ErrShapeMismatch, len(cols), f.nFeatures)
 	}
 	n := len(out)
-	for f, c := range cols {
+	for j, c := range cols {
 		// Columns no tree splits on are never read; they may be short
 		// or nil.
-		if len(c) < n && e.q.cuts[f] != nil {
-			return fmt.Errorf("%w: column %d has %d rows, out has %d", ErrShapeMismatch, f, len(c), n)
+		if len(c) < n && f.q.cuts[j] != nil {
+			return fmt.Errorf("%w: column %d has %d rows, out has %d", ErrShapeMismatch, j, len(c), n)
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	nBlocks := (n + blockRows - 1) >> blockShift
+	workers := f.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -101,9 +96,9 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 		workers = nBlocks
 	}
 	if workers <= 1 {
-		sc := getScratch(len(e.q.cols))
+		sc := getScratch(len(f.q.cols))
 		for b := 0; b < nBlocks; b++ {
-			e.scoreBlock(cols, out, b, init, scale, fin, sc)
+			f.scoreBlock(cols, out, b, sc)
 		}
 		scratchPool.Put(sc)
 		return nil
@@ -114,13 +109,13 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getScratch(len(e.q.cols))
+			sc := getScratch(len(f.q.cols))
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= nBlocks {
 					break
 				}
-				e.scoreBlock(cols, out, b, init, scale, fin, sc)
+				f.scoreBlock(cols, out, b, sc)
 			}
 			scratchPool.Put(sc)
 		}()
@@ -130,32 +125,25 @@ func (e *ensemble) scoreAll(cols [][]float64, out []float64, workers int, init, 
 }
 
 // scoreBlock scores block b, rows [b<<blockShift, ...+bn).
-func (e *ensemble) scoreBlock(cols [][]float64, out []float64, b int, init, scale float64, fin finish, sc *scratch) {
+func (f *Forest) scoreBlock(cols [][]float64, out []float64, b int, sc *scratch) {
 	lo := b << blockShift
 	bn := len(out) - lo
 	if bn > blockRows {
 		bn = blockRows
 	}
-	e.q.quantizeBlock(cols, lo, bn, sc.codes)
+	f.q.quantizeBlock(cols, lo, bn, sc.codes)
 	acc := sc.acc[:bn]
 	for i := range acc {
-		acc[i] = init
+		acc[i] = 0
 	}
-	for ti := range e.trees {
-		e.trees[ti].scoreBlockAdd(sc, bn, scale)
+	for ti := range f.trees {
+		f.trees[ti].scoreBlockAdd(sc, bn)
 	}
-	switch fin {
-	case finishMean:
-		// Divide (not multiply-by-reciprocal) exactly as the pointer
-		// forest does, keeping results bit-identical.
-		nt := float64(len(e.trees))
-		for i := range acc {
-			acc[i] /= nt
-		}
-	case finishSigmoid:
-		for i, v := range acc {
-			acc[i] = 1 / (1 + math.Exp(-v))
-		}
+	// Divide (not multiply-by-reciprocal) exactly as the pointer forest
+	// does, keeping results bit-identical.
+	nt := float64(len(f.trees))
+	for i := range acc {
+		acc[i] /= nt
 	}
 	copy(out[lo:lo+bn], acc)
 }
@@ -244,16 +232,16 @@ func fixupMissing(col []float64, dst *[blockRows]uint8) {
 	}
 }
 
-// scoreBlockAdd adds scale*leafValue to sc.acc[r] for each of the
-// block's bn rows by partitioning the row set down the tree: every
-// node's constants load once per block, each row costs a handful of
-// integer ops per level, and rows stop paying as soon as their segment
-// reaches a leaf. The two-cursor partition writes every row to both
+// scoreBlockAdd adds the reached leaf's value to sc.acc[r] for each
+// of the block's bn rows by partitioning the row set down the tree:
+// every node's constants load once per block, each row costs a handful
+// of integer ops per level, and rows stop paying as soon as their
+// segment reaches a leaf. The two-cursor partition writes every row to both
 // cursors and advances exactly one, so the loop is branch-free; the
 // right half ends up reversed, which is irrelevant because row order
 // within a segment never affects results (each row's accumulation
 // order across trees is fixed by the outer tree loop).
-func (t *flatTree) scoreBlockAdd(sc *scratch, bn int, scale float64) {
+func (t *flatTree) scoreBlockAdd(sc *scratch, bn int) {
 	stack := sc.stack[:0]
 	stack = append(stack, seg{node: 0, lo: 0, hi: int32(bn)})
 	codes := sc.codes
@@ -268,7 +256,7 @@ func (t *flatTree) scoreBlockAdd(sc *scratch, bn int, scale float64) {
 		nd := s.node
 		fo := t.featOff[nd]
 		if fo < 0 {
-			accumulate(acc, src, s.lo, s.hi, scale*t.value[nd])
+			accumulate(acc, src, s.lo, s.hi, t.value[nd])
 			continue
 		}
 		colCodes := (*[blockRows]uint8)(codes[fo : fo+blockRows])
@@ -279,8 +267,8 @@ func (t *flatTree) scoreBlockAdd(sc *scratch, bn int, scale float64) {
 		// skip the write-out/re-read round trip and add straight into the
 		// accumulator.
 		if t.featOff[l] < 0 && t.featOff[l+1] < 0 {
-			vl := scale * t.value[l]
-			vr := scale * t.value[l+1]
+			vl := t.value[l]
+			vr := t.value[l+1]
 			if ml == 0 {
 				partitionLeafLeaf(src, colCodes, acc, s.lo, s.hi, sb1, vl, vr)
 			} else {

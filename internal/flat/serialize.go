@@ -6,11 +6,12 @@ import (
 	"fmt"
 )
 
-// encodedEnsemble is the gob wire form shared by the compiled types.
-// Cuts holds each feature's full ascending cut list; the decoder lays
-// out the code columns from it exactly as compilation does. Tree nodes
-// name code columns (not block offsets), so the kernel's block
-// geometry can change without breaking payloads.
+// encodedEnsemble is the gob wire form of a compiled forest. Cuts holds
+// each feature's full ascending cut list; the decoder lays out the code
+// columns from it exactly as compilation does. Tree nodes name code
+// columns (not block offsets), so the kernel's block geometry can
+// change without breaking payloads. Gob writes the wire types' names
+// into every payload, so renaming them changes the persisted bytes.
 type encodedEnsemble struct {
 	Cuts      [][]float64
 	NFeatures int
@@ -29,16 +30,10 @@ type encodedFlatForest struct {
 	E encodedEnsemble
 }
 
-type encodedFlatModel struct {
-	E    encodedEnsemble
-	Base float64
-	Eta  float64
-}
-
-func (e *ensemble) encode() encodedEnsemble {
-	out := encodedEnsemble{Cuts: e.q.cuts, NFeatures: e.nFeatures}
-	for i := range e.trees {
-		t := &e.trees[i]
+func (f *Forest) encode() encodedEnsemble {
+	out := encodedEnsemble{Cuts: f.q.cuts, NFeatures: f.nFeatures}
+	for i := range f.trees {
+		t := &f.trees[i]
 		et := encodedFlatTree{
 			Feature: make([]int32, len(t.featOff)),
 			Bin:     t.bin,
@@ -58,36 +53,36 @@ func (e *ensemble) encode() encodedEnsemble {
 	return out
 }
 
-func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
+func decode(enc encodedEnsemble) (*Forest, error) {
 	if enc.NFeatures <= 0 || enc.NFeatures > maxFeatures || len(enc.Cuts) != enc.NFeatures {
-		return ensemble{}, fmt.Errorf("%w: %d features, %d cut sets", ErrBadEncoding, enc.NFeatures, len(enc.Cuts))
+		return nil, fmt.Errorf("%w: %d features, %d cut sets", ErrBadEncoding, enc.NFeatures, len(enc.Cuts))
 	}
 	if len(enc.Trees) == 0 {
-		return ensemble{}, fmt.Errorf("%w: no trees", ErrBadEncoding)
+		return nil, fmt.Errorf("%w: no trees", ErrBadEncoding)
 	}
 	for f, cs := range enc.Cuts {
 		if len(cs) == 0 {
 			continue
 		}
 		if cs[0] != cs[0] {
-			return ensemble{}, fmt.Errorf("%w: feature %d has NaN cut", ErrBadEncoding, f)
+			return nil, fmt.Errorf("%w: feature %d has NaN cut", ErrBadEncoding, f)
 		}
 		for i := 1; i < len(cs); i++ {
 			// Also rejects NaN anywhere past index 0.
 			if !(cs[i-1] < cs[i]) {
-				return ensemble{}, fmt.Errorf("%w: feature %d cuts not ascending", ErrBadEncoding, f)
+				return nil, fmt.Errorf("%w: feature %d cuts not ascending", ErrBadEncoding, f)
 			}
 		}
 	}
 	q := newQuantizer(enc.Cuts)
 	if len(q.cols) > maxCodeCols {
-		return ensemble{}, fmt.Errorf("%w: %d code columns", ErrBadEncoding, len(q.cols))
+		return nil, fmt.Errorf("%w: %d code columns", ErrBadEncoding, len(q.cols))
 	}
-	e := ensemble{q: q, nFeatures: enc.NFeatures}
+	out := &Forest{q: q, nFeatures: enc.NFeatures}
 	for ti, et := range enc.Trees {
 		n := len(et.Feature)
 		if n == 0 || len(et.Bin) != n || len(et.MissL) != n || len(et.Left) != n || len(et.Value) != n {
-			return ensemble{}, fmt.Errorf("%w: tree %d misaligned", ErrBadEncoding, ti)
+			return nil, fmt.Errorf("%w: tree %d misaligned", ErrBadEncoding, ti)
 		}
 		ft := flatTree{
 			featOff: make([]int32, n),
@@ -103,26 +98,26 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 				continue
 			}
 			if int(f) >= len(q.cols) || int(et.Bin[i]) >= len(q.cols[f].cuts) {
-				return ensemble{}, fmt.Errorf("%w: tree %d node %d splits code column %d bin %d", ErrBadEncoding, ti, i, f, et.Bin[i])
+				return nil, fmt.Errorf("%w: tree %d node %d splits code column %d bin %d", ErrBadEncoding, ti, i, f, et.Bin[i])
 			}
 			l := et.Left[i]
 			// Children always follow their parent (BFS compile order)
 			// and siblings are adjacent, so traversal terminates.
 			if l <= int32(i) || l+1 >= int32(n) {
-				return ensemble{}, fmt.Errorf("%w: tree %d node %d child %d", ErrBadEncoding, ti, i, l)
+				return nil, fmt.Errorf("%w: tree %d node %d child %d", ErrBadEncoding, ti, i, l)
 			}
 			ft.featOff[i] = f << blockShift
 		}
-		e.trees = append(e.trees, ft)
+		out.trees = append(out.trees, ft)
 	}
-	return e, nil
+	return out, nil
 }
 
 // MarshalBinary serializes the compiled forest. Workers is runtime
 // configuration and is not persisted.
 func (f *Forest) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(encodedFlatForest{E: f.e.encode()}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(encodedFlatForest{E: f.encode()}); err != nil {
 		return nil, fmt.Errorf("flat: encode: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -135,34 +130,5 @@ func UnmarshalForest(data []byte) (*Forest, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&enc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
-	e, err := decodeEnsemble(enc.E)
-	if err != nil {
-		return nil, err
-	}
-	return &Forest{e: e}, nil
-}
-
-// MarshalBinary serializes the compiled boosted model. Workers is
-// runtime configuration and is not persisted.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := encodedFlatModel{E: m.e.encode(), Base: m.base, Eta: m.eta}
-	if err := gob.NewEncoder(&buf).Encode(enc); err != nil {
-		return nil, fmt.Errorf("flat: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalModel reconstructs a compiled boosted model; predictions are
-// bit-identical to the model that was marshalled.
-func UnmarshalModel(data []byte) (*Model, error) {
-	var enc encodedFlatModel
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&enc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
-	}
-	e, err := decodeEnsemble(enc.E)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{e: e, base: enc.Base, eta: enc.Eta}, nil
+	return decode(enc.E)
 }

@@ -190,9 +190,8 @@ func (f *Forest) PredictProbaAll(cols [][]float64) ([]float64, error) {
 // PredictProbaBatch scores every row of column-major data, writing row
 // i's probability into out[i]. cols must have the training feature
 // count, each column at least len(out) long. The (cols, out) error
-// shape is shared with tree.Classifier and gbdt.Model (and the
-// flat-compiled forms), so ensemble-agnostic callers need no per-family
-// adapters.
+// shape is shared with tree.Classifier and the flat-compiled forest,
+// so callers swap one for the other without adapters.
 //
 // Rows are chunked across workers (Config.Workers if set, else
 // GOMAXPROCS); within a chunk each tree walks the columns directly, so

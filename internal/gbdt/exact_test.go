@@ -291,3 +291,25 @@ func (m *Model) growTree(cols [][]float64, order [][]int32, grad, hess []float64
 	}
 	return t
 }
+
+// predictBatchAdd adds scale times each row's leaf weight into out[i],
+// reading the column-major data directly.
+func (t *regTree) predictBatchAdd(cols [][]float64, scale float64, out []float64) {
+	nodes := t.nodes
+	for i := range out {
+		k := 0
+		for {
+			nd := &nodes[k]
+			if nd.feature < 0 {
+				out[i] += scale * nd.weight
+				break
+			}
+			v := cols[nd.feature][i]
+			if v <= nd.threshold || (v != v && nd.defaultLeft) {
+				k = int(nd.left)
+			} else {
+				k = int(nd.right)
+			}
+		}
+	}
+}

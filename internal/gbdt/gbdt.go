@@ -18,9 +18,6 @@ var (
 	ErrNoData = errors.New("gbdt: no training data")
 	// ErrNotFitted indicates use of an unfitted model.
 	ErrNotFitted = errors.New("gbdt: not fitted")
-	// ErrShapeMismatch indicates prediction input whose shape does not
-	// match the fitted model.
-	ErrShapeMismatch = errors.New("gbdt: shape mismatch")
 )
 
 // Config controls boosting. DefaultConfig mirrors common XGBoost
@@ -216,64 +213,4 @@ func (m *Model) WeightImportance() ([]int, error) {
 		return nil, ErrNotFitted
 	}
 	return append([]int(nil), m.splits...), nil
-}
-
-// predictBatchAdd adds scale times each row's leaf weight into out[i],
-// reading the column-major data directly.
-func (t *regTree) predictBatchAdd(cols [][]float64, scale float64, out []float64) {
-	nodes := t.nodes
-	for i := range out {
-		k := 0
-		for {
-			nd := &nodes[k]
-			if nd.feature < 0 {
-				out[i] += scale * nd.weight
-				break
-			}
-			v := cols[nd.feature][i]
-			if v <= nd.threshold || (v != v && nd.defaultLeft) {
-				k = int(nd.left)
-			} else {
-				k = int(nd.right)
-			}
-		}
-	}
-}
-
-// PredictMarginBatch writes the raw additive margin (log-odds) of every
-// row of column-major data into out[i]. cols must have NumFeatures
-// columns, each at least len(out) long.
-func (m *Model) PredictMarginBatch(cols [][]float64, out []float64) error {
-	if len(m.trees) == 0 {
-		return ErrNotFitted
-	}
-	if len(cols) != m.nFeatures {
-		return fmt.Errorf("%w: %d columns, fitted with %d", ErrShapeMismatch, len(cols), m.nFeatures)
-	}
-	for f, c := range cols {
-		if len(c) < len(out) {
-			return fmt.Errorf("%w: column %d has %d rows, out has %d", ErrShapeMismatch, f, len(c), len(out))
-		}
-	}
-	for i := range out {
-		out[i] = m.base
-	}
-	for _, t := range m.trees {
-		t.predictBatchAdd(cols, m.cfg.Eta, out)
-	}
-	return nil
-}
-
-// PredictProbaBatch writes the positive-class probability of every row
-// of column-major data into out[i]. The (cols, out) error shape is
-// shared with tree.Classifier and forest.Forest (and the flat-compiled
-// forms), so ensemble-agnostic callers need no per-family adapters.
-func (m *Model) PredictProbaBatch(cols [][]float64, out []float64) error {
-	if err := m.PredictMarginBatch(cols, out); err != nil {
-		return err
-	}
-	for i, v := range out {
-		out[i] = sigmoid(v)
-	}
-	return nil
 }

@@ -64,37 +64,9 @@ func TestFitAllMissingColumnNeverSplit(t *testing.T) {
 		t.Error("informative column was never split on")
 	}
 	// Margins must stay finite in the presence of the NaN column.
-	out := make([]float64, n)
-	m.PredictMarginBatch(cols, out)
-	for i, v := range out {
-		if v-v != 0 {
+	for i := 0; i < n; i++ {
+		if v := m.PredictMargin([]float64{cols[0][i], cols[1][i]}); v-v != 0 {
 			t.Fatalf("margin[%d] = %v, want finite", i, v)
-		}
-	}
-}
-
-func TestExportPreservesDefaultDirection(t *testing.T) {
-	cols, y := missingInformative(200)
-	m, err := Fit(cols, y, Config{NumRounds: 15, MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := m.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc.Trees) != len(m.trees) {
-		t.Fatalf("exported %d trees, model has %d", len(enc.Trees), len(m.trees))
-	}
-	for ti, et := range enc.Trees {
-		nodes := m.trees[ti].nodes
-		if len(et.DefaultLeft) != len(nodes) {
-			t.Fatalf("tree %d: %d default directions for %d nodes", ti, len(et.DefaultLeft), len(nodes))
-		}
-		for i, nd := range nodes {
-			if et.DefaultLeft[i] != nd.defaultLeft {
-				t.Errorf("tree %d node %d: exported default-left %v, model %v", ti, i, et.DefaultLeft[i], nd.defaultLeft)
-			}
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/forest"
-	"repro/internal/gbdt"
 	"repro/internal/metrics"
 	"repro/internal/selection"
 	"repro/internal/simulate"
@@ -236,47 +235,6 @@ func TestWEFRNoUpdateIgnoresCurve(t *testing.T) {
 	}
 	if res.Split != nil {
 		t.Error("WEFR (No update) must not split")
-	}
-}
-
-func TestRunPhaseGBDTPredictor(t *testing.T) {
-	src := smallSource(t)
-	ph := engine.StandardPhases(src.Days())[2]
-	cfg := smallCfg()
-	cfg.Predictor = engine.PredictorGBDT
-	cfg.GBDT = gbdt.Config{NumRounds: 15, MaxDepth: 3, Eta: 0.3, Lambda: 1}
-	res, err := engine.RunPhase(src, smart.MC1, WEFR{NoUpdate: true}, ph, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outcomes) == 0 {
-		t.Fatal("no outcomes")
-	}
-	// GBDT probabilities are continuous; the calibrated threshold must
-	// be a valid probability.
-	for _, thr := range res.Thresholds {
-		if thr <= 0 || thr > 1 {
-			t.Errorf("gbdt threshold = %v", thr)
-		}
-	}
-}
-
-func TestPredictorString(t *testing.T) {
-	if engine.PredictorForest.String() != "random-forest" || engine.PredictorGBDT.String() != "gbdt" {
-		t.Error("predictor names")
-	}
-	if engine.Predictor(9).String() != "Predictor(9)" {
-		t.Error("unknown predictor name")
-	}
-}
-
-func TestUnknownPredictor(t *testing.T) {
-	src := smallSource(t)
-	ph := engine.StandardPhases(src.Days())[2]
-	cfg := smallCfg()
-	cfg.Predictor = engine.Predictor(99)
-	if _, err := engine.RunPhase(src, smart.MB1, NoSelection{}, ph, cfg); !errors.Is(err, engine.ErrUnknownPredictor) {
-		t.Errorf("error = %v, want ErrUnknownPredictor", err)
 	}
 }
 

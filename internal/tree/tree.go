@@ -490,9 +490,9 @@ func (t *Classifier) PredictProba(x []float64) float64 {
 // len(out) long. Reading feature columns directly avoids gathering a
 // row vector per sample.
 //
-// The (cols, out) error shape is shared with forest.Forest and
-// gbdt.Model (and their flat-compiled forms), so ensemble-agnostic
-// callers need no per-family adapters.
+// The (cols, out) error shape is shared with forest.Forest and the
+// flat-compiled forest, so callers swap one for the other without
+// adapters.
 func (t *Classifier) PredictProbaBatch(cols [][]float64, out []float64) error {
 	if len(cols) != t.nFeatures {
 		return fmt.Errorf("%w: %d columns, fitted with %d", ErrShapeMismatch, len(cols), t.nFeatures)
