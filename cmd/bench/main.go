@@ -19,7 +19,10 @@
 // simulator's series generation (series-gen, series-gen-batch), and
 // million-drive daily scoring through the compiled flat kernel over a
 // disk-spilled columnar fleet (fleet-score; size it with
-// -fleet-drives, default 1,000,000 or 50,000 under -quick), and the
+// -fleet-drives, default 1,000,000 or 50,000 under -quick), one warm
+// store-backed Scorer.ScoreInto day over a 500-drive MC1 fleet with a
+// two-group WEFR snapshot (scorer-fleet-pass: the serving daemon's
+// fleet endpoint and the controller's daily summary), and the
 // ranker-evaluation harness (rank-eval: internal/rankeval over every
 // registered ranker plus the WEFR ensemble on a small fleet). These
 // are in-process micro-benchmarks; the serving daemon's end-to-end
@@ -55,6 +58,7 @@ import (
 	"repro/internal/forest"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
+	"repro/internal/pipeline"
 	"repro/internal/rankeval"
 	"repro/internal/simulate"
 	"repro/internal/smart"
@@ -345,6 +349,7 @@ var benches = []bench{
 	{name: "series-gen", fn: benchSeriesGen},
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
 	{name: "fleet-score", fn: benchFleetScore},
+	{name: "scorer-fleet-pass", fn: benchScorerFleetPass},
 	{name: "rank-eval", fn: benchRankEval},
 }
 
@@ -819,4 +824,84 @@ func benchFleetScore(b *testing.B) {
 		b.Fatalf("implausible alarm count %d of %d drives", alarms, fleetState.n)
 	}
 	b.ReportMetric(float64(fleetState.n)*float64(b.N)*1e9/float64(b.Elapsed().Nanoseconds()), "drives/sec")
+}
+
+// scorerFleetState is scorer-fleet-pass's fixture, built once: the
+// serving daemon's bootstrap shape (MC1, 500 drives, 150 days, WEFR,
+// 10 trees of depth 8, trained on all but the last 30 days) over a
+// fully ingested in-memory store.
+var scorerFleetState struct {
+	once   sync.Once
+	scorer *engine.Scorer
+	snap   *store.Snapshot
+	day    int
+	err    error
+}
+
+func scorerFleetSetup() error {
+	s := &scorerFleetState
+	s.once.Do(func() {
+		const drives, days = 500, 150
+		fleet, err := simulate.New(simulate.Config{
+			TotalDrives: drives, Days: days, Seed: 1, AFRScale: 3,
+			Models: []smart.ModelID{smart.MC1},
+		})
+		if err != nil {
+			s.err = err
+			return
+		}
+		src := dataset.FleetSource{Fleet: fleet}
+		train := days - 30
+		ph := engine.Phase{TrainLo: 0, TrainHi: train - 1, TestLo: train, TestHi: days - 1}
+		res, err := engine.RunPhase(src, smart.MC1, pipeline.WEFR{}, ph, engine.Config{
+			Forest: forest.Config{NumTrees: 10, MaxDepth: 8, Seed: 1}, Seed: 1,
+		})
+		if err != nil {
+			s.err = err
+			return
+		}
+		snap, err := res.Snapshot()
+		if err != nil {
+			s.err = err
+			return
+		}
+		if s.scorer, err = engine.NewScorer(snap, 0); err != nil {
+			s.err = err
+			return
+		}
+		st := store.Open(src, store.Options{})
+		if err := st.AppendThrough(days - 1); err != nil {
+			s.err = err
+			return
+		}
+		s.snap = st.Snapshot()
+		s.day = train
+	})
+	return s.err
+}
+
+// benchScorerFleetPass measures one warm one-day Scorer.ScoreInto over
+// the store: read every drive, featurize its scored day, score each
+// wear group, and fold the drive outcomes, with a reused ScoreBuf.
+func benchScorerFleetPass(b *testing.B) {
+	if err := scorerFleetSetup(); err != nil {
+		b.Fatal(err)
+	}
+	s := &scorerFleetState
+	var buf engine.ScoreBuf
+	pass := func() int {
+		out, err := s.scorer.ScoreInto(s.snap, s.day, s.day, &buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return len(out)
+	}
+	if n := pass(); n == 0 {
+		b.Fatal("fleet pass scored no drives")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 }

@@ -143,19 +143,6 @@ type FrameOpts struct {
 	// forward-fill imputation, and optional per-feature missingness
 	// mask columns. Nil preserves the exact legacy path, bit for bit.
 	Sanitize *SanitizeOpts
-	// Reuse, when non-nil, recycles the frame's concatenated column
-	// storage across calls: the returned frame's columns alias the
-	// buffer, so the frame is only valid until the next Frame call with
-	// the same buffer. Repeated scoring passes (the serving daemon, the
-	// continuous-operation controller) use this to keep the per-call
-	// allocation volume independent of the fleet size.
-	Reuse *FrameBuf
-}
-
-// FrameBuf is reusable frame storage for FrameOpts.Reuse. The zero
-// value is ready to use; it grows to the largest frame it has carried.
-type FrameBuf struct {
-	slab []float64
 }
 
 func (o FrameOpts) normalize(days int) (FrameOpts, error) {
@@ -261,16 +248,7 @@ func Frame(src Source, opts FrameOpts) (*frame.Frame, error) {
 	// One slab for every concatenated column: the chunk lengths are
 	// known, so per-column growth reallocation is pure waste.
 	cols := make([][]float64, len(names))
-	need := len(names) * total
-	var slab []float64
-	if opts.Reuse != nil && cap(opts.Reuse.slab) >= need {
-		slab = opts.Reuse.slab[:need]
-	} else {
-		slab = make([]float64, need)
-		if opts.Reuse != nil {
-			opts.Reuse.slab = slab
-		}
-	}
+	slab := make([]float64, len(names)*total)
 	for i := range cols {
 		cols[i] = slab[i*total : i*total : (i+1)*total]
 	}

@@ -176,9 +176,9 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 func TestFinalizeOutcomesWindowing(t *testing.T) {
 	scores := map[int]*driveScore{
 		// Fails 10 days past the phase end: still in the 30-day window.
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 110}, days: []int{95, 96}, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}, group: []int{0, 0}, lastDay: 96, lastMWI: 49},
+		1: {ref: dataset.DriveRef{ID: 1, FailDay: 110}, days: []int{95, 96}, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}, group: []int{0, 0}},
 		// Fails 40 days past the end: out of scope for this phase.
-		2: {ref: dataset.DriveRef{ID: 2, FailDay: 140}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{70}, group: []int{0}, lastDay: 95, lastMWI: 70},
+		2: {ref: dataset.DriveRef{ID: 2, FailDay: 140}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{70}, group: []int{0}},
 	}
 	out := finalizeOutcomes(scores, []float64{0.5}, 100)
 	if len(out) != 2 {
@@ -210,7 +210,7 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 	// Single healthy drive, all scores below threshold: no alarm, MWI
 	// reported at last observed day, MaxProb still tracked.
 	one := map[int]*driveScore{
-		7: {ref: dataset.DriveRef{ID: 7, FailDay: -1}, days: []int{95, 96}, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}, group: []int{0, 0}, lastDay: 96, lastMWI: 41},
+		7: {ref: dataset.DriveRef{ID: 7, FailDay: -1}, days: []int{95, 96}, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}, group: []int{0, 0}},
 	}
 	out := finalizeOutcomes(one, []float64{0.5}, 100)
 	if len(out) != 1 || out[0].Pred.FirstAlarmDay != -1 {
@@ -223,7 +223,7 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 	// A probability exactly at the threshold alarms (>=, not >), and
 	// the first such day wins even when a later day ties it.
 	tie := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96, 97}, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}, group: []int{0, 0, 0}, lastDay: 97, lastMWI: 12},
+		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96, 97}, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}, group: []int{0, 0, 0}},
 	}
 	out = finalizeOutcomes(tie, []float64{0.5}, 100)
 	if out[0].Pred.FirstAlarmDay != 96 || out[0].MWI != 11 {
@@ -233,7 +233,7 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 	// Outcomes are sorted by drive ID regardless of map order.
 	many := map[int]*driveScore{}
 	for _, id := range []int{42, 7, 99, 13} {
-		many[id] = &driveScore{ref: dataset.DriveRef{ID: id, FailDay: -1}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{5}, group: []int{0}, lastDay: 95, lastMWI: 5}
+		many[id] = &driveScore{ref: dataset.DriveRef{ID: id, FailDay: -1}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{5}, group: []int{0}}
 	}
 	out = finalizeOutcomes(many, []float64{0.5}, 100)
 	for i := 1; i < len(out); i++ {
@@ -245,7 +245,7 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 	// Per-group thresholds: day scored by group 1 uses group 1's
 	// threshold.
 	grouped := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96}, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}, group: []int{0, 1}, lastDay: 96, lastMWI: 50},
+		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96}, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}, group: []int{0, 1}},
 	}
 	out = finalizeOutcomes(grouped, []float64{0.5, 0.25}, 100)
 	if out[0].Pred.FirstAlarmDay != 96 {

@@ -4,38 +4,19 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/smart"
 )
 
-// probsPool recycles per-group score buffers across groups and phases.
-// A phase scores every group of every window through here, so without
-// the pool each call transiently allocates rows×8 bytes that die young.
-var probsPool sync.Pool
-
-func getProbs(n int) []float64 {
-	if v := probsPool.Get(); v != nil {
-		if buf := v.([]float64); cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putProbs(buf []float64) { probsPool.Put(buf) }
-
 // driveScore accumulates one drive's scored days within a window.
 type driveScore struct {
-	ref     dataset.DriveRef
-	days    []int
-	probs   []float64
-	mwis    []float64
-	group   []int // which group's model scored each day
-	lastMWI float64
-	lastDay int
+	ref   dataset.DriveRef
+	days  []int
+	probs []float64
+	mwis  []float64
+	group []int // which group's model scored each day
 }
 
 // maxProbIn returns the drive's maximum probability among days scored
@@ -77,70 +58,18 @@ func refIndex(src dataset.Source, model smart.ModelID) map[int]dataset.DriveRef 
 	return out
 }
 
-// ScoreBuf recycles the per-call working state of repeated scoring
-// passes — the per-drive score accumulators, the frame column storage,
-// and the outcome slice — so callers that score the fleet over and
-// over (the serving daemon's bulk endpoint, the continuous-operation
-// controller's daily summaries) do not re-allocate them every call.
-// The zero value is ready to use. Outcomes returned by ScoreInto alias
-// the buffer and are valid only until its next use; a ScoreBuf must
-// not be used concurrently.
-type ScoreBuf struct {
-	scores   map[int]*driveScore
-	free     []*driveScore
-	frame    dataset.FrameBuf
-	cols     [][]float64
-	ids      []int
-	outcomes []DriveOutcome
-}
-
-// reset clears the buffer for the next pass, recycling every
-// driveScore (slices kept, lengths zeroed) through the free list.
-func (b *ScoreBuf) reset() {
-	if b.scores == nil {
-		b.scores = make(map[int]*driveScore)
-		return
-	}
-	for id, ds := range b.scores {
-		ds.days = ds.days[:0]
-		ds.probs = ds.probs[:0]
-		ds.mwis = ds.mwis[:0]
-		ds.group = ds.group[:0]
-		b.free = append(b.free, ds)
-		delete(b.scores, id)
-	}
-}
-
-// get returns a cleared driveScore, recycled when one is available.
-func (b *ScoreBuf) get() *driveScore {
-	if n := len(b.free); n > 0 {
-		ds := b.free[n-1]
-		b.free = b.free[:n-1]
-		*ds = driveScore{days: ds.days, probs: ds.probs, mwis: ds.mwis, group: ds.group, lastDay: -1}
-		return ds
-	}
-	return &driveScore{lastDay: -1}
-}
-
 // scorePhase scores every drive-day of [lo, hi] with the per-group
 // models and groups the probabilities by drive (days ascending). The
 // second return is the total number of drive-day rows scored.
+//
+// It is the training-side scoring path (validation calibration and
+// test scoring inside RunPhase, and journal replay), and it keeps
+// dataset.Frame because a robust Config sanitizes each drive's series
+// and appends ".miss" mask columns there. A snapshot Scorer never
+// sanitizes, so it scores in one pass over the drives instead (see
+// Scorer.ScoreInto).
 func scorePhase(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config) (map[int]*driveScore, int, error) {
-	return scorePhaseInto(src, model, groups, lo, hi, cfg, nil)
-}
-
-// scorePhaseInto is scorePhase drawing its working state from buf when
-// one is provided; results are bit-identical either way.
-func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config, buf *ScoreBuf) (map[int]*driveScore, int, error) {
-	var out map[int]*driveScore
-	var frameBuf *dataset.FrameBuf
-	if buf != nil {
-		buf.reset()
-		out = buf.scores
-		frameBuf = &buf.frame
-	} else {
-		out = make(map[int]*driveScore)
-	}
+	out := make(map[int]*driveScore)
 	rows := 0
 	// One ref index per pass (cached on store snapshots), not one per
 	// group.
@@ -151,7 +80,6 @@ func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo,
 			Features: g.feats, Expand: true, Windows: cfg.Windows,
 			MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
 			Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
-			Reuse: frameBuf,
 		})
 		if errors.Is(err, dataset.ErrNoSamples) {
 			continue
@@ -159,22 +87,12 @@ func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo,
 		if err != nil {
 			return nil, rows, err
 		}
-		var cols [][]float64
-		if buf != nil {
-			cols = buf.cols[:0]
-			for i := 0; i < fr.NumFeatures(); i++ {
-				cols = append(cols, fr.Col(i))
-			}
-			buf.cols = cols[:0]
-		} else {
-			cols = make([][]float64, fr.NumFeatures())
-			for i := range cols {
-				cols[i] = fr.Col(i)
-			}
+		cols := make([][]float64, fr.NumFeatures())
+		for i := range cols {
+			cols[i] = fr.Col(i)
 		}
-		probs := getProbs(fr.NumRows())
+		probs := make([]float64, fr.NumRows())
 		if err := g.model.PredictProbaBatch(cols, probs); err != nil {
-			putProbs(probs)
 			return nil, rows, err
 		}
 		rows += fr.NumRows()
@@ -182,24 +100,14 @@ func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo,
 			m := fr.Meta(i)
 			ds, ok := out[m.DriveID]
 			if !ok {
-				if buf != nil {
-					ds = buf.get()
-				} else {
-					ds = &driveScore{lastDay: -1}
-				}
-				ds.ref = refs[m.DriveID]
+				ds = &driveScore{ref: refs[m.DriveID]}
 				out[m.DriveID] = ds
 			}
 			ds.days = append(ds.days, m.Day)
 			ds.probs = append(ds.probs, probs[i])
 			ds.mwis = append(ds.mwis, m.MWI)
 			ds.group = append(ds.group, gi)
-			if m.Day > ds.lastDay {
-				ds.lastDay = m.Day
-				ds.lastMWI = m.MWI
-			}
 		}
-		putProbs(probs)
 	}
 	// Within-drive days arrive ascending per group but groups can
 	// interleave (a drive can cross the MWI threshold mid-phase).
@@ -301,58 +209,62 @@ func calibrateThresholds(scores map[int]*driveScore, numGroups int, targetRecall
 	return out
 }
 
-// finalizeOutcomes converts scored drives into drive-level outcomes,
-// alarming on the first day whose probability clears its group's
-// threshold. Failures more than PredictionWindow days past the phase
-// end belong to later phases and are treated as healthy here.
+// finalizeOutcomes converts scored drives into drive-level outcomes
+// sorted by drive ID, folding each drive's days in ascending order
+// with alarmFold.
 func finalizeOutcomes(scores map[int]*driveScore, thresholds []float64, testHi int) []DriveOutcome {
-	return finalizeOutcomesInto(scores, thresholds, testHi, nil)
-}
-
-// finalizeOutcomesInto is finalizeOutcomes appending into buf's
-// recycled slices when a buffer is provided; the returned outcomes
-// then alias the buffer and are valid only until its next use.
-func finalizeOutcomesInto(scores map[int]*driveScore, thresholds []float64, testHi int, buf *ScoreBuf) []DriveOutcome {
-	var ids []int
-	var out []DriveOutcome
-	if buf != nil {
-		ids = buf.ids[:0]
-		out = buf.outcomes[:0]
-	} else {
-		ids = make([]int, 0, len(scores))
-		out = make([]DriveOutcome, 0, len(scores))
-	}
+	ids := make([]int, 0, len(scores))
 	for id := range scores {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	out := make([]DriveOutcome, 0, len(scores))
 	for _, id := range ids {
 		ds := scores[id]
-		first := -1
-		mwi := ds.lastMWI
-		maxProb := 0.0
+		fold := newAlarmFold()
 		for k, p := range ds.probs {
-			if p > maxProb {
-				maxProb = p
-			}
-			if first < 0 && p >= thresholds[ds.group[k]] {
-				first = ds.days[k]
-				mwi = ds.mwis[k]
-			}
+			fold.add(ds.days[k], p, ds.mwis[k], thresholds[ds.group[k]])
 		}
-		failDay := ds.ref.FailDay
-		if failDay > testHi+dataset.PredictionWindow {
-			failDay = -1
-		}
-		out = append(out, DriveOutcome{
-			Pred:    metrics.DrivePrediction{DriveID: id, FirstAlarmDay: first, FailDay: failDay},
-			MWI:     mwi,
-			MaxProb: maxProb,
-		})
-	}
-	if buf != nil {
-		buf.ids = ids[:0]
-		buf.outcomes = out
+		out = append(out, fold.outcome(id, ds.ref.FailDay, testHi))
 	}
 	return out
+}
+
+// alarmFold folds one drive's scored days, fed in ascending day order,
+// into its DriveOutcome: the drive alarms on the first day whose
+// probability clears its group's threshold, and reports the wear
+// index of that day (or of its last scored day when no alarm fired).
+type alarmFold struct {
+	first   int
+	mwi     float64
+	maxProb float64
+}
+
+func newAlarmFold() alarmFold { return alarmFold{first: -1} }
+
+// add folds one scored day.
+func (a *alarmFold) add(day int, p, mwi, threshold float64) {
+	if p > a.maxProb {
+		a.maxProb = p
+	}
+	if a.first < 0 {
+		a.mwi = mwi
+		if p >= threshold {
+			a.first = day
+		}
+	}
+}
+
+// outcome returns the folded drive's outcome for a window ending at
+// testHi. Failures more than PredictionWindow days past the window end
+// belong to later windows and are treated as healthy here.
+func (a *alarmFold) outcome(id, failDay, testHi int) DriveOutcome {
+	if failDay > testHi+dataset.PredictionWindow {
+		failDay = -1
+	}
+	return DriveOutcome{
+		Pred:    metrics.DrivePrediction{DriveID: id, FirstAlarmDay: a.first, FailDay: failDay},
+		MWI:     a.mwi,
+		MaxProb: a.maxProb,
+	}
 }

@@ -1,39 +1,363 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/featgen"
 	"repro/internal/smart"
+	"repro/internal/stats"
 )
 
-// This file is the Scorer surface the serving daemon builds on: a
-// pooled-scratch scoring pass (ScoreInto) plus read-only accessors for
-// the snapshot's group structure, so a server can route a drive to its
-// wear group, assemble that group's model-input columns itself, and
-// push single rows or batches straight through the group's compiled
-// model.
+// This file is the Scorer surface the serving daemon builds on: the
+// one-pass window scorer (ScoreInto), the row assembler it shares with
+// the daemon (FillRow), and read-only accessors for the snapshot's
+// group structure, so a server can route a drive to its wear group,
+// assemble that group's model-input row, and push single rows or
+// batches straight through the group's compiled model.
 
-// ScoreInto scores days [lo, hi] exactly like Score but draws all of
-// its working state — per-drive accumulators, frame column storage,
-// the outcome slice — from buf, so repeated passes (a serving daemon's
-// fleet endpoint, the controller's daily summaries) allocate nothing
-// proportional to the fleet after the first call. The returned
-// outcomes alias buf and are valid only until its next use; results
-// are bit-identical to Score.
+// ScoreBuf recycles the working state of repeated scoring passes — the
+// drives' column views, the groups' model-input columns and
+// probabilities, per-worker row scratch, and the outcome slice — so
+// callers that score the fleet over and over (the serving daemon's
+// fleet endpoint, the continuous-operation controller's daily
+// summaries) allocate nothing proportional to the fleet after the
+// first pass. The zero value is ready to use. Outcomes returned by
+// ScoreInto alias the buffer and are valid only until its next use; a
+// ScoreBuf must not be used concurrently.
+type ScoreBuf struct {
+	views    [][]float64 // drive d's columns at [d*len(reads), (d+1)*len(reads))
+	lastDay  []int       // drive d's last visible day
+	offsets  []int       // drive d's first row in group g at d*groups+g
+	errs     []error     // per chunk of drives
+	totals   []int       // rows per group
+	slabs    [][]float64 // per group: the backing of its input columns
+	cols     [][][]float64
+	probs    [][]float64
+	workers  []passWorker
+	outcomes []DriveOutcome
+}
+
+// passWorker is one pass goroutine's row-assembly scratch.
+type passWorker struct {
+	feat [][]float64 // the routed group's feature columns
+	row  []float64
+	next []int // per group: the next row to write for the current drive
+	rs   RowScratch
+}
+
+// passChunk is the number of drives one pass goroutine claims at a
+// time. Chunks only schedule work: every drive's rows land at offsets
+// fixed by inventory order, so results do not depend on Workers.
+const passChunk = 32
+
+// ScoreInto scores exactly days [lo, hi] of src in one pass over the
+// drives and folds them into one outcome per drive that had a scored
+// day, sorted by drive ID. A drive's day is scored by the group
+// PickGroup routes its MWI_N to (days no group admits are skipped) —
+// with the disjoint wear bounds the engine trains, the one group whose
+// frame filter admits the day — and the drive alarms on the first day
+// whose probability clears that group's threshold.
+//
+// The pass reads each drive's needed columns once (store snapshots
+// hand them out without building a series map), writes every routed
+// day's FillRow row straight into its group's input columns, then
+// makes one kernel call per group. Rolling statistics are per day and
+// the kernel is row-local, so the outcomes are bit-identical to the
+// engine's frame-based scoring of the same window, for any Workers.
+//
+// All working state comes from buf (nil means a fresh buffer): the
+// returned outcomes alias it and are valid only until its next use.
 func (s *Scorer) ScoreInto(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOutcome, error) {
 	if buf == nil {
-		return s.Score(src, lo, hi)
+		buf = new(ScoreBuf)
 	}
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("pipeline: bad scoring window [%d, %d]", lo, hi)
 	}
-	scores, _, err := scorePhaseInto(src, s.snap.Model, s.groups, lo, hi, s.cfg, buf)
+	if days := src.Days(); hi >= days {
+		return nil, fmt.Errorf("pipeline: scoring window [%d, %d] outside dataset of %d days", lo, hi, days)
+	}
+	out, err := s.pass(src, lo, hi, buf)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: snapshot scoring: %w", err)
 	}
-	return finalizeOutcomesInto(scores, s.snap.Thresholds, hi, buf), nil
+	return out, nil
+}
+
+// columnReader is satisfied by sources that hand out a drive's
+// columns without building its series map (store snapshots); other
+// sources are read through Series.
+type columnReader interface {
+	Columns(ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error)
+}
+
+// mwiOn is the routing wear index of a day: the MWI_N reading, or 0
+// for a drive without the column (as frame extraction defaults it).
+func mwiOn(col []float64, day int) float64 {
+	if col == nil {
+		return 0
+	}
+	return col[day]
+}
+
+// pass is ScoreInto after argument checks.
+func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOutcome, error) {
+	refs := src.DrivesOf(s.snap.Model)
+	n, nr, ng := len(refs), len(s.reads), len(s.groups)
+	buf.views = grow(buf.views, n*nr)
+	buf.lastDay = grow(buf.lastDay, n)
+	buf.offsets = grow(buf.offsets, n*ng)
+	// The views alias the source's columns; drop them after the pass so
+	// a long-lived buffer does not pin superseded data.
+	defer func() {
+		clear(buf.views)
+		for w := range buf.workers {
+			clear(buf.workers[w].feat)
+		}
+	}()
+	cr, _ := src.(columnReader)
+
+	// Read every drive once and count its routed days per group.
+	err := s.forChunks(n, buf, func(_, d int) error {
+		view := buf.views[d*nr : (d+1)*nr]
+		var last int
+		var err error
+		if cr != nil {
+			last, err = cr.Columns(refs[d], s.reads, view)
+		} else {
+			var series map[smart.Feature][]float64
+			series, last, err = src.Series(refs[d])
+			for i, ft := range s.reads {
+				view[i] = series[ft]
+			}
+		}
+		if err != nil {
+			return err
+		}
+		buf.lastDay[d] = last
+		count := buf.offsets[d*ng : (d+1)*ng]
+		clear(count)
+		for day := lo; day <= min(hi, last); day++ {
+			if g := s.PickGroup(mwiOn(view[0], day)); g >= 0 {
+				count[g]++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Turn the counts into each drive's first row per group, in
+	// inventory order, and size the groups' input columns.
+	buf.totals = grow(buf.totals, ng)
+	clear(buf.totals)
+	for d := 0; d < n; d++ {
+		for g := 0; g < ng; g++ {
+			c := buf.offsets[d*ng+g]
+			buf.offsets[d*ng+g] = buf.totals[g]
+			buf.totals[g] += c
+		}
+	}
+	buf.slabs = grow(buf.slabs, ng)
+	buf.cols = grow(buf.cols, ng)
+	buf.probs = grow(buf.probs, ng)
+	for g := 0; g < ng; g++ {
+		rows, width := buf.totals[g], s.GroupInputWidth(g)
+		buf.slabs[g] = grow(buf.slabs[g], rows*width)
+		buf.cols[g] = grow(buf.cols[g], width)
+		for c := range buf.cols[g] {
+			buf.cols[g][c] = buf.slabs[g][c*rows : (c+1)*rows : (c+1)*rows]
+		}
+		buf.probs[g] = grow(buf.probs[g], rows)
+	}
+
+	// Assemble every routed day's row into its group's columns.
+	err = s.forChunks(n, buf, func(w, d int) error {
+		pw := &buf.workers[w]
+		view := buf.views[d*nr : (d+1)*nr]
+		copy(pw.next, buf.offsets[d*ng:(d+1)*ng])
+		for day := lo; day <= min(hi, buf.lastDay[d]); day++ {
+			g := s.PickGroup(mwiOn(view[0], day))
+			if g < 0 {
+				continue
+			}
+			feat := pw.feat[:len(s.cols[g])]
+			for i, r := range s.cols[g] {
+				if feat[i] = view[r]; feat[i] == nil {
+					return fmt.Errorf("drive %d has no %v column", refs[d].ID, s.reads[r])
+				}
+			}
+			row := pw.row[:s.GroupInputWidth(g)]
+			if err := s.FillRow(g, feat, day, row, &pw.rs); err != nil {
+				return fmt.Errorf("drive %d: %w", refs[d].ID, err)
+			}
+			r := pw.next[g]
+			pw.next[g]++
+			for c, v := range row {
+				buf.cols[g][c][r] = v
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for g := 0; g < ng; g++ {
+		if buf.totals[g] == 0 {
+			continue
+		}
+		if err := s.groups[g].model.PredictProbaBatch(buf.cols[g], buf.probs[g]); err != nil {
+			return nil, err
+		}
+	}
+
+	// Fold each drive's days, ascending, into its outcome.
+	out := buf.outcomes[:0]
+	for d, ref := range refs {
+		view := buf.views[d*nr : (d+1)*nr]
+		next := buf.offsets[d*ng : (d+1)*ng]
+		fold, scored := newAlarmFold(), false
+		for day := lo; day <= min(hi, buf.lastDay[d]); day++ {
+			mwi := mwiOn(view[0], day)
+			g := s.PickGroup(mwi)
+			if g < 0 {
+				continue
+			}
+			fold.add(day, buf.probs[g][next[g]], mwi, s.snap.Thresholds[g])
+			next[g]++
+			scored = true
+		}
+		if scored {
+			out = append(out, fold.outcome(ref.ID, ref.FailDay, hi))
+		}
+	}
+	byID := func(a, b DriveOutcome) int { return cmp.Compare(a.Pred.DriveID, b.Pred.DriveID) }
+	if !slices.IsSortedFunc(out, byID) {
+		slices.SortFunc(out, byID)
+	}
+	buf.outcomes = out
+	return out, nil
+}
+
+// forChunks runs fn(worker, drive) for every drive in [0, n), spread
+// over the scorer's Workers in chunks of passChunk drives, and returns
+// the error of the first failing drive in inventory order. It also
+// sizes buf's per-worker scratch.
+func (s *Scorer) forChunks(n int, buf *ScoreBuf, fn func(w, d int) error) error {
+	chunks := (n + passChunk - 1) / passChunk
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, chunks))
+	width := 0
+	for g := range s.groups {
+		width = max(width, s.GroupInputWidth(g))
+	}
+	buf.workers = grow(buf.workers, workers)
+	for w := range buf.workers {
+		pw := &buf.workers[w]
+		pw.feat = grow(pw.feat, len(s.reads))
+		pw.next = grow(pw.next, len(s.groups))
+		pw.row = grow(pw.row, width)
+	}
+	buf.errs = grow(buf.errs, chunks)
+	clear(buf.errs)
+	run := func(w, c int) {
+		for d := c * passChunk; d < min(n, (c+1)*passChunk); d++ {
+			if err := fn(w, d); err != nil {
+				buf.errs[c] = err
+				return
+			}
+		}
+	}
+	if workers == 1 {
+		for c := 0; c < chunks; c++ {
+			run(0, c)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+					run(w, c)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	for _, err := range buf.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// grow returns s resized to n, reusing its storage when it is large
+// enough. The contents are unspecified; callers overwrite or clear.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// RowScratch is FillRow's reusable working state. The zero value is
+// ready to use; a RowScratch must not be used concurrently.
+type RowScratch struct {
+	gen     [][]float64
+	rolling []stats.RollingStats
+}
+
+// FillRow writes group g's model-input row for one day into row, which
+// must have GroupInputWidth(g) entries: each selected feature's value
+// on the day, then each feature's generated window statistics in
+// featgen order. cols holds the group's feature columns in
+// GroupFeatures order, each covering at least days [0, day]. With
+// MaxWindow days of history before day the row is bit-identical to the
+// engine's frame rows, so online scores match offline ones exactly.
+// Once sc has grown, FillRow allocates nothing.
+func (s *Scorer) FillRow(g int, cols [][]float64, day int, row []float64, sc *RowScratch) error {
+	if g < 0 || g >= len(s.groups) {
+		return fmt.Errorf("pipeline: group %d out of range [0, %d)", g, len(s.groups))
+	}
+	feats, windows := s.groups[g].feats, s.Windows()
+	k, nGen := len(feats), featgen.NumGenerated(windows)
+	if len(cols) != k || len(row) != k+k*nGen {
+		return fmt.Errorf("pipeline: group %d row needs %d feature columns and %d cells, got %d and %d",
+			g, k, k+k*nGen, len(cols), len(row))
+	}
+	for i, col := range cols {
+		if day < 0 || day >= len(col) {
+			return fmt.Errorf("pipeline: day %d outside %v's %d days", day, feats[i], len(col))
+		}
+		row[i] = col[day]
+	}
+	sc.gen = grow(sc.gen, nGen)
+	for i, col := range cols {
+		// Generate straight into the row: gen[j] is cell j of feature
+		// i's statistics.
+		base := k + i*nGen
+		for j := range sc.gen {
+			sc.gen[j] = row[base+j : base+j+1]
+		}
+		var err error
+		if sc.rolling, err = featgen.GenerateRangeInto(sc.gen, col, windows, day, day, sc.rolling); err != nil {
+			return fmt.Errorf("pipeline: expand %v: %w", feats[i], err)
+		}
+	}
+	return nil
 }
 
 // NumGroups returns the number of trained wear groups.

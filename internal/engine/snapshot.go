@@ -225,10 +225,22 @@ func ScoreSnapshot(src dataset.Source, snap *ModelSnapshot, lo, hi int, opts Sco
 // same snapshot (the continuous-operation controller scores the fleet
 // every day) avoid re-decoding the serialized models per call; results
 // are bit-identical to ScoreSnapshot.
+//
+// A Scorer's Config never carries Robust options (NewScorer builds it
+// from the snapshot, and PhaseResult.Snapshot refuses robust runs), so
+// its scoring never sanitizes series or appends missingness masks:
+// there is nothing of the robust frame path for ScoreInto to
+// reproduce.
 type Scorer struct {
 	snap   *ModelSnapshot
 	groups []group
 	cfg    Config
+
+	// reads lists the columns one scoring pass reads per drive: MWI_N
+	// first, then the union of the groups' features; cols[g][i] is
+	// the position in reads of group g's i-th feature.
+	reads []smart.Feature
+	cols  [][]int
 }
 
 // NewScorer decodes the snapshot's trained groups for repeated
@@ -239,27 +251,36 @@ func NewScorer(snap *ModelSnapshot, workers int) (*Scorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scorer{
+	s := &Scorer{
 		snap:   snap,
 		groups: groups,
 		cfg:    Config{Windows: append([]int(nil), snap.Windows...), Workers: workers},
-	}, nil
+		reads:  []smart.Feature{MWIFeature},
+		cols:   make([][]int, len(groups)),
+	}
+	pos := map[smart.Feature]int{MWIFeature: 0}
+	for g := range groups {
+		for _, ft := range groups[g].feats {
+			i, ok := pos[ft]
+			if !ok {
+				i = len(s.reads)
+				pos[ft] = i
+				s.reads = append(s.reads, ft)
+			}
+			s.cols[g] = append(s.cols[g], i)
+		}
+	}
+	return s, nil
 }
 
 // Snapshot returns the snapshot the scorer was built from.
 func (s *Scorer) Snapshot() *ModelSnapshot { return s.snap }
 
 // Score scores days [lo, hi] of src with the snapshot's trained models
-// and calibrated thresholds, exactly as ScoreSnapshot would.
+// and calibrated thresholds, exactly as ScoreSnapshot would: ScoreInto
+// with a fresh buffer, so the outcomes are the caller's to keep.
 func (s *Scorer) Score(src dataset.Source, lo, hi int) ([]DriveOutcome, error) {
-	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("pipeline: bad scoring window [%d, %d]", lo, hi)
-	}
-	scores, _, err := scorePhase(src, s.snap.Model, s.groups, lo, hi, s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: snapshot scoring: %w", err)
-	}
-	return finalizeOutcomes(scores, s.snap.Thresholds, hi), nil
+	return s.ScoreInto(src, lo, hi, new(ScoreBuf))
 }
 
 // SaveSnapshot serializes the snapshot into the registry under name

@@ -213,7 +213,6 @@ func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int
 	}
 
 	g.m.gain[sp.feature] += sp.gain
-	g.m.splits[sp.feature]++
 
 	l := g.grow(lo, lo+nl, leftBuf, sp.gl, sp.hl, depth+1)
 	rIdx := g.grow(lo+nl, hi, rightBuf, sumG-sp.gl, sumH-sp.hl, depth+1)

@@ -263,7 +263,6 @@ func (m *Model) growTree(cols [][]float64, order [][]int32, grad, hess []float64
 			childOf[fs.id] = [2]int32{int32(l), int32(l + 1)}
 			split2++
 			m.gain[sp.feature] += sp.gain
-			m.splits[sp.feature]++
 			next = append(next,
 				nodeStat{id: l, g: sp.gl, h: sp.hl, size: sp.sizeL},
 				nodeStat{id: l + 1, g: fs.g - sp.gl, h: fs.h - sp.hl, size: fs.size - sp.sizeL},

@@ -2,8 +2,9 @@
 // tree binary classifier from scratch: second-order (Newton) boosting
 // with logistic loss, L2 leaf regularization (lambda), a minimum split
 // gain (gamma), shrinkage (eta), and minimum child hessian weight. It
-// exposes the two feature-importance evaluations the paper attributes
-// to XGBoost: total split gain per feature and split count ("weight").
+// exposes what the XGBoost ranker reads: the total split gain per
+// feature (GainImportance). The model does not predict outside this
+// package's tests; the engine's prediction model is the Random Forest.
 package gbdt
 
 import (
@@ -82,30 +83,12 @@ type regTree struct {
 	nodes []regNode
 }
 
-func (t *regTree) predict(x []float64) float64 {
-	i := 0
-	for {
-		nd := &t.nodes[i]
-		if nd.feature < 0 {
-			return nd.weight
-		}
-		v := x[nd.feature]
-		if v <= nd.threshold || (v != v && nd.defaultLeft) {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
-}
-
 // Model is a fitted gradient-boosted classifier.
 type Model struct {
-	trees     []*regTree
-	base      float64 // initial log-odds
-	cfg       Config
-	nFeatures int
-	gain      []float64 // total split gain per feature
-	splits    []int     // split count per feature
+	trees []*regTree
+	base  float64 // initial log-odds
+	cfg   Config
+	gain  []float64 // total split gain per feature
 }
 
 // Fit trains a boosted model on column-major data with binary labels,
@@ -147,11 +130,9 @@ func newModel(cols [][]float64, y []int, cfg Config) (*Model, error) {
 	base := math.Log(p0 / (1 - p0))
 
 	return &Model{
-		base:      base,
-		cfg:       cfg,
-		nFeatures: len(cols),
-		gain:      make([]float64, len(cols)),
-		splits:    make([]int, len(cols)),
+		base: base,
+		cfg:  cfg,
+		gain: make([]float64, len(cols)),
 	}, nil
 }
 
@@ -165,27 +146,6 @@ func splitGain(gl, hl, gr, hr, lambda float64) float64 {
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
-
-// PredictMargin returns the raw additive margin (log-odds) for one
-// sample.
-func (m *Model) PredictMargin(x []float64) float64 {
-	out := m.base
-	for _, t := range m.trees {
-		out += m.cfg.Eta * t.predict(x)
-	}
-	return out
-}
-
-// PredictProba returns the positive-class probability for one sample.
-func (m *Model) PredictProba(x []float64) float64 {
-	return sigmoid(m.PredictMargin(x))
-}
-
-// NumTrees returns the number of boosted stages.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
-// NumFeatures returns the feature count the model was fitted with.
-func (m *Model) NumFeatures() int { return m.nFeatures }
 
 // GainImportance returns the per-feature total split gain, normalized
 // to sum to 1 (all-zero if no split was made).
@@ -204,13 +164,4 @@ func (m *Model) GainImportance() ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// WeightImportance returns the per-feature split counts ("weight" in
-// XGBoost terminology). The caller owns the returned slice.
-func (m *Model) WeightImportance() ([]int, error) {
-	if len(m.trees) == 0 {
-		return nil, ErrNotFitted
-	}
-	return append([]int(nil), m.splits...), nil
 }

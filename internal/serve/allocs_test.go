@@ -39,7 +39,7 @@ func TestSingleScoreAllocs(t *testing.T) {
 		t.Fatal("no drive observed on the scored day routes to a wear group")
 	}
 	rt := sv.groups[g]
-	fs := getScratch(rt.width, rt.nGen)
+	fs := getScratch(rt.width, len(rt.feats))
 	defer putScratch(fs)
 	if err := sv.driveRow(rt, series, day, fs); err != nil {
 		t.Fatal(err)

@@ -6,35 +6,24 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/featgen"
 	"repro/internal/smart"
-	"repro/internal/stats"
 )
-
-// featurize.go assembles one drive-day's model-input row exactly the
-// way the engine's frame extraction does: the group's original
-// features at the scored day, then — per feature — the generated
-// window statistics, whose trailing windows look back through the
-// supplied history. With at least maxWindow days of history before
-// the scored day, the row is bit-identical to the engine's, so online
-// scores match offline ones exactly.
 
 // featScratch is the pooled working state of one row assembly and
 // its kernel call.
 type featScratch struct {
-	row     []float64
-	cols    [][]float64 // width one-row column views into row
-	prob    [1]float64  // the kernel's output for the row
-	gen     [][]float64 // nGen single-day views into genSlab
-	genSlab []float64
-	rolling []stats.RollingStats
+	row  []float64
+	cols [][]float64 // width one-row column views into row
+	prob [1]float64  // the kernel's output for the row
+	feat [][]float64 // the group's feature columns, in GroupFeatures order
+	rs   engine.RowScratch
 }
 
 var featPool sync.Pool
 
-// getScratch returns scratch sized for width row columns and nGen
-// generated stats per feature.
-func getScratch(width, nGen int) *featScratch {
+// getScratch returns scratch sized for a width-column row of k
+// selected features.
+func getScratch(width, k int) *featScratch {
 	fs, _ := featPool.Get().(*featScratch)
 	if fs == nil {
 		fs = &featScratch{}
@@ -50,45 +39,30 @@ func getScratch(width, nGen int) *featScratch {
 	for i := range fs.cols {
 		fs.cols[i] = fs.row[i : i+1]
 	}
-	if cap(fs.genSlab) < nGen {
-		fs.genSlab = make([]float64, nGen)
+	if cap(fs.feat) < k {
+		fs.feat = make([][]float64, k)
 	}
-	fs.genSlab = fs.genSlab[:nGen]
-	if cap(fs.gen) < nGen {
-		fs.gen = make([][]float64, nGen)
-	}
-	fs.gen = fs.gen[:nGen]
-	for i := range fs.gen {
-		fs.gen[i] = fs.genSlab[i : i+1]
-	}
+	fs.feat = fs.feat[:k]
 	return fs
 }
 
 func putScratch(fs *featScratch) { featPool.Put(fs) }
 
-// driveRow fills row with the group's model inputs for the given day
-// of the series. Series columns must all have length > day; features
-// the group selected must be present.
+// driveRow fills fs.row with the group's model inputs for the given
+// day of the series (engine.Scorer.FillRow). Series columns must all
+// have length > day; features the group selected must be present.
 func (sv *serving) driveRow(g *groupRT, series map[smart.Feature][]float64, day int, fs *featScratch) error {
-	k := len(g.feats)
 	for i, ft := range g.feats {
 		col, ok := series[ft]
 		if !ok {
 			return &reqError{code: 400, msg: fmt.Sprintf("series is missing selected feature %v", ft)}
 		}
-		fs.row[i] = col[day]
+		fs.feat[i] = col
 	}
-	for fi, ft := range g.feats {
-		col := series[ft]
-		var err error
-		fs.rolling, err = featgen.GenerateRangeInto(fs.gen, col, sv.windows, day, day, fs.rolling)
-		if err != nil {
-			return fmt.Errorf("serve: expand %v: %w", ft, err)
-		}
-		base := k + fi*g.nGen
-		for j := 0; j < g.nGen; j++ {
-			fs.row[base+j] = fs.gen[j][0]
-		}
+	err := sv.scorer.FillRow(g.index, fs.feat, day, fs.row, &fs.rs)
+	clear(fs.feat) // do not pin the request's series in the pool
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }

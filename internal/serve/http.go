@@ -408,7 +408,7 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 		return ScoreResponse{}, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("no wear group admits MWI %v", mwi)}
 	}
 	rt := sv.groups[g]
-	fs := getScratch(rt.width, rt.nGen)
+	fs := getScratch(rt.width, len(rt.feats))
 	defer putScratch(fs)
 	if err := sv.driveRow(rt, series, day, fs); err != nil {
 		return ScoreResponse{}, err
@@ -577,7 +577,7 @@ func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest
 			return resp, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("drive %d of batch: no wear group admits MWI %v", i, mwi)}
 		}
 		rt := sv.groups[g]
-		fs := getScratch(rt.width, rt.nGen)
+		fs := getScratch(rt.width, len(rt.feats))
 		if err := sv.driveRow(rt, series, day, fs); err != nil {
 			putScratch(fs)
 			return resp, &reqError{code: errCode(err), msg: fmt.Sprintf("drive %d of batch: %v", i, err)}

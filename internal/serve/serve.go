@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/featgen"
 	"repro/internal/smart"
 	"repro/internal/store"
 )
@@ -266,7 +265,6 @@ type serving struct {
 type groupRT struct {
 	index     int
 	feats     []smart.Feature
-	nGen      int // generated stats per original feature
 	width     int // model-input columns
 	threshold float64
 }
@@ -342,12 +340,10 @@ func (s *Server) newServing(name string, version int) (*serving, error) {
 		windows:   scorer.Windows(),
 		maxWindow: scorer.MaxWindow(),
 	}
-	nGen := featgen.NumGenerated(sv.windows)
 	for g := 0; g < scorer.NumGroups(); g++ {
 		sv.groups = append(sv.groups, &groupRT{
 			index:     g,
 			feats:     scorer.GroupFeatures(g),
-			nGen:      nGen,
 			width:     scorer.GroupInputWidth(g),
 			threshold: scorer.GroupThreshold(g),
 		})

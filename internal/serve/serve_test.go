@@ -297,6 +297,48 @@ func TestServeFleet(t *testing.T) {
 	}
 }
 
+// TestServeFleetDayZero: a day-0 fleet request scores day 0 only —
+// its response equals the engine's day-0 Scorer pass, whose outcomes
+// can alarm on no later day.
+func TestServeFleetDayZero(t *testing.T) {
+	s, _, st := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, snapA, _ := testFleet(t)
+	scorer, err := engine.NewScorer(snapA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := scorer.Score(st.Snapshot(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FleetResponse{Model: "serving", Version: 1, ConfigHash: snapA.ConfigHash, Drives: len(offline)}
+	var total float64
+	for _, o := range offline {
+		if o.Pred.FirstAlarmDay > 0 {
+			t.Fatalf("drive %d alarms on day %d in the day-0 pass", o.Pred.DriveID, o.Pred.FirstAlarmDay)
+		}
+		if o.Pred.FirstAlarmDay == 0 {
+			want.Alarms++
+		}
+		total += o.MaxProb
+	}
+	if want.Drives == 0 {
+		t.Fatal("the day-0 pass scored no drives")
+	}
+	want.MeanProb = total / float64(want.Drives)
+	var got FleetResponse
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/score/fleet", FleetRequest{Model: "serving", Day: 0}, &got)
+	if code != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", code, body)
+	}
+	if got != want {
+		t.Fatalf("day-0 fleet response %+v, Scorer pass %+v", got, want)
+	}
+}
+
 // TestServeIngest: admission advances the store horizon and newly
 // visible days become scoreable; days beyond the horizon are not.
 func TestServeIngest(t *testing.T) {

@@ -138,6 +138,40 @@ func runAppendVsReaders(t *testing.T, spill bool) {
 		}(r)
 	}
 
+	// A Columns reader: the one-pass scorer's map-free per-drive read.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		feats := []smart.Feature{{Attr: smart.MWI, Kind: smart.Normalized}, smart.MustSpec(smart.MC1).Features()[0]}
+		dst := make([][]float64, len(feats))
+		for i := 0; !appendsDone.Load(); i += 5 {
+			snap := st.Snapshot()
+			dr := refsAll[i%len(refsAll)]
+			last, err := snap.Columns(dr, feats, dst)
+			if err != nil {
+				t.Errorf("columns drive %d: %v", dr.ID, err)
+				return
+			}
+			want := ref[dr.ID]
+			if wantLast := min(want.lastDay, snap.Days()-1); last != wantLast {
+				t.Errorf("drive %d at horizon %d: Columns last day %d, want %d", dr.ID, snap.Days(), last, wantLast)
+				return
+			}
+			for fi, ft := range feats {
+				if len(dst[fi]) != last+1 {
+					t.Errorf("drive %d feature %v: %d days, want %d", dr.ID, ft, len(dst[fi]), last+1)
+					return
+				}
+				for d, got := range dst[fi] {
+					if w := want.cols[ft][d]; got != w && !(got != got && w != w) {
+						t.Errorf("drive %d feature %v day %d: %v, want %v", dr.ID, ft, d, got, w)
+						return
+					}
+				}
+			}
+		}
+	}()
+
 	// DayColumns readers: whole-day scoring matrices at the snapshot's
 	// newest visible day — the fleet-scoring hot path.
 	for r := 0; r < 2; r++ {

@@ -61,13 +61,14 @@ type spillDriveIdx struct {
 
 // spillFile is an opened, validated spill file.
 type spillFile struct {
-	data   []byte          // whole file (mmap or aligned heap copy)
-	mapped bool            // data must be munmapped on close
-	blob   []float64       // feature-major cells; len == len(feats)*total
-	feats  []smart.Feature // index order == blob column order
-	offs   []int64         // per-drive prefix offsets, len == nDrives+1
-	total  int64           // cells per feature column
-	days   int             // day span the file covers
+	data   []byte                // whole file (mmap or aligned heap copy)
+	mapped bool                  // data must be munmapped on close
+	blob   []float64             // feature-major cells; len == len(feats)*total
+	feats  []smart.Feature       // index order == blob column order
+	index  map[smart.Feature]int // feature -> position in feats
+	offs   []int64               // per-drive prefix offsets, len == nDrives+1
+	total  int64                 // cells per feature column
+	days   int                   // day span the file covers
 }
 
 // SpillPath returns the spill file path for a model under dir.
@@ -316,12 +317,14 @@ func parseSpill(data []byte, mapped bool, m smart.ModelID) (*spillFile, []datase
 		return nil, nil, fmt.Errorf("%d days, %d features, %d drives", idx.Days, len(idx.Features), len(idx.Drives))
 	}
 	feats := make([]smart.Feature, len(idx.Features))
+	index := make(map[smart.Feature]int, len(feats))
 	for i, name := range idx.Features {
 		ft, err := smart.ParseFeature(name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("feature %q: %v", name, err)
 		}
 		feats[i] = ft
+		index[ft] = i
 	}
 	offs := make([]int64, len(idx.Drives)+1)
 	refs := make([]dataset.DriveRef, len(idx.Drives))
@@ -342,6 +345,7 @@ func parseSpill(data []byte, mapped bool, m smart.ModelID) (*spillFile, []datase
 		mapped: mapped,
 		blob:   floatView(data[8 : 8+blobBytes]),
 		feats:  feats,
+		index:  index,
 		offs:   offs,
 		total:  total,
 		days:   idx.Days,
@@ -360,26 +364,6 @@ func (sf *spillFile) column(fi int) []float64 {
 	lo := int64(fi) * sf.total
 	hi := lo + sf.total
 	return sf.blob[lo:hi:hi]
-}
-
-// series returns drive di's columns truncated to the horizon, aliasing
-// the file's blob (zero copy).
-func (sf *spillFile) series(di, horizon int) (map[smart.Feature][]float64, int, error) {
-	base := sf.offs[di]
-	lastDay := int(sf.offs[di+1]-base) - 1
-	if lastDay > horizon-1 {
-		lastDay = horizon - 1
-	}
-	if lastDay < 0 {
-		return nil, 0, fmt.Errorf("store: spilled drive has no days within horizon %d", horizon)
-	}
-	n := int64(lastDay + 1)
-	out := make(map[smart.Feature][]float64, len(sf.feats))
-	for fi, ft := range sf.feats {
-		lo := int64(fi)*sf.total + base
-		out[ft] = sf.blob[lo : lo+n : lo+n]
-	}
-	return out, lastDay, nil
 }
 
 // sortedFeatures returns the map's features in canonical (name) order.

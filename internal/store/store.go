@@ -616,65 +616,137 @@ func (s *Snapshot) Series(ref dataset.DriveRef) (map[smart.Feature][]float64, in
 // result they will discard; the context error is never counted as a
 // fetch failure.
 func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[smart.Feature][]float64, int, error) {
+	v, err := s.view(ctx, ref)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out map[smart.Feature][]float64
+	if v.sf != nil {
+		out = make(map[smart.Feature][]float64, len(v.sf.feats))
+		for fi, ft := range v.sf.feats {
+			out[ft] = v.spillCol(fi)
+		}
+		return out, v.lastDay, nil
+	}
+	out = make(map[smart.Feature][]float64, len(v.cols))
+	for ft, col := range v.cols {
+		if out[ft], err = v.memCol(ft, col); err != nil {
+			return nil, 0, err
+		}
+	}
+	return out, v.lastDay, nil
+}
+
+// Columns is Series without the map: it sets dst[i] to the drive's
+// feats[i] column truncated to the snapshot horizon, or nil when the
+// drive does not report that feature, and returns the drive's last
+// visible day. dst must have len(feats) entries. The read is the one
+// Series makes — same fetch, visibility accounting and spill fallback —
+// and the slices alias the store the same way, so a scoring pass that
+// needs a few columns per drive allocates nothing per drive.
+func (s *Snapshot) Columns(ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error) {
+	if len(dst) != len(feats) {
+		return 0, fmt.Errorf("store: %d destination columns for %d features", len(dst), len(feats))
+	}
+	v, err := s.view(context.Background(), ref)
+	if err != nil {
+		return 0, err
+	}
+	for i, ft := range feats {
+		if dst[i], err = v.col(ft); err != nil {
+			return 0, err
+		}
+	}
+	return v.lastDay, nil
+}
+
+// driveView is one drive's columns as a snapshot sees them: the
+// in-memory map, or the drive's cells in the partition's spill file.
+type driveView struct {
+	id      int
+	lastDay int                         // truncated to the snapshot horizon
+	cols    map[smart.Feature][]float64 // in-memory columns; nil when sf serves
+	sf      *spillFile
+	base    int64 // sf: the drive's first cell
+}
+
+// view resolves ref for one read at the snapshot horizon. It fetches
+// the drive when its partition was tracked after the last append,
+// accounts the newly visible days, and falls back to the spill file
+// when the partition is disk-backed or a concurrent Spill released the
+// columns (sp is published before the release, so the file then serves
+// the drive).
+func (s *Snapshot) view(ctx context.Context, ref dataset.DriveRef) (driveView, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("store: series drive %d (model %v): %w", ref.ID, ref.Model, err)
+		return driveView{}, fmt.Errorf("store: series drive %d (model %v): %w", ref.ID, ref.Model, err)
 	}
 	p, err := s.part(ref.Model)
 	if err != nil {
-		return nil, 0, err
+		return driveView{}, err
 	}
-	dc := p.byID[ref.ID]
-	if dc == nil {
-		return s.spillSeries(p, ref)
-	}
-	// Idempotent: serves from the store after the first fetch (the
-	// fetch only happens here when the partition was tracked after the
-	// last append).
-	if err := s.st.fetchDrive(ctx, ref, dc); err != nil {
-		return nil, 0, err
-	}
-	s.st.accountVisible(dc, s.days)
-	dc.mu.Lock()
-	cols, lastDay := dc.cols, dc.lastDay
-	dc.mu.Unlock()
-	if cols == nil {
-		// A concurrent Spill released the columns; sp was published
-		// before the release, so the file now serves this drive.
-		return s.spillSeries(p, ref)
-	}
-	if lastDay > s.days-1 {
-		lastDay = s.days - 1
-	}
-	if lastDay < 0 {
-		return nil, 0, fmt.Errorf("store: drive %d has no days within horizon %d", ref.ID, s.days)
-	}
-	n := lastDay + 1
-	out := make(map[smart.Feature][]float64, len(cols))
-	for ft, col := range cols {
-		if len(col) < n {
-			return nil, 0, fmt.Errorf("store: drive %d feature %v has %d days, horizon needs %d", ref.ID, ft, len(col), n)
+	if dc := p.byID[ref.ID]; dc != nil {
+		// Idempotent: serves from the store after the first fetch (the
+		// fetch only happens here when the partition was tracked after
+		// the last append).
+		if err := s.st.fetchDrive(ctx, ref, dc); err != nil {
+			return driveView{}, err
 		}
-		out[ft] = col[:n:n]
+		s.st.accountVisible(dc, s.days)
+		dc.mu.Lock()
+		cols, lastDay := dc.cols, dc.lastDay
+		dc.mu.Unlock()
+		if cols != nil {
+			lastDay = min(lastDay, s.days-1)
+			if lastDay < 0 {
+				return driveView{}, fmt.Errorf("store: drive %d has no days within horizon %d", ref.ID, s.days)
+			}
+			return driveView{id: ref.ID, lastDay: lastDay, cols: cols}, nil
+		}
 	}
-	return out, lastDay, nil
+	sf := p.sp.Load()
+	di, ok := p.idxByID[ref.ID]
+	if sf == nil || !ok {
+		return driveView{}, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
+	}
+	base := sf.offs[di]
+	lastDay := min(int(sf.offs[di+1]-base)-1, s.days-1)
+	if lastDay < 0 {
+		return driveView{}, fmt.Errorf("store: drive %d: spilled drive has no days within horizon %d", ref.ID, s.days)
+	}
+	return driveView{id: ref.ID, lastDay: lastDay, sf: sf, base: base}, nil
 }
 
-// spillSeries serves a drive's columns from the partition's spill file,
-// truncated to the snapshot horizon. The slices alias the mapped file.
-func (s *Snapshot) spillSeries(p *partition, ref dataset.DriveRef) (map[smart.Feature][]float64, int, error) {
-	sf := p.sp.Load()
-	if sf == nil {
-		return nil, 0, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
+// col returns the drive's column for ft truncated to lastDay+1 days
+// (aliasing the store), or nil when the drive does not report ft.
+func (v *driveView) col(ft smart.Feature) ([]float64, error) {
+	if v.sf != nil {
+		fi, ok := v.sf.index[ft]
+		if !ok {
+			return nil, nil
+		}
+		return v.spillCol(fi), nil
 	}
-	di, ok := p.idxByID[ref.ID]
+	col, ok := v.cols[ft]
 	if !ok {
-		return nil, 0, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
+		return nil, nil
 	}
-	cols, lastDay, err := sf.series(di, s.days)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: drive %d: %w", ref.ID, err)
+	return v.memCol(ft, col)
+}
+
+// spillCol returns the drive's cells of the spill file's feature fi.
+func (v *driveView) spillCol(fi int) []float64 {
+	lo := int64(fi)*v.sf.total + v.base
+	hi := lo + int64(v.lastDay+1)
+	return v.sf.blob[lo:hi:hi]
+}
+
+// memCol truncates the drive's in-memory column for ft.
+func (v *driveView) memCol(ft smart.Feature, col []float64) ([]float64, error) {
+	n := v.lastDay + 1
+	if len(col) < n {
+		return nil, fmt.Errorf("store: drive %d feature %v has %d days, horizon needs %d", v.id, ft, len(col), n)
 	}
-	return cols, lastDay, nil
+	return col[:n:n], nil
 }
 
 // Spill writes every tracked, fully ingested partition to

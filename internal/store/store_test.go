@@ -250,3 +250,117 @@ func TestWorkerInvariantIngest(t *testing.T) {
 		t.Error("ingested series differ between worker counts")
 	}
 }
+
+// TestColumnsMatchesSeries: Columns hands out exactly the slices Series
+// maps — same backing cells, same horizon-truncated length, nil for a
+// feature the drive does not report — from in-memory, spilled and
+// spill-opened partitions, and a read through it accounts ingest
+// exactly as one through Series does.
+func TestColumnsMatchesSeries(t *testing.T) {
+	src := testFleet(t)
+	own := smart.MustSpec(smart.MC1).Features()
+	feats := []smart.Feature{{Attr: smart.MWI, Kind: smart.Normalized}}
+	feats = append(feats, own[len(own)-3:]...)
+	reported := make(map[smart.Feature]bool)
+	for _, ft := range own {
+		reported[ft] = true
+	}
+	var absent smart.Feature // a column MC1 drives lack
+	for _, m := range smart.AllModels() {
+		for _, ft := range smart.MustSpec(m).Features() {
+			if !reported[ft] && absent == (smart.Feature{}) {
+				absent = ft
+			}
+		}
+	}
+	if absent == (smart.Feature{}) {
+		t.Fatal("every model's features are MC1 features")
+	}
+	feats = append(feats, absent)
+
+	const horizon = 80
+	spillDir := t.TempDir()
+	reopenDir := t.TempDir()
+	if _, err := WriteSpill(reopenDir, src, smart.MC1, 2); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		opts  Options
+		spill bool
+	}{
+		{"memory", Options{Workers: 1}, false},
+		{"spilled", Options{Workers: 1, SpillDir: spillDir}, true},
+		{"reopened", Options{Workers: 1, SpillDir: reopenDir}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := Open(src, tc.opts)
+			defer st.Close()
+			if err := st.AppendThrough(horizon - 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Track(smart.MC1); err != nil {
+				t.Fatal(err)
+			}
+			if tc.spill {
+				if err := st.Spill(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := st.Snapshot()
+			got := make([][]float64, len(feats))
+			for _, ref := range snap.DrivesOf(smart.MC1) {
+				series, last, err := snap.Series(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotLast, err := snap.Columns(ref, feats, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotLast != last || last >= horizon {
+					t.Fatalf("drive %d: Columns last day %d, Series %d, horizon %d", ref.ID, gotLast, last, horizon)
+				}
+				for i, ft := range feats {
+					want := series[ft]
+					if len(got[i]) != len(want) || cap(got[i]) != cap(want) ||
+						(len(want) > 0 && &got[i][0] != &want[0]) {
+						t.Fatalf("drive %d %v: Columns gives %d/%d cells, Series %d/%d (or other memory)",
+							ref.ID, ft, len(got[i]), cap(got[i]), len(want), cap(want))
+					}
+				}
+			}
+			if _, err := snap.Columns(snap.DrivesOf(smart.MC1)[0], feats, got[:1]); err == nil {
+				t.Error("a destination shorter than feats was accepted")
+			}
+		})
+	}
+
+	// First access tracks and ingests the partition lazily; reading
+	// every drive through Columns or through Series must account the
+	// same work.
+	read := func(columns bool) Counters {
+		st := Open(src, Options{Workers: 1})
+		if err := st.AppendThrough(horizon - 1); err != nil {
+			t.Fatal(err)
+		}
+		snap := st.Snapshot()
+		dst := make([][]float64, len(feats))
+		for _, ref := range snap.DrivesOf(smart.MC1) {
+			var err error
+			if columns {
+				_, err = snap.Columns(ref, feats, dst)
+			} else {
+				_, _, err = snap.Series(ref)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st.Counters()
+	}
+	if c, s := read(true), read(false); c != s {
+		t.Errorf("counters after Columns reads %+v, after Series reads %+v", c, s)
+	}
+}
