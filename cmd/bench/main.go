@@ -13,16 +13,15 @@
 // Benchmarks cover the training hot loop (forest-fit, gbdt-fit; both
 // grow trees by histogram-binned split search, and hist-bin times the
 // binning they start with on a training-frame-sized matrix), batch
-// scoring (forest-predict-batch), the daily fleet-scoring path the
-// pipeline runs per testing phase (phase-score: frame
-// materialization with feature expansion plus model scoring), the
-// simulator's series generation (series-gen, series-gen-batch), and
-// million-drive daily scoring through the compiled flat kernel over a
-// disk-spilled columnar fleet (fleet-score; size it with
-// -fleet-drives, default 1,000,000 or 50,000 under -quick), one warm
-// store-backed Scorer.ScoreInto day over a 500-drive MC1 fleet with a
-// two-group WEFR snapshot (scorer-fleet-pass: the serving daemon's
-// fleet endpoint and the controller's daily summary), and the
+// scoring (forest-predict-batch), the simulator's series generation
+// (series-gen, series-gen-batch), million-drive daily scoring through
+// the compiled flat kernel over a disk-spilled columnar fleet
+// (fleet-score; size it with -fleet-drives, default 1,000,000 or
+// 50,000 under -quick), one warm store-backed Scorer.ScoreInto day
+// over a 500-drive MC1 fleet with a two-group WEFR snapshot
+// (scorer-fleet-pass: the one window scorer behind a phase's
+// calibration and test scoring, the serving daemon's fleet endpoint
+// and the controller's daily summary), and the
 // ranker-evaluation harness (rank-eval: internal/rankeval over every
 // registered ranker plus the WEFR ensemble on a small fleet). These
 // are in-process micro-benchmarks; the serving daemon's end-to-end
@@ -345,7 +344,6 @@ var benches = []bench{
 	{name: "forest-predict-batch", fn: benchForestPredictBatch},
 	{name: "gbdt-fit", fn: benchGBDTFit},
 	{name: "hist-bin", fn: benchHistBin},
-	{name: "phase-score", fn: benchPhaseScore},
 	{name: "series-gen", fn: benchSeriesGen},
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
 	{name: "fleet-score", fn: benchFleetScore},
@@ -471,52 +469,6 @@ func benchHistBin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if m := hist.Bin(cols, 0, 0); m.NumRows() != 33126 {
 			b.Fatalf("binned %d rows", m.NumRows())
-		}
-	}
-}
-
-// benchPhaseScore measures the pipeline's daily scoring path for one
-// testing phase: materializing the every-day expanded frame for a
-// 30-day window and scoring it with the phase model, as scorePhase
-// does for validation and test periods.
-func benchPhaseScore(b *testing.B) {
-	fleet, err := simulate.New(simulate.Config{TotalDrives: 400, Seed: 7, AFRScale: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := dataset.NewCachedSource(dataset.FleetSource{Fleet: fleet})
-	days := src.Days()
-
-	trainFr, err := dataset.Frame(src, dataset.FrameOpts{
-		Model: smart.MC1, DayLo: 0, DayHi: days - 61, NegEvery: 20, Expand: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cols := make([][]float64, trainFr.NumFeatures())
-	for i := range cols {
-		cols[i] = trainFr.Col(i)
-	}
-	f, err := forest.Fit(cols, trainFr.Labels(), forest.Config{NumTrees: 30, MaxDepth: 12, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fr, err := dataset.Frame(src, dataset.FrameOpts{
-			Model: smart.MC1, DayLo: days - 30, DayHi: days - 1, NegEvery: 1, Expand: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		scoreCols := make([][]float64, fr.NumFeatures())
-		for j := range scoreCols {
-			scoreCols[j] = fr.Col(j)
-		}
-		if _, err := f.PredictProbaAll(scoreCols); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

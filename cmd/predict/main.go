@@ -243,7 +243,11 @@ func runLoad(o options, model smart.ModelID) error {
 		model, o.snapshotName(), snap.Selector, snap.TrainedThrough, snap.ConfigHash)
 	fmt.Printf("scoring days [%d, %d] without retraining\n\n", last.TestLo, last.TestHi)
 
-	outcomes, err := engine.ScoreSnapshot(src, snap, last.TestLo, last.TestHi, engine.ScoreOpts{Workers: o.Workers})
+	scorer, err := engine.NewScorer(snap, o.Workers)
+	if err != nil {
+		return err
+	}
+	outcomes, err := scorer.Score(src, last.TestLo, last.TestHi)
 	if err != nil {
 		return err
 	}

@@ -279,8 +279,8 @@ type driveChunk struct {
 
 // slabPool recycles the transient float64 slabs of frame extraction:
 // each drive's column chunk and expansion matrix die as soon as the
-// frame is concatenated, and a phase-score pass extracts thousands of
-// drives, so without reuse these short-lived slabs dominate the pass's
+// frame is concatenated, and a training frame extracts thousands of
+// drives, so without reuse these short-lived slabs dominate its
 // allocation volume. Every pooled slab is fully overwritten before use.
 var slabPool sync.Pool
 

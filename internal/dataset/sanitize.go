@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/smart"
@@ -41,10 +42,36 @@ func (s *SanitizeOpts) maxGap() int {
 	return s.MaxGap
 }
 
+// Clean writes the sanitized copy of col into dst, which must have
+// len(col) entries: sentinels scrubbed to missing, then bounded
+// imputation, exactly as a frame sanitizes the column. The column's
+// defect counts go to Counter. col is not modified.
+func (s *SanitizeOpts) Clean(dst, col []float64) {
+	copy(dst, col)
+	s.count(sanitizeColumn(dst, nil, s))
+}
+
+// Missing reports whether a raw reading is missing before imputation
+// (non-finite, or one of Sentinels): the value of its ".miss" mask
+// cell.
+func (s *SanitizeOpts) Missing(v float64) bool {
+	return v-v != 0 || slices.Contains(s.Sentinels, v)
+}
+
+// count adds one sanitization's defect counts to Counter.
+func (s *SanitizeOpts) count(sentinels, imputed, residual int64) {
+	if s.Counter != nil {
+		s.Counter.sentinelCells.Add(sentinels)
+		s.Counter.imputedCells.Add(imputed)
+		s.Counter.residualCells.Add(residual)
+	}
+}
+
 // DefectCounter tallies the dirty-data conditions the sanitizer
-// detected and what it did about them. Counts are per extracted cell:
+// detected and what it did about them. Counts are per sanitized cell:
 // building several frames over the same drives counts the same
-// underlying defect once per extraction.
+// underlying defect once per extraction, and an engine scoring pass
+// counts each drive's read columns once.
 type DefectCounter struct {
 	sentinelCells atomic.Int64
 	imputedCells  atomic.Int64
@@ -107,18 +134,15 @@ func sanitizeSeries(series map[smart.Feature][]float64, opts FrameOpts) (map[sma
 		out[ft] = clean
 		miss[ft] = m
 	}
-	if san.Counter != nil {
-		san.Counter.sentinelCells.Add(sentinels)
-		san.Counter.imputedCells.Add(imputed)
-		san.Counter.residualCells.Add(residual)
-	}
+	san.count(sentinels, imputed, residual)
 	return out, miss
 }
 
 // sanitizeColumn cleans one series in place: sentinel scrub, then
-// bounded LOCF imputation with leading backfill. miss records
-// pre-imputation missingness (non-finite or sentinel).
+// bounded LOCF imputation with leading backfill. miss, when non-nil,
+// records pre-imputation missingness (non-finite or sentinel).
 func sanitizeColumn(col []float64, miss []bool, san *SanitizeOpts) (sentinels, imputed, residual int64) {
+	firstFinite := -1
 	for day, v := range col {
 		for _, s := range san.Sentinels {
 			if v == s {
@@ -131,7 +155,11 @@ func sanitizeColumn(col []float64, miss []bool, san *SanitizeOpts) (sentinels, i
 		// overflow) are all treated as missing.
 		if v := col[day]; v-v != 0 {
 			col[day] = math.NaN()
-			miss[day] = true
+			if miss != nil {
+				miss[day] = true
+			}
+		} else if firstFinite < 0 {
+			firstFinite = day
 		}
 	}
 	maxGap := san.maxGap()
@@ -148,13 +176,6 @@ func sanitizeColumn(col []float64, miss []bool, san *SanitizeOpts) (sentinels, i
 	}
 	// Leading backfill: a series that starts mid-gap borrows its first
 	// finite reading, under the same staleness bound.
-	firstFinite := -1
-	for day := range col {
-		if !miss[day] {
-			firstFinite = day
-			break
-		}
-	}
 	if firstFinite > 0 && firstFinite <= maxGap {
 		for day := 0; day < firstFinite; day++ {
 			col[day] = col[firstFinite]

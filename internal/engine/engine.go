@@ -418,15 +418,17 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	}
 	faults.CrashPoint(crashAfterTrain)
 
-	// Calibrate the alarm threshold to the target recall on the
-	// validation period.
-	var thresholds []float64
+	// Calibrate the alarm thresholds to the target recall on the
+	// validation period, then score the test phase, with one scorer
+	// over the trained groups.
+	sc := newScorer(model, groups, nil, cfg)
+	var buf ScoreBuf
 	err = timeStage(cfg, &stats, StageCalibrate, func() (int, error) {
-		valOutcomes, rows, err := scorePhase(src, model, groups, pd.valLo, ph.TrainHi, cfg)
+		rows, err := sc.pass(src, pd.valLo, ph.TrainHi, &buf)
 		if err != nil {
 			return rows, fmt.Errorf("pipeline: validation scoring: %w", err)
 		}
-		thresholds = calibrateThresholds(valOutcomes, len(groups), cfg.TargetRecall)
+		sc.thresholds = calibrateThresholds(sc.calibration(&buf), len(groups), cfg.TargetRecall)
 		return rows, nil
 	})
 	if err != nil {
@@ -434,12 +436,8 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	}
 	faults.CrashPoint(crashAfterCalibrate)
 
-	// Score the test phase.
-	var testOutcomes map[int]*driveScore
 	err = timeStage(cfg, &stats, StageScore, func() (int, error) {
-		var rows int
-		var err error
-		testOutcomes, rows, err = scorePhase(src, model, groups, ph.TestLo, ph.TestHi, cfg)
+		rows, err := sc.pass(src, ph.TestLo, ph.TestHi, &buf)
 		if err != nil {
 			return rows, fmt.Errorf("pipeline: test scoring: %w", err)
 		}
@@ -453,7 +451,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	var outcomes []DriveOutcome
 	var confusion metrics.Confusion
 	_ = timeStage(cfg, &stats, StageEvaluate, func() (int, error) {
-		outcomes = finalizeOutcomes(testOutcomes, thresholds, ph.TestHi)
+		outcomes = sc.outcomes(&buf)
 		confusion = EvaluateOutcomes(outcomes)
 		return len(outcomes), nil
 	})
@@ -462,7 +460,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 		Selector:   name,
 		Model:      model,
 		Selection:  selRes,
-		Thresholds: thresholds,
+		Thresholds: sc.thresholds,
 		Outcomes:   outcomes,
 		Confusion:  confusion,
 		StageStats: stats,

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/smart"
 )
 
 func TestStandardPhases(t *testing.T) {
@@ -46,63 +48,71 @@ func TestPhaseValidate(t *testing.T) {
 	}
 }
 
-func TestCalibrateThresholds(t *testing.T) {
-	mk := func(failed bool, failDay int, maxProb float64, group int) *driveScore {
-		ref := dataset.DriveRef{ID: 1, FailDay: -1}
-		if failed {
-			ref.FailDay = failDay
-		}
-		return &driveScore{ref: ref, days: []int{0}, probs: []float64{maxProb}, group: []int{group}}
+// calDrive is a validation drive for calibrateThresholds among
+// numGroups groups: healthy when failDay < 0, first scored on day
+// first, with its highest probability prob on days of group g only.
+func calDrive(numGroups, failDay, first int, prob float64, g int) calibDrive {
+	cd := calibDrive{failDay: failDay, first: first, groupMax: make([]float64, numGroups)}
+	for i := range cd.groupMax {
+		cd.groupMax[i] = math.NaN()
 	}
-	scores := map[int]*driveScore{
-		1: mk(true, 10, 0.9, 0),
-		2: mk(true, 10, 0.6, 0),
-		3: mk(true, 10, 0.3, 0),
-		4: mk(false, 0, 0.2, 0),
+	cd.groupMax[g] = prob
+	return cd
+}
+
+func TestCalibrateThresholds(t *testing.T) {
+	drives := []calibDrive{
+		calDrive(1, 10, 0, 0.9, 0),
+		calDrive(1, 10, 0, 0.6, 0),
+		calDrive(1, 10, 0, 0.3, 0),
+		calDrive(1, -1, 0, 0.2, 0),
 	}
 	// Target recall 0.34 over 3 failing drives: 1 of 3 is recall 0.33
 	// (short of target), so 2 must be covered; the threshold centers
 	// in the feasible interval between the 2nd and 3rd scores.
-	if want := (float64(0.6) + 0.3) / 2; calibrateThresholds(scores, 1, 0.34)[0] != want {
-		t.Errorf("threshold = %v, want %v", calibrateThresholds(scores, 1, 0.34), want)
+	if want := (float64(0.6) + 0.3) / 2; calibrateThresholds(drives, 1, 0.34)[0] != want {
+		t.Errorf("threshold = %v, want %v", calibrateThresholds(drives, 1, 0.34), want)
 	}
 	// Target recall 0.67: need 3 of 3 covered -> the lowest failing
 	// max, with no lower neighbor to center against.
-	if got := calibrateThresholds(scores, 1, 0.67); got[0] != 0.3 {
+	if got := calibrateThresholds(drives, 1, 0.67); got[0] != 0.3 {
 		t.Errorf("threshold = %v, want 0.3", got)
 	}
 	// No failing drives: default.
-	none := map[int]*driveScore{4: mk(false, 0, 0.2, 0)}
+	none := []calibDrive{calDrive(1, -1, 0, 0.2, 0)}
 	if got := calibrateThresholds(none, 1, 0.3); got[0] != 0.5 {
 		t.Errorf("threshold = %v, want 0.5", got)
 	}
 }
 
 func TestCalibrateThresholdsPerGroup(t *testing.T) {
-	mk := func(id int, failDay int, prob float64, group int) *driveScore {
-		return &driveScore{
-			ref:  dataset.DriveRef{ID: id, FailDay: failDay},
-			days: []int{0}, probs: []float64{prob}, group: []int{group},
-		}
-	}
 	// Group 0: three failing drives with high probabilities. Group 1:
 	// three failing drives with low probabilities (a weaker model).
-	scores := map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.8, 0), 3: mk(3, 5, 0.7, 0),
-		4: mk(4, 5, 0.3, 1), 5: mk(5, 5, 0.25, 1), 6: mk(6, 5, 0.2, 1),
+	drives := []calibDrive{
+		calDrive(2, 5, 0, 0.9, 0), calDrive(2, 5, 0, 0.8, 0), calDrive(2, 5, 0, 0.7, 0),
+		calDrive(2, 5, 0, 0.3, 1), calDrive(2, 5, 0, 0.25, 1), calDrive(2, 5, 0, 0.2, 1),
 	}
-	got := calibrateThresholds(scores, 2, 0.5)
+	got := calibrateThresholds(drives, 2, 0.5)
 	if got[0] <= got[1] {
 		t.Errorf("group thresholds = %v; group 0 should calibrate higher", got)
 	}
 	// A group with too few failing drives inherits the pooled value.
-	scores = map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.8, 0), 3: mk(3, 5, 0.7, 0),
-		4: mk(4, 5, 0.3, 1),
+	drives = []calibDrive{
+		calDrive(2, 5, 0, 0.9, 0), calDrive(2, 5, 0, 0.8, 0), calDrive(2, 5, 0, 0.7, 0),
+		calDrive(2, 5, 0, 0.3, 1),
 	}
-	got = calibrateThresholds(scores, 2, 0.5)
+	got = calibrateThresholds(drives, 2, 0.5)
 	if got[1] != got[0] && got[1] == 0.3 {
 		t.Errorf("sparse group should inherit pooled threshold, got %v", got)
+	}
+	// A drive scored by both groups counts its best day in the pooled
+	// threshold and each group's best day in that group's.
+	both := calDrive(2, 5, 0, 0.9, 0)
+	both.groupMax[1] = 0.35
+	drives = []calibDrive{both, calDrive(2, 5, 0, 0.3, 1), calDrive(2, 5, 0, 0.25, 1)}
+	got = calibrateThresholds(drives, 2, 0.3)
+	if want := []float64{(float64(0.9) + 0.3) / 2, (float64(0.35) + 0.3) / 2}; got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("drive in both groups: thresholds = %v, want %v", got, want)
 	}
 }
 
@@ -111,25 +121,18 @@ func TestCalibrateThresholdsPerGroup(t *testing.T) {
 // single failing drive, all-tied probabilities, and a non-positive
 // best probability.
 func TestCalibrateThresholdsEdgeCases(t *testing.T) {
-	mk := func(id int, failDay int, prob float64, group int) *driveScore {
-		return &driveScore{
-			ref:  dataset.DriveRef{ID: id, FailDay: failDay},
-			days: []int{0}, probs: []float64{prob}, group: []int{group},
-		}
-	}
-
 	// Empty validation set: every group gets the 0.5 default.
-	got := calibrateThresholds(map[int]*driveScore{}, 2, 0.3)
+	got := calibrateThresholds(nil, 2, 0.3)
 	if len(got) != 2 || got[0] != 0.5 || got[1] != 0.5 {
 		t.Errorf("empty scores: thresholds = %v, want [0.5 0.5]", got)
 	}
 
 	// Group 1 scored no drives at all: it inherits the pooled
 	// threshold rather than panicking or defaulting separately.
-	scores := map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.6, 0), 3: mk(3, 5, 0.3, 0),
+	drives := []calibDrive{
+		calDrive(2, 5, 0, 0.9, 0), calDrive(2, 5, 0, 0.6, 0), calDrive(2, 5, 0, 0.3, 0),
 	}
-	got = calibrateThresholds(scores, 2, 0.34)
+	got = calibrateThresholds(drives, 2, 0.34)
 	if got[1] != got[0] {
 		t.Errorf("unscored group: thresholds = %v, want group 1 to inherit pooled", got)
 	}
@@ -137,15 +140,15 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 	// A single failing drive: threshold is that drive's max (below the
 	// minGroupCalibration count, so per-group inherits pooled — which
 	// equals the same single value).
-	single := map[int]*driveScore{1: mk(1, 5, 0.7, 0)}
+	single := []calibDrive{calDrive(1, 5, 0, 0.7, 0)}
 	if got := calibrateThresholds(single, 1, 0.3); got[0] != 0.7 {
 		t.Errorf("single drive: threshold = %v, want 0.7", got)
 	}
 
 	// All probabilities tied: no feasible midpoint interval, threshold
 	// sits on the tied value for any target recall.
-	tied := map[int]*driveScore{
-		1: mk(1, 5, 0.4, 0), 2: mk(2, 5, 0.4, 0), 3: mk(3, 5, 0.4, 0),
+	tied := []calibDrive{
+		calDrive(1, 5, 0, 0.4, 0), calDrive(1, 5, 0, 0.4, 0), calDrive(1, 5, 0, 0.4, 0),
 	}
 	for _, recall := range []float64{0.1, 0.5, 1.0} {
 		if got := calibrateThresholds(tied, 1, recall); got[0] != 0.4 {
@@ -156,8 +159,8 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 	// All-zero scores (a model that never fires): the floor keeps the
 	// threshold strictly positive so healthy all-zero drives do not
 	// alarm.
-	zeros := map[int]*driveScore{
-		1: mk(1, 5, 0, 0), 2: mk(2, 5, 0, 0), 3: mk(3, 5, 0, 0),
+	zeros := []calibDrive{
+		calDrive(1, 5, 0, 0, 0), calDrive(1, 5, 0, 0, 0), calDrive(1, 5, 0, 0, 0),
 	}
 	if got := calibrateThresholds(zeros, 1, 0.3); got[0] != 0.05 {
 		t.Errorf("all-zero scores: threshold = %v, want 0.05 floor", got)
@@ -165,22 +168,89 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 
 	// A failing drive whose failure predates its first scored day is
 	// excluded from calibration (it failed before the window).
-	past := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 5}, days: []int{10}, probs: []float64{0.9}, group: []int{0}},
-	}
+	past := []calibDrive{calDrive(1, 5, 10, 0.9, 0)}
 	if got := calibrateThresholds(past, 1, 0.3); got[0] != 0.5 {
 		t.Errorf("pre-window failure: threshold = %v, want 0.5 default", got)
 	}
 }
 
-func TestFinalizeOutcomesWindowing(t *testing.T) {
-	scores := map[int]*driveScore{
-		// Fails 10 days past the phase end: still in the 30-day window.
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 110}, days: []int{95, 96}, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}, group: []int{0, 0}},
-		// Fails 40 days past the end: out of scope for this phase.
-		2: {ref: dataset.DriveRef{ID: 2, FailDay: 140}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{70}, group: []int{0}},
+// foldDrive is one drive's scored days for foldOutcomes: consecutive
+// from the window's first day, with each day's probability and wear.
+type foldDrive struct {
+	id, failDay int
+	probs, mwis []float64
+}
+
+// foldOutcomes runs a scorer's outcomes fold over foldPass.
+func foldOutcomes(drives []foldDrive, thresholds []float64, split float64, lo, hi int) []DriveOutcome {
+	s, buf := foldPass(drives, thresholds, split, lo, hi)
+	return s.outcomes(buf)
+}
+
+// foldPass returns a scorer and the buffer a pass over the window
+// [lo, hi] leaves when it has scored drives, in that inventory order,
+// with one group per threshold: a single unbounded group, or a low-
+// and a high-wear group split at wear split.
+func foldPass(drives []foldDrive, thresholds []float64, split float64, lo, hi int) (*Scorer, *ScoreBuf) {
+	groups := []group{{}}
+	if len(thresholds) == 2 {
+		groups = []group{{mwiBelow: split}, {mwiAtLeast: split}}
 	}
-	out := finalizeOutcomes(scores, []float64{0.5}, 100)
+	s := newScorer(smart.MC1, groups, thresholds, Config{})
+	buf := &ScoreBuf{lo: lo, hi: hi, probs: make([][]float64, len(groups))}
+	for _, fd := range drives {
+		buf.refs = append(buf.refs, dataset.DriveRef{ID: fd.id, FailDay: fd.failDay})
+		wear := make([]float64, lo+len(fd.mwis))
+		copy(wear[lo:], fd.mwis)
+		buf.views = append(buf.views, wear)
+		buf.lastDay = append(buf.lastDay, len(wear)-1)
+		for g := range groups {
+			buf.offsets = append(buf.offsets, len(buf.probs[g]))
+		}
+		for k, p := range fd.probs {
+			g := s.PickGroup(fd.mwis[k])
+			buf.probs[g] = append(buf.probs[g], p)
+		}
+	}
+	return s, buf
+}
+
+// TestCalibrationFold pins the pass's calibration input: per scored
+// drive, its failure day, its first scored day, and each group's best
+// probability, NaN for a group that scored none of its days.
+func TestCalibrationFold(t *testing.T) {
+	s, buf := foldPass([]foldDrive{
+		{id: 3, failDay: 97, probs: []float64{0.2, 0.6, 0.4}, mwis: []float64{10, 50, 11}},
+		{id: 1, failDay: -1, probs: []float64{0.3, 0.1}, mwis: []float64{60, 70}},
+	}, []float64{0.5, 0.5}, 40, 95, 100)
+	got := s.calibration(buf)
+	want := []calibDrive{
+		{failDay: 97, first: 95, groupMax: []float64{0.4, 0.6}},
+		{failDay: -1, first: 95, groupMax: []float64{math.NaN(), 0.3}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("calibration = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.failDay != w.failDay || g.first != w.first || len(g.groupMax) != len(w.groupMax) {
+			t.Fatalf("drive %d: %+v, want %+v", i, g, w)
+		}
+		for k := range w.groupMax {
+			if math.Float64bits(g.groupMax[k]) != math.Float64bits(w.groupMax[k]) {
+				t.Fatalf("drive %d: %+v, want %+v", i, g, w)
+			}
+		}
+	}
+}
+
+func TestOutcomesWindowing(t *testing.T) {
+	out := foldOutcomes([]foldDrive{
+		// Fails 10 days past the phase end: still in the 30-day window.
+		{id: 1, failDay: 110, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}},
+		// Fails 40 days past the end: out of scope for this phase.
+		{id: 2, failDay: 140, probs: []float64{0.1}, mwis: []float64{70}},
+	}, []float64{0.5}, 0, 95, 100)
 	if len(out) != 2 {
 		t.Fatalf("outcomes = %d", len(out))
 	}
@@ -198,21 +268,20 @@ func TestFinalizeOutcomesWindowing(t *testing.T) {
 	}
 }
 
-// TestFinalizeOutcomesEdgeCases covers the degenerate finalization
-// inputs: no drives, a single never-alarming drive, tied probabilities
-// around the threshold, and deterministic ID ordering.
-func TestFinalizeOutcomesEdgeCases(t *testing.T) {
+// TestOutcomesEdgeCases covers the degenerate folds: no drives, a
+// single never-alarming drive, tied probabilities around the
+// threshold, deterministic ID ordering, and per-group thresholds.
+func TestOutcomesEdgeCases(t *testing.T) {
 	// Empty: no outcomes, no panic.
-	if out := finalizeOutcomes(map[int]*driveScore{}, []float64{0.5}, 100); len(out) != 0 {
+	if out := foldOutcomes(nil, []float64{0.5}, 0, 95, 100); len(out) != 0 {
 		t.Errorf("empty scores produced %d outcomes", len(out))
 	}
 
 	// Single healthy drive, all scores below threshold: no alarm, MWI
 	// reported at last observed day, MaxProb still tracked.
-	one := map[int]*driveScore{
-		7: {ref: dataset.DriveRef{ID: 7, FailDay: -1}, days: []int{95, 96}, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}, group: []int{0, 0}},
-	}
-	out := finalizeOutcomes(one, []float64{0.5}, 100)
+	out := foldOutcomes([]foldDrive{
+		{id: 7, failDay: -1, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}},
+	}, []float64{0.5}, 0, 95, 100)
 	if len(out) != 1 || out[0].Pred.FirstAlarmDay != -1 {
 		t.Fatalf("healthy drive alarmed: %+v", out)
 	}
@@ -222,20 +291,19 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 
 	// A probability exactly at the threshold alarms (>=, not >), and
 	// the first such day wins even when a later day ties it.
-	tie := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96, 97}, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}, group: []int{0, 0, 0}},
-	}
-	out = finalizeOutcomes(tie, []float64{0.5}, 100)
+	out = foldOutcomes([]foldDrive{
+		{id: 1, failDay: 120, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}},
+	}, []float64{0.5}, 0, 95, 100)
 	if out[0].Pred.FirstAlarmDay != 96 || out[0].MWI != 11 {
 		t.Errorf("tied threshold: alarm day = %d, MWI = %v, want day 96 MWI 11", out[0].Pred.FirstAlarmDay, out[0].MWI)
 	}
 
-	// Outcomes are sorted by drive ID regardless of map order.
-	many := map[int]*driveScore{}
+	// Outcomes are sorted by drive ID regardless of inventory order.
+	var many []foldDrive
 	for _, id := range []int{42, 7, 99, 13} {
-		many[id] = &driveScore{ref: dataset.DriveRef{ID: id, FailDay: -1}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{5}, group: []int{0}}
+		many = append(many, foldDrive{id: id, failDay: -1, probs: []float64{0.1}, mwis: []float64{5}})
 	}
-	out = finalizeOutcomes(many, []float64{0.5}, 100)
+	out = foldOutcomes(many, []float64{0.5}, 0, 95, 100)
 	for i := 1; i < len(out); i++ {
 		if out[i-1].Pred.DriveID >= out[i].Pred.DriveID {
 			t.Fatalf("outcomes not sorted by drive ID: %v", out)
@@ -244,10 +312,9 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 
 	// Per-group thresholds: day scored by group 1 uses group 1's
 	// threshold.
-	grouped := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96}, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}, group: []int{0, 1}},
-	}
-	out = finalizeOutcomes(grouped, []float64{0.5, 0.25}, 100)
+	out = foldOutcomes([]foldDrive{
+		{id: 1, failDay: 120, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}},
+	}, []float64{0.5, 0.25}, 40, 95, 100)
 	if out[0].Pred.FirstAlarmDay != 96 {
 		t.Errorf("group threshold: alarm day = %d, want 96 (group 1's lower threshold)", out[0].Pred.FirstAlarmDay)
 	}

@@ -273,7 +273,7 @@ func (e *Engine) reloadPhase(reg *core.Registry, rec journalPhaseDone, model sma
 	case snap.TrainedThrough != ph.TrainHi:
 		return PhaseResult{}, fmt.Errorf("%w: artifact trained through day %d, phase trains through %d", ErrJournalMismatch, snap.TrainedThrough, ph.TrainHi)
 	}
-	groups, err := snap.buildGroups(e.cfg.Workers)
+	sc, err := NewScorer(snap, e.cfg.Workers)
 	if err != nil {
 		return PhaseResult{}, err
 	}
@@ -283,13 +283,10 @@ func (e *Engine) reloadPhase(reg *core.Registry, rec journalPhaseDone, model sma
 	if err := e.st.AppendThrough(ph.TestHi); err != nil {
 		return PhaseResult{}, err
 	}
-	src := e.st.Snapshot()
-	scoreCfg := Config{Windows: append([]int(nil), snap.Windows...), Workers: e.cfg.Workers}
-	scores, _, err := scorePhase(src, model, groups, ph.TestLo, ph.TestHi, scoreCfg)
+	outcomes, err := sc.Score(e.st.Snapshot(), ph.TestLo, ph.TestHi)
 	if err != nil {
 		return PhaseResult{}, fmt.Errorf("rescore: %w", err)
 	}
-	outcomes := finalizeOutcomes(scores, snap.Thresholds, ph.TestHi)
 	return PhaseResult{
 		Selector:   snap.Selector,
 		Model:      model,
@@ -297,7 +294,7 @@ func (e *Engine) reloadPhase(reg *core.Registry, rec journalPhaseDone, model sma
 		Thresholds: append([]float64(nil), snap.Thresholds...),
 		Outcomes:   outcomes,
 		Confusion:  EvaluateOutcomes(outcomes),
-		groups:     groups,
+		groups:     sc.groups,
 		cfg:        e.cfg,
 		trainHi:    ph.TrainHi,
 	}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -14,12 +15,13 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the Scorer surface the serving daemon builds on: the
-// one-pass window scorer (ScoreInto), the row assembler it shares with
-// the daemon (FillRow), and read-only accessors for the snapshot's
-// group structure, so a server can route a drive to its wear group,
-// assemble that group's model-input row, and push single rows or
-// batches straight through the group's compiled model.
+// This file is the engine's one window scorer and the Scorer surface
+// the serving daemon builds on: the one-pass scoring of a window
+// (ScoreInto, and the Calibrate and Score stages of a phase), the row
+// assembler it shares with the daemon (FillRow), and read-only
+// accessors for the group structure, so a server can route a drive to
+// its wear group, assemble that group's model-input row, and push
+// single rows or batches straight through the group's compiled model.
 
 // ScoreBuf recycles the working state of repeated scoring passes — the
 // drives' column views, the groups' model-input columns and
@@ -31,12 +33,16 @@ import (
 // ScoreInto alias the buffer and are valid only until its next use; a
 // ScoreBuf must not be used concurrently.
 type ScoreBuf struct {
-	views    [][]float64 // drive d's columns at [d*len(reads), (d+1)*len(reads))
-	lastDay  []int       // drive d's last visible day
-	offsets  []int       // drive d's first row in group g at d*groups+g
-	errs     []error     // per chunk of drives
-	totals   []int       // rows per group
-	slabs    [][]float64 // per group: the backing of its input columns
+	refs     []dataset.DriveRef // the pass's drives, inventory order
+	lo, hi   int                // the pass's window
+	views    [][]float64        // drive d's columns at [d*len(reads), (d+1)*len(reads))
+	wear     [][]float64        // robust passes: drive d's sanitized MWI_N
+	lastDay  []int              // drive d's last visible day
+	offsets  []int              // drive d's first row in group g at d*groups+g
+	next     []int              // per group: the fold's next row
+	errs     []error            // per chunk of drives
+	totals   []int              // rows per group
+	slabs    [][]float64        // per group: the backing of its input columns
 	cols     [][][]float64
 	probs    [][]float64
 	workers  []passWorker
@@ -45,10 +51,12 @@ type ScoreBuf struct {
 
 // passWorker is one pass goroutine's row-assembly scratch.
 type passWorker struct {
-	feat [][]float64 // the routed group's feature columns
-	row  []float64
-	next []int // per group: the next row to write for the current drive
-	rs   RowScratch
+	feat  [][]float64 // the routed group's feature columns
+	cols  [][]float64 // robust passes: the drive's sanitized columns, by read
+	clean [][]float64 // robust passes: cols' backing, by read
+	row   []float64
+	next  []int // per group: the next row to write for the current drive
+	rs    RowScratch
 }
 
 // passChunk is the number of drives one pass goroutine claims at a
@@ -59,17 +67,9 @@ const passChunk = 32
 // ScoreInto scores exactly days [lo, hi] of src in one pass over the
 // drives and folds them into one outcome per drive that had a scored
 // day, sorted by drive ID. A drive's day is scored by the group
-// PickGroup routes its MWI_N to (days no group admits are skipped) —
-// with the disjoint wear bounds the engine trains, the one group whose
-// frame filter admits the day — and the drive alarms on the first day
-// whose probability clears that group's threshold.
-//
-// The pass reads each drive's needed columns once (store snapshots
-// hand them out without building a series map), writes every routed
-// day's FillRow row straight into its group's input columns, then
-// makes one kernel call per group. Rolling statistics are per day and
-// the kernel is row-local, so the outcomes are bit-identical to the
-// engine's frame-based scoring of the same window, for any Workers.
+// PickGroup routes its MWI_N to (days no group admits are skipped),
+// and the drive alarms on the first day whose probability clears that
+// group's threshold.
 //
 // All working state comes from buf (nil means a fresh buffer): the
 // returned outcomes alias it and are valid only until its next use.
@@ -83,11 +83,19 @@ func (s *Scorer) ScoreInto(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]Dri
 	if days := src.Days(); hi >= days {
 		return nil, fmt.Errorf("pipeline: scoring window [%d, %d] outside dataset of %d days", lo, hi, days)
 	}
-	out, err := s.pass(src, lo, hi, buf)
-	if err != nil {
+	// The views and drive refs alias the source; drop them after the
+	// pass so a long-lived buffer does not pin superseded data.
+	defer func() {
+		buf.refs = nil
+		clear(buf.views)
+		for w := range buf.workers {
+			clear(buf.workers[w].feat)
+		}
+	}()
+	if _, err := s.pass(src, lo, hi, buf); err != nil {
 		return nil, fmt.Errorf("pipeline: snapshot scoring: %w", err)
 	}
-	return out, nil
+	return s.outcomes(buf), nil
 }
 
 // columnReader is satisfied by sources that hand out a drive's
@@ -106,21 +114,35 @@ func mwiOn(col []float64, day int) float64 {
 	return col[day]
 }
 
-// pass is ScoreInto after argument checks.
-func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOutcome, error) {
-	refs := src.DrivesOf(s.snap.Model)
+// wearOf returns drive d's routing wear column in the last pass: its
+// MWI_N as read, or as sanitized in a robust pass.
+func (s *Scorer) wearOf(buf *ScoreBuf, d int) []float64 {
+	if s.san != nil {
+		return buf.wear[d]
+	}
+	return buf.views[d*len(s.reads)]
+}
+
+// pass scores every routed day of [lo, hi] into buf and returns the
+// number of rows scored; the outcomes and calibration folds read them.
+//
+// It reads each drive's needed columns once (store snapshots hand them
+// out without building a series map) — sanitized once per drive when
+// the config is robust, routing and reported wear included — writes
+// every routed day's FillRow row, then its ".miss" cells when masks
+// are on, straight into its group's input columns, and makes one
+// kernel call per group. Rolling statistics are per day and the
+// kernel is row-local, so the scores do not depend on Workers.
+func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error) {
+	refs := src.DrivesOf(s.model)
 	n, nr, ng := len(refs), len(s.reads), len(s.groups)
+	buf.refs, buf.lo, buf.hi = refs, lo, hi
 	buf.views = grow(buf.views, n*nr)
 	buf.lastDay = grow(buf.lastDay, n)
 	buf.offsets = grow(buf.offsets, n*ng)
-	// The views alias the source's columns; drop them after the pass so
-	// a long-lived buffer does not pin superseded data.
-	defer func() {
-		clear(buf.views)
-		for w := range buf.workers {
-			clear(buf.workers[w].feat)
-		}
-	}()
+	if s.san != nil {
+		buf.wear = grow(buf.wear, n)
+	}
 	cr, _ := src.(columnReader)
 
 	// Read every drive once and count its routed days per group.
@@ -141,17 +163,26 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOut
 			return err
 		}
 		buf.lastDay[d] = last
+		if s.san != nil {
+			clean := buf.wear[d]
+			buf.wear[d] = nil
+			if raw := view[0]; raw != nil && lo <= last {
+				buf.wear[d] = grow(clean, len(raw))
+				s.san.Clean(buf.wear[d], raw)
+			}
+		}
+		wear := s.wearOf(buf, d)
 		count := buf.offsets[d*ng : (d+1)*ng]
 		clear(count)
 		for day := lo; day <= min(hi, last); day++ {
-			if g := s.PickGroup(mwiOn(view[0], day)); g >= 0 {
+			if g := s.PickGroup(mwiOn(wear, day)); g >= 0 {
 				count[g]++
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Turn the counts into each drive's first row per group, in
@@ -168,35 +199,66 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOut
 	buf.slabs = grow(buf.slabs, ng)
 	buf.cols = grow(buf.cols, ng)
 	buf.probs = grow(buf.probs, ng)
+	scored := 0
 	for g := 0; g < ng; g++ {
-		rows, width := buf.totals[g], s.GroupInputWidth(g)
+		rows, width := buf.totals[g], s.rowWidth(g)
 		buf.slabs[g] = grow(buf.slabs[g], rows*width)
 		buf.cols[g] = grow(buf.cols[g], width)
 		for c := range buf.cols[g] {
 			buf.cols[g][c] = buf.slabs[g][c*rows : (c+1)*rows : (c+1)*rows]
 		}
 		buf.probs[g] = grow(buf.probs[g], rows)
+		scored += rows
 	}
 
 	// Assemble every routed day's row into its group's columns.
 	err = s.forChunks(n, buf, func(w, d int) error {
 		pw := &buf.workers[w]
 		view := buf.views[d*nr : (d+1)*nr]
+		last := buf.lastDay[d]
+		if lo > last {
+			return nil
+		}
+		// A robust pass assembles from sanitized columns: MWI_N as the
+		// read step cleaned it, the rest cleaned here.
+		cols := view
+		if s.san != nil {
+			cols = pw.cols
+			cols[0] = buf.wear[d]
+			for r := 1; r < nr; r++ {
+				cols[r] = nil
+				if view[r] != nil {
+					pw.clean[r] = grow(pw.clean[r], len(view[r]))
+					s.san.Clean(pw.clean[r], view[r])
+					cols[r] = pw.clean[r]
+				}
+			}
+		}
+		wear := s.wearOf(buf, d)
 		copy(pw.next, buf.offsets[d*ng:(d+1)*ng])
-		for day := lo; day <= min(hi, buf.lastDay[d]); day++ {
-			g := s.PickGroup(mwiOn(view[0], day))
+		for day := lo; day <= min(hi, last); day++ {
+			g := s.PickGroup(mwiOn(wear, day))
 			if g < 0 {
 				continue
 			}
 			feat := pw.feat[:len(s.cols[g])]
 			for i, r := range s.cols[g] {
-				if feat[i] = view[r]; feat[i] == nil {
+				if feat[i] = cols[r]; feat[i] == nil {
 					return fmt.Errorf("drive %d has no %v column", refs[d].ID, s.reads[r])
 				}
 			}
-			row := pw.row[:s.GroupInputWidth(g)]
-			if err := s.FillRow(g, feat, day, row, &pw.rs); err != nil {
+			row := pw.row[:s.rowWidth(g)]
+			fill := s.GroupInputWidth(g)
+			if err := s.FillRow(g, feat, day, row[:fill], &pw.rs); err != nil {
 				return fmt.Errorf("drive %d: %w", refs[d].ID, err)
+			}
+			if s.masks {
+				for i, r := range s.cols[g] {
+					row[fill+i] = 0
+					if s.san.Missing(view[r][day]) {
+						row[fill+i] = 1
+					}
+				}
 			}
 			r := pw.next[g]
 			pw.next[g]++
@@ -207,35 +269,52 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOut
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	for g := 0; g < ng; g++ {
 		if buf.totals[g] == 0 {
 			continue
 		}
 		if err := s.groups[g].model.PredictProbaBatch(buf.cols[g], buf.probs[g]); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
+	return scored, nil
+}
 
-	// Fold each drive's days, ascending, into its outcome.
-	out := buf.outcomes[:0]
-	for d, ref := range refs {
-		view := buf.views[d*nr : (d+1)*nr]
-		next := buf.offsets[d*ng : (d+1)*ng]
-		fold, scored := newAlarmFold(), false
-		for day := lo; day <= min(hi, buf.lastDay[d]); day++ {
-			mwi := mwiOn(view[0], day)
-			g := s.PickGroup(mwi)
-			if g < 0 {
-				continue
-			}
-			fold.add(day, buf.probs[g][next[g]], mwi, s.snap.Thresholds[g])
-			next[g]++
-			scored = true
+// eachDay feeds drive d's scored days of the last pass to fn in
+// ascending order, each with its group, probability and routing wear
+// index.
+func (s *Scorer) eachDay(buf *ScoreBuf, d int, fn func(day, g int, p, mwi float64)) {
+	ng := len(s.groups)
+	wear := s.wearOf(buf, d)
+	buf.next = grow(buf.next, ng)
+	next := buf.next
+	copy(next, buf.offsets[d*ng:(d+1)*ng])
+	for day := buf.lo; day <= min(buf.hi, buf.lastDay[d]); day++ {
+		mwi := mwiOn(wear, day)
+		g := s.PickGroup(mwi)
+		if g < 0 {
+			continue
 		}
+		fn(day, g, buf.probs[g][next[g]], mwi)
+		next[g]++
+	}
+}
+
+// outcomes folds each drive's days of the last pass, ascending, into
+// its outcome under the scorer's thresholds, one per drive that had a
+// scored day, sorted by drive ID. The outcomes alias buf.
+func (s *Scorer) outcomes(buf *ScoreBuf) []DriveOutcome {
+	out := buf.outcomes[:0]
+	for d, ref := range buf.refs {
+		fold, scored := newAlarmFold(), false
+		s.eachDay(buf, d, func(day, g int, p, mwi float64) {
+			fold.add(day, p, mwi, s.thresholds[g])
+			scored = true
+		})
 		if scored {
-			out = append(out, fold.outcome(ref.ID, ref.FailDay, hi))
+			out = append(out, fold.outcome(ref.ID, ref.FailDay, buf.hi))
 		}
 	}
 	byID := func(a, b DriveOutcome) int { return cmp.Compare(a.Pred.DriveID, b.Pred.DriveID) }
@@ -243,7 +322,36 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOut
 		slices.SortFunc(out, byID)
 	}
 	buf.outcomes = out
-	return out, nil
+	return out
+}
+
+// calibration folds the last pass into threshold calibration's input:
+// one calibDrive per drive that had a scored day, in inventory order.
+func (s *Scorer) calibration(buf *ScoreBuf) []calibDrive {
+	ng := len(s.groups)
+	maxes := make([]float64, len(buf.refs)*ng)
+	out := make([]calibDrive, 0, len(buf.refs))
+	for d, ref := range buf.refs {
+		cd := calibDrive{failDay: ref.FailDay, first: -1, groupMax: maxes[d*ng : (d+1)*ng : (d+1)*ng]}
+		for g := range cd.groupMax {
+			cd.groupMax[g] = math.NaN()
+		}
+		s.eachDay(buf, d, func(day, g int, p, _ float64) {
+			if cd.first < 0 {
+				cd.first = day
+			}
+			if math.IsNaN(cd.groupMax[g]) {
+				cd.groupMax[g] = 0
+			}
+			if p > cd.groupMax[g] {
+				cd.groupMax[g] = p
+			}
+		})
+		if cd.first >= 0 {
+			out = append(out, cd)
+		}
+	}
+	return out
 }
 
 // forChunks runs fn(worker, drive) for every drive in [0, n), spread
@@ -259,7 +367,7 @@ func (s *Scorer) forChunks(n int, buf *ScoreBuf, fn func(w, d int) error) error 
 	workers = max(1, min(workers, chunks))
 	width := 0
 	for g := range s.groups {
-		width = max(width, s.GroupInputWidth(g))
+		width = max(width, s.rowWidth(g))
 	}
 	buf.workers = grow(buf.workers, workers)
 	for w := range buf.workers {
@@ -267,6 +375,12 @@ func (s *Scorer) forChunks(n int, buf *ScoreBuf, fn func(w, d int) error) error 
 		pw.feat = grow(pw.feat, len(s.reads))
 		pw.next = grow(pw.next, len(s.groups))
 		pw.row = grow(pw.row, width)
+		if s.san != nil {
+			pw.cols = grow(pw.cols, len(s.reads))
+			if len(pw.clean) < len(s.reads) {
+				pw.clean = append(pw.clean, make([][]float64, len(s.reads)-len(pw.clean))...)
+			}
+		}
 	}
 	buf.errs = grow(buf.errs, chunks)
 	clear(buf.errs)
@@ -326,7 +440,8 @@ type RowScratch struct {
 // featgen order. cols holds the group's feature columns in
 // GroupFeatures order, each covering at least days [0, day]. With
 // MaxWindow days of history before day the row is bit-identical to the
-// engine's frame rows, so online scores match offline ones exactly.
+// rows the engine trains on and scores windows with, so online scores
+// match offline ones exactly.
 // Once sc has grown, FillRow allocates nothing.
 func (s *Scorer) FillRow(g int, cols [][]float64, day int, row []float64, sc *RowScratch) error {
 	if g < 0 || g >= len(s.groups) {
@@ -381,12 +496,12 @@ func (s *Scorer) GroupMWIBounds(g int) (below, atLeast float64) {
 }
 
 // GroupThreshold returns group g's calibrated alarm threshold.
-func (s *Scorer) GroupThreshold(g int) float64 { return s.snap.Thresholds[g] }
+func (s *Scorer) GroupThreshold(g int) float64 { return s.thresholds[g] }
 
 // PickGroup returns the index of the wear group that scores a day with
 // the given wear index, or -1 when no group admits it. The comparison
-// logic mirrors the engine's frame-extraction routing bit for bit,
-// including the NaN behavior documented on GroupMWIBounds.
+// logic mirrors the wear filter of the engine's training frames bit
+// for bit, including the NaN behavior documented on GroupMWIBounds.
 func (s *Scorer) PickGroup(mwi float64) int {
 	for g := range s.groups {
 		gr := &s.groups[g]
@@ -406,6 +521,17 @@ func (s *Scorer) PickGroup(mwi float64) int {
 // statistics.
 func (s *Scorer) GroupInputWidth(g int) int {
 	return inputWidth(len(s.groups[g].feats), s.cfg.Windows)
+}
+
+// rowWidth is group g's model-input width in a pass: the FillRow
+// cells, then one ".miss" cell per feature when robust scoring masks
+// missingness.
+func (s *Scorer) rowWidth(g int) int {
+	w := s.GroupInputWidth(g)
+	if s.masks {
+		w += len(s.groups[g].feats)
+	}
+	return w
 }
 
 // inputWidth is the model-input column count of n selected features:

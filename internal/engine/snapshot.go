@@ -62,7 +62,7 @@ type GroupSnapshot struct {
 // phase: the feature selection, the per-group trained models, the
 // calibrated alarm thresholds, and the hash of the config that trained
 // them. It is JSON-serializable and can score new days without
-// retraining (ScoreSnapshot).
+// retraining (NewScorer).
 type ModelSnapshot struct {
 	// Format is the serialization format number (SnapshotFormat).
 	Format int `json:"format"`
@@ -201,40 +201,23 @@ func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 	return out, nil
 }
 
-// ScoreOpts configures snapshot scoring.
-type ScoreOpts struct {
-	// Workers bounds scoring parallelism; 0 means GOMAXPROCS. Results
-	// are bit-identical for any value.
-	Workers int
-}
-
-// ScoreSnapshot scores days [lo, hi] of src with a loaded snapshot's
-// trained models and calibrated thresholds — no retraining. The
-// outcomes are bit-identical to what the in-memory PhaseResult that
-// produced the snapshot would report for the same window.
-func ScoreSnapshot(src dataset.Source, snap *ModelSnapshot, lo, hi int, opts ScoreOpts) ([]DriveOutcome, error) {
-	s, err := NewScorer(snap, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return s.Score(src, lo, hi)
-}
-
-// Scorer is a ModelSnapshot whose trained groups have been decoded
-// once for repeated scoring. Callers that score many windows with the
-// same snapshot (the continuous-operation controller scores the fleet
-// every day) avoid re-decoding the serialized models per call; results
-// are bit-identical to ScoreSnapshot.
-//
-// A Scorer's Config never carries Robust options (NewScorer builds it
-// from the snapshot, and PhaseResult.Snapshot refuses robust runs), so
-// its scoring never sanitizes series or appends missingness masks:
-// there is nothing of the robust frame path for ScoreInto to
-// reproduce.
+// Scorer scores windows with trained wear groups and their alarm
+// thresholds. NewScorer decodes a ModelSnapshot's groups once for
+// repeated scoring (the continuous-operation controller scores the
+// fleet every day, the serving daemon on every request); a phase run
+// scores its validation and test windows through one built over its
+// freshly trained groups.
 type Scorer struct {
-	snap   *ModelSnapshot
-	groups []group
-	cfg    Config
+	snap       *ModelSnapshot // nil for a phase run's scorer
+	model      smart.ModelID
+	groups     []group
+	thresholds []float64
+	cfg        Config
+
+	// san sanitizes each drive's read columns when cfg is robust, and
+	// masks appends a ".miss" cell per feature to every row.
+	san   *dataset.SanitizeOpts
+	masks bool
 
 	// reads lists the columns one scoring pass reads per drive: MWI_N
 	// first, then the union of the groups' features; cols[g][i] is
@@ -251,13 +234,26 @@ func NewScorer(snap *ModelSnapshot, workers int) (*Scorer, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg := Config{Windows: append([]int(nil), snap.Windows...), Workers: workers}
+	s := newScorer(snap.Model, groups, snap.Thresholds, cfg)
+	s.snap = snap
+	return s, nil
+}
+
+// newScorer builds a scorer of the model's drives over trained groups
+// and their thresholds (nil until calibrated). cfg supplies the
+// windows, Workers, and — for a phase run — the robust options.
+func newScorer(model smart.ModelID, groups []group, thresholds []float64, cfg Config) *Scorer {
 	s := &Scorer{
-		snap:   snap,
-		groups: groups,
-		cfg:    Config{Windows: append([]int(nil), snap.Windows...), Workers: workers},
-		reads:  []smart.Feature{MWIFeature},
-		cols:   make([][]int, len(groups)),
+		model:      model,
+		groups:     groups,
+		thresholds: thresholds,
+		cfg:        cfg,
+		san:        cfg.sanitizeOpts(true),
+		reads:      []smart.Feature{MWIFeature},
+		cols:       make([][]int, len(groups)),
 	}
+	s.masks = s.san != nil && s.san.MissMask
 	pos := map[smart.Feature]int{MWIFeature: 0}
 	for g := range groups {
 		for _, ft := range groups[g].feats {
@@ -270,15 +266,16 @@ func NewScorer(snap *ModelSnapshot, workers int) (*Scorer, error) {
 			s.cols[g] = append(s.cols[g], i)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // Snapshot returns the snapshot the scorer was built from.
 func (s *Scorer) Snapshot() *ModelSnapshot { return s.snap }
 
-// Score scores days [lo, hi] of src with the snapshot's trained models
-// and calibrated thresholds, exactly as ScoreSnapshot would: ScoreInto
-// with a fresh buffer, so the outcomes are the caller's to keep.
+// Score scores days [lo, hi] of src with the trained models and
+// calibrated thresholds: ScoreInto with a fresh buffer, so the
+// outcomes are the caller's to keep. Scoring a snapshot reproduces the
+// phase run that saved it bit for bit.
 func (s *Scorer) Score(src dataset.Source, lo, hi int) ([]DriveOutcome, error) {
 	return s.ScoreInto(src, lo, hi, new(ScoreBuf))
 }

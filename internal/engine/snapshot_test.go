@@ -88,7 +88,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded.Thresholds, res.Thresholds) {
 		t.Errorf("thresholds: loaded %v != trained %v", loaded.Thresholds, res.Thresholds)
 	}
-	outcomes, err := ScoreSnapshot(testSource(t), loaded, ph.TestLo, ph.TestHi, ScoreOpts{})
+	scorer, err := NewScorer(loaded, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, err := scorer.Score(testSource(t), ph.TestLo, ph.TestHi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Scoring with a different worker count stays bit-identical.
-	parallel, err := ScoreSnapshot(testSource(t), loaded, ph.TestLo, ph.TestHi, ScoreOpts{Workers: 5})
+	if scorer, err = NewScorer(loaded, 5); err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := scorer.Score(testSource(t), ph.TestLo, ph.TestHi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +288,8 @@ func TestStageStatsOnResult(t *testing.T) {
 // compiled scoring path: a phase scored through the flat models decoded
 // from its snapshot is bit-identical, probability by probability, to
 // pointer forests refit from the same training frames and config (fits
-// are deterministic) scoring the frames scorePhase builds for each
-// group. Histogram binning caps a forest at 255 distinct cuts per
+// are deterministic) scoring the frames the frame-path reference
+// (frameScore) builds for each group. Histogram binning caps a forest at 255 distinct cuts per
 // feature, so chunked code columns (more than 254 cuts) are covered in
 // internal/flat by TestChunkedCutsBitExact, payload round trip
 // included.
@@ -307,7 +314,7 @@ func TestFlatScoringParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Windows: append([]int(nil), snap.Windows...)}
-		flatScores, _, err := scorePhase(src, snap.Model, flatGroups, ph.TestLo, ph.TestHi, cfg)
+		flatScores, _, err := frameScore(src, newScorer(snap.Model, flatGroups, snap.Thresholds, cfg), ph.TestLo, ph.TestHi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,13 +353,13 @@ func TestFlatScoringParity(t *testing.T) {
 		}
 		scored := 0
 		for id, fd := range flatScores {
-			for k, day := range fd.days {
-				want, ok := ptrScores[driveDay{id, day}]
+			for _, r := range fd.rows {
+				want, ok := ptrScores[driveDay{id, r.day}]
 				if !ok {
-					t.Fatalf("drive %d day %d missing from pointer scores", id, day)
+					t.Fatalf("drive %d day %d missing from pointer scores", id, r.day)
 				}
-				if math.Float64bits(fd.probs[k]) != math.Float64bits(want) {
-					t.Fatalf("drive %d day %d: flat %v != pointer %v", id, day, fd.probs[k], want)
+				if math.Float64bits(r.prob) != math.Float64bits(want) {
+					t.Fatalf("drive %d day %d: flat %v != pointer %v", id, r.day, r.prob, want)
 				}
 				scored++
 			}
