@@ -170,7 +170,7 @@ func BenchmarkTable8Exp4(b *testing.B) {
 func benchFrame(b *testing.B) *benchData {
 	b.Helper()
 	h := harness(b)
-	fr, err := dataset.Frame(h.Source(), dataset.FrameOpts{Model: smart.MC1, NegEvery: 40})
+	fr, err := dataset.Frame(h.Source(), dataset.FrameOpts{Model: smart.MC1, DayHi: h.Source().Days() - 1, NegEvery: 40})
 	if err != nil {
 		b.Fatal(err)
 	}

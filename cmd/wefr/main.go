@@ -99,7 +99,7 @@ func run(modelName string, drives int, seed int64, afrScale float64, smartCSV, t
 
 	var injector *faults.Injector
 	coreCfg := core.Config{Seed: seed, RankerSpecs: rankerSpecs}
-	frameOpts := dataset.FrameOpts{Model: model, NegEvery: negEvery}
+	frameOpts := dataset.FrameOpts{Model: model, DayHi: src.Days() - 1, NegEvery: negEvery}
 	var counter dataset.DefectCounter
 	if faultCfg.Enabled() {
 		injector = faults.New(src, faultCfg)

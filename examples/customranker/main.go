@@ -98,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	src := dataset.NewCachedSource(dataset.FleetSource{Fleet: fleet})
-	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, NegEvery: 40})
+	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, DayHi: src.Days() - 1, NegEvery: 40})
 	if err != nil {
 		log.Fatal(err)
 	}

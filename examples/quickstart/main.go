@@ -30,7 +30,7 @@ func main() {
 	// 2. Build a learning frame for MC1 (raw + normalized value of
 	// every SMART attribute the model reports) and the survival curve
 	// WEFR uses for its wear-out split.
-	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, NegEvery: 30})
+	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, DayHi: src.Days() - 1, NegEvery: 30})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	src := dataset.NewCachedSource(dataset.FleetSource{Fleet: fleet})
 
 	for _, model := range smart.AllModels() {
-		fr, err := dataset.Frame(src, dataset.FrameOpts{Model: model, NegEvery: 50})
+		fr, err := dataset.Frame(src, dataset.FrameOpts{Model: model, DayHi: src.Days() - 1, NegEvery: 50})
 		if err != nil {
 			log.Fatal(err)
 		}

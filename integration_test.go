@@ -46,7 +46,7 @@ func TestCSVPipelineParity(t *testing.T) {
 	}
 	logs.ApplyTickets(tickets)
 
-	opts := dataset.FrameOpts{Model: smart.MC1, NegEvery: 15}
+	opts := dataset.FrameOpts{Model: smart.MC1, DayHi: direct.Days() - 1, NegEvery: 15}
 	frA, err := dataset.Frame(direct, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestWEFRFindsPlantedSignatures(t *testing.T) {
 		{smart.MC2, "UCE", "CEC"},
 	}
 	for _, tc := range cases {
-		fr, err := dataset.Frame(src, dataset.FrameOpts{Model: tc.model, NegEvery: 25})
+		fr, err := dataset.Frame(src, dataset.FrameOpts{Model: tc.model, DayHi: src.Days() - 1, NegEvery: 25})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.model, err)
 		}
@@ -187,7 +187,7 @@ func TestCustomRankerInEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dataset.FleetSource{Fleet: fleet}
-	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, NegEvery: 30})
+	fr, err := dataset.Frame(src, dataset.FrameOpts{Model: smart.MC1, DayHi: src.Days() - 1, NegEvery: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package dataset turns raw SMART logs into learning sets: it labels
 // drive-days with the paper's 30-day look-ahead rule, materializes
-// column-major frames for feature selection and training (optionally
-// expanding selected features with the generated statistics of
-// internal/featgen), and reads/writes the CSV layout of the released
-// Alibaba ssd_smart_logs dataset so real logs can replace the simulator.
+// column-major frames of a model's original features for feature
+// selection, and reads/writes the CSV layout of the released Alibaba
+// ssd_smart_logs dataset so real logs can replace the simulator. (The
+// model-input rows that training and scoring use — original features
+// plus their generated window statistics — are assembled by
+// internal/engine.)
 //
 // The package is source-agnostic: anything implementing Source — the
 // simulator adapter FleetSource or CSV-parsed Logs — can feed the same
@@ -17,11 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/featgen"
 	"repro/internal/frame"
 	"repro/internal/simulate"
 	"repro/internal/smart"
-	"repro/internal/stats"
 )
 
 // Errors returned by dataset operations.
@@ -36,6 +36,10 @@ var (
 // drive-day is positive when the drive fails within this many days
 // (Section II-B of the paper).
 const PredictionWindow = simulate.PredictionWindow
+
+// mwiFeature is the normalized media-wearout indicator a frame's
+// sample metadata reads.
+var mwiFeature = smart.Feature{Attr: smart.MWI, Kind: smart.Normalized}
 
 // DriveRef identifies one drive in a Source.
 type DriveRef struct {
@@ -107,31 +111,16 @@ func (s FleetSource) Series(ref DriveRef) (map[smart.Feature][]float64, int, err
 }
 
 // FrameOpts selects which drive-days of a model are materialized into a
-// learning frame and which features each sample carries.
+// selection frame.
 type FrameOpts struct {
 	// Model is the drive model to extract.
 	Model smart.ModelID
-	// DayLo and DayHi bound the sample days (inclusive). DayHi 0 means
-	// the dataset end.
+	// DayLo and DayHi bound the sample days, both inclusive.
 	DayLo, DayHi int
 	// NegEvery keeps every k-th negative drive-day per drive (all
 	// positive days are always kept); 0 means 7. Use 1 to keep every
 	// day.
 	NegEvery int
-	// Features restricts the original features; nil means every
-	// feature the model reports.
-	Features []smart.Feature
-	// Expand additionally generates the 12 statistical features of
-	// featgen for every original feature in the frame.
-	Expand bool
-	// Windows overrides the expansion windows; nil means
-	// featgen.DefaultWindows.
-	Windows []int
-	// MWIBelow, when > 0, keeps only samples whose MWI_N that day is
-	// strictly below the threshold; MWIAtLeast keeps only samples at
-	// or above it. At most one may be set.
-	MWIBelow   float64
-	MWIAtLeast float64
 	// Workers bounds per-drive extraction parallelism; 0 means
 	// GOMAXPROCS. The Source's Series method must be safe for
 	// concurrent calls when more than one worker runs (every Source in
@@ -139,9 +128,10 @@ type FrameOpts struct {
 	// drives are always concatenated in inventory order.
 	Workers int
 	// Sanitize, when non-nil, cleans each drive's series before
-	// labeling, filtering, and expansion: sentinel scrubbing, bounded
-	// forward-fill imputation, and optional per-feature missingness
-	// mask columns. Nil preserves the exact legacy path, bit for bit.
+	// labeling and extraction: sentinel scrubbing and bounded
+	// forward-fill imputation (MissMask does not apply: a selection
+	// frame carries feature columns only). Nil preserves the exact
+	// legacy path, bit for bit.
 	Sanitize *SanitizeOpts
 }
 
@@ -149,50 +139,28 @@ func (o FrameOpts) normalize(days int) (FrameOpts, error) {
 	if !o.Model.Valid() {
 		return o, fmt.Errorf("%w: invalid model %v", ErrBadOpts, o.Model)
 	}
-	if o.DayHi == 0 {
-		o.DayHi = days - 1
-	}
 	if o.DayLo < 0 || o.DayHi >= days || o.DayLo > o.DayHi {
 		return o, fmt.Errorf("%w: day range [%d, %d] outside dataset of %d days", ErrBadOpts, o.DayLo, o.DayHi, days)
 	}
 	if o.NegEvery <= 0 {
 		o.NegEvery = 7
 	}
-	if o.Windows == nil {
-		o.Windows = featgen.DefaultWindows
-	}
-	if o.MWIBelow > 0 && o.MWIAtLeast > 0 {
-		return o, fmt.Errorf("%w: MWIBelow and MWIAtLeast are mutually exclusive", ErrBadOpts)
-	}
-	if o.Features == nil {
-		o.Features = smart.MustSpec(o.Model).Features()
-	}
 	return o, nil
 }
 
-// Frame materializes a learning frame per the options. Columns are the
-// original features in the given order, followed (if Expand) by the
-// generated statistics of each original feature, grouped per feature.
-// Sample metadata records the drive, day, and that day's MWI_N.
+// Frame materializes a model's selection frame per the options: one
+// column per original feature the model reports, in spec order, and
+// one row per kept drive-day. Sample metadata records the drive, day,
+// and that day's MWI_N.
 func Frame(src Source, opts FrameOpts) (*frame.Frame, error) {
 	opts, err := opts.normalize(src.Days())
 	if err != nil {
 		return nil, err
 	}
-
-	names := make([]string, 0, len(opts.Features)*(1+featgen.NumGenerated(opts.Windows)))
-	for _, ft := range opts.Features {
-		names = append(names, ft.String())
-	}
-	if opts.Expand {
-		for _, ft := range opts.Features {
-			names = append(names, featgen.Names(ft.String(), opts.Windows)...)
-		}
-	}
-	if opts.Sanitize != nil && opts.Sanitize.MissMask {
-		for _, ft := range opts.Features {
-			names = append(names, ft.String()+".miss")
-		}
+	feats := smart.MustSpec(opts.Model).Features()
+	names := make([]string, len(feats))
+	for i, ft := range feats {
+		names[i] = ft.String()
 	}
 
 	drives := src.DrivesOf(opts.Model)
@@ -208,7 +176,7 @@ func Frame(src Source, opts FrameOpts) (*frame.Frame, error) {
 	}
 	if workers <= 1 {
 		for d, ref := range drives {
-			chunks[d], errs[d] = extractDrive(src, ref, opts)
+			chunks[d], errs[d] = extractDrive(src, ref, feats, opts)
 		}
 	} else {
 		var next atomic.Int64
@@ -222,7 +190,7 @@ func Frame(src Source, opts FrameOpts) (*frame.Frame, error) {
 					if d >= len(drives) {
 						return
 					}
-					chunks[d], errs[d] = extractDrive(src, drives[d], opts)
+					chunks[d], errs[d] = extractDrive(src, drives[d], feats, opts)
 				}
 			}()
 		}
@@ -278,10 +246,10 @@ type driveChunk struct {
 }
 
 // slabPool recycles the transient float64 slabs of frame extraction:
-// each drive's column chunk and expansion matrix die as soon as the
-// frame is concatenated, and a training frame extracts thousands of
-// drives, so without reuse these short-lived slabs dominate its
-// allocation volume. Every pooled slab is fully overwritten before use.
+// each drive's column chunk dies as soon as the frame is concatenated,
+// and a frame extracts thousands of drives, so without reuse these
+// short-lived slabs dominate its allocation volume. Every pooled slab
+// is fully overwritten before use.
 var slabPool sync.Pool
 
 func getSlab(n int) []float64 {
@@ -299,128 +267,55 @@ func putSlab(s []float64) {
 	}
 }
 
-// extractDrive materializes one drive's surviving sample days. It
-// returns nil (no error) when no day of the drive is in range or
-// survives the filters.
-func extractDrive(src Source, ref DriveRef, opts FrameOpts) (*driveChunk, error) {
+// extractDrive materializes one drive's kept sample days of feats. It
+// returns nil (no error) when no day of the drive is in range.
+func extractDrive(src Source, ref DriveRef, feats []smart.Feature, opts FrameOpts) (*driveChunk, error) {
 	series, lastDay, err := src.Series(ref)
 	if err != nil {
 		return nil, err
 	}
-	hi := opts.DayHi
-	if hi > lastDay {
-		hi = lastDay
-	}
+	hi := min(opts.DayHi, lastDay)
 	if opts.DayLo > hi {
 		return nil, nil
 	}
-
-	var missing map[smart.Feature][]bool
 	if opts.Sanitize != nil {
-		series, missing = sanitizeSeries(series, opts)
+		series = sanitizeSeries(series, feats, opts.Sanitize)
 	}
 
-	// Pass 1: find the surviving sample days. Knowing the row count up
-	// front lets pass 2 fill one exact-size column-major slab instead of
-	// growing every column by per-day appends — previously the dominant
-	// allocation cost of extraction.
-	mwiFeat := smart.Feature{Attr: smart.MWI, Kind: smart.Normalized}
-	mwiCol := series[mwiFeat]
+	// Pass 1: find the kept sample days. Knowing the row count up front
+	// lets pass 2 fill one exact-size column-major slab instead of
+	// growing every column by per-day appends.
 	var days []int
 	for day := opts.DayLo; day <= hi; day++ {
-		if ref.Label(day) == 0 && (day-ref.ID)%opts.NegEvery != 0 {
-			continue
+		if ref.Label(day) == 1 || (day-ref.ID)%opts.NegEvery == 0 {
+			days = append(days, day)
 		}
-		mwi := 0.0
-		if mwiCol != nil {
-			mwi = mwiCol[day]
-		}
-		if opts.MWIBelow > 0 && mwi >= opts.MWIBelow {
-			continue
-		}
-		// Written as !(>=) rather than (<) so a NaN wear reading — an
-		// unknown wear level — is excluded from the high-wear group
-		// (and, failing the >= test above, lands in the low-wear group
-		// only) instead of leaking into both. Identical on finite MWI.
-		if opts.MWIAtLeast > 0 && !(mwi >= opts.MWIAtLeast) {
-			continue
-		}
-		days = append(days, day)
 	}
 	if len(days) == 0 {
 		return nil, nil
 	}
 
-	// Expanded columns are generated only when some sample day of this
-	// drive survived the filters — and only for the requested day range,
-	// not the drive's whole history: a 30-day scoring pass over a
-	// two-year series skips ~96% of the rolling-window work.
-	var expanded [][]float64
-	var expSlab []float64
-	if opts.Expand {
-		expanded, expSlab, err = expandSeriesRange(series, opts.Features, opts.Windows, opts.DayLo, hi)
-		defer putSlab(expSlab)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	nCols := len(opts.Features)
-	if opts.Expand {
-		nCols += len(opts.Features) * featgen.NumGenerated(opts.Windows)
-	}
-	maskCols := opts.Sanitize != nil && opts.Sanitize.MissMask
-	if maskCols {
-		nCols += len(opts.Features)
-	}
 	rows := len(days)
-	slab := getSlab(nCols * rows)
+	slab := getSlab(len(feats) * rows)
 	ch := &driveChunk{
-		cols:   make([][]float64, nCols),
+		cols:   make([][]float64, len(feats)),
 		labels: make([]int, rows),
 		meta:   make([]frame.Meta, rows),
 		slab:   slab,
 	}
-	for c := range ch.cols {
-		ch.cols[c] = slab[c*rows : (c+1)*rows : (c+1)*rows]
-	}
-
 	// Pass 2: column-major fill.
-	c := 0
-	for _, ft := range opts.Features {
+	for c, ft := range feats {
 		col, ok := series[ft]
 		if !ok {
 			return nil, fmt.Errorf("dataset: model %v missing feature %v", opts.Model, ft)
 		}
-		dst := ch.cols[c]
+		dst := slab[c*rows : (c+1)*rows : (c+1)*rows]
 		for k, day := range days {
 			dst[k] = col[day]
 		}
-		c++
+		ch.cols[c] = dst
 	}
-	for _, ecol := range expanded {
-		dst := ch.cols[c]
-		for k, day := range days {
-			dst[k] = ecol[day-opts.DayLo]
-		}
-		c++
-	}
-	if maskCols {
-		for _, ft := range opts.Features {
-			dst := ch.cols[c]
-			m := missing[ft]
-			for k, day := range days {
-				// Unconditional store: the slab is pooled, so stale
-				// values must be overwritten, not assumed zero.
-				v := 0.0
-				if day < len(m) && m[day] {
-					v = 1
-				}
-				dst[k] = v
-			}
-			c++
-		}
-	}
+	mwiCol := series[mwiFeature]
 	for k, day := range days {
 		mwi := 0.0
 		if mwiCol != nil {
@@ -430,34 +325,4 @@ func extractDrive(src Source, ref DriveRef, opts FrameOpts) (*driveChunk, error)
 		ch.meta[k] = frame.Meta{DriveID: ref.ID, Day: day, MWI: mwi}
 	}
 	return ch, nil
-}
-
-// expandSeriesRange generates the statistical columns for each original
-// feature of one drive, restricted to days from..to (column index t is
-// day from+t), ordered per feature then per generated stat. All columns
-// are carved from one pooled slab (returned for release via putSlab
-// once the caller has copied the values out) and the rolling-stats
-// buffer is shared across features, so the per-drive allocation count
-// is constant in the feature count.
-func expandSeriesRange(series map[smart.Feature][]float64, feats []smart.Feature, windows []int, from, to int) ([][]float64, []float64, error) {
-	nGen := featgen.NumGenerated(windows)
-	width := to - from + 1
-	slab := getSlab(len(feats) * nGen * width)
-	out := make([][]float64, len(feats)*nGen)
-	for i := range out {
-		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
-	}
-	var scratch []stats.RollingStats
-	for fi, ft := range feats {
-		col, ok := series[ft]
-		if !ok {
-			return nil, slab, fmt.Errorf("dataset: missing feature %v for expansion", ft)
-		}
-		var err error
-		scratch, err = featgen.GenerateRangeInto(out[fi*nGen:(fi+1)*nGen], col, windows, from, to, scratch)
-		if err != nil {
-			return nil, slab, fmt.Errorf("dataset: expand %v: %w", ft, err)
-		}
-	}
-	return out, slab, nil
 }

@@ -3,10 +3,11 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/featgen"
 	"repro/internal/simulate"
 	"repro/internal/smart"
 )
@@ -47,7 +48,7 @@ func TestDriveRefLabel(t *testing.T) {
 
 func TestFrameBasic(t *testing.T) {
 	src := testSource(t)
-	fr, err := Frame(src, FrameOpts{Model: smart.MC1, NegEvery: 10})
+	fr, err := Frame(src, FrameOpts{Model: smart.MC1, DayHi: src.Days() - 1, NegEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestFrameWorkerCountInvariance(t *testing.T) {
 	// Per-drive chunks are concatenated in inventory order, so the
 	// frame must be byte-for-byte identical for any worker count.
 	src := testSource(t)
-	opts := FrameOpts{Model: smart.MC1, NegEvery: 10, Expand: true, DayLo: 500, DayHi: 560}
+	opts := FrameOpts{Model: smart.MC1, NegEvery: 10, DayLo: 500, DayHi: 560}
 	opts.Workers = 1
 	serial, err := Frame(src, opts)
 	if err != nil {
@@ -115,7 +116,7 @@ func TestFrameWorkerCountInvariance(t *testing.T) {
 
 func TestFrameAllPositiveDaysKept(t *testing.T) {
 	src := testSource(t)
-	fr, err := Frame(src, FrameOpts{Model: smart.MC1, NegEvery: 500})
+	fr, err := Frame(src, FrameOpts{Model: smart.MC1, DayHi: src.Days() - 1, NegEvery: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,55 +153,21 @@ func TestFrameDayRange(t *testing.T) {
 	}
 }
 
-func TestFrameExpand(t *testing.T) {
+// TestFrameDayHiZero: DayHi is inclusive with no sentinel, so a frame
+// ending on day 0 holds day-0 rows only.
+func TestFrameDayHiZero(t *testing.T) {
 	src := testSource(t)
-	feats := []smart.Feature{
-		{Attr: smart.UCE, Kind: smart.Raw},
-		{Attr: smart.MWI, Kind: smart.Normalized},
-	}
-	fr, err := Frame(src, FrameOpts{
-		Model: smart.MC1, NegEvery: 20, Features: feats, Expand: true,
-	})
+	fr, err := Frame(src, FrameOpts{Model: smart.MC1, NegEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * (1 + featgen.NumGenerated(featgen.DefaultWindows))
-	if fr.NumFeatures() != want {
-		t.Fatalf("expanded features = %d, want %d", fr.NumFeatures(), want)
-	}
-	// Generated column names present.
-	if fr.ColIndex("UCE_R.max7") < 0 || fr.ColIndex("MWI_N.wma3") < 0 {
-		t.Errorf("expanded names missing: %v", fr.Names())
-	}
-	// max over a window >= the raw value that day.
-	raw, _ := fr.ColByName("UCE_R")
-	mx, _ := fr.ColByName("UCE_R.max7")
-	for i := range raw {
-		if mx[i] < raw[i] {
-			t.Fatalf("max7 %v < raw %v at %d", mx[i], raw[i], i)
+	for i := 0; i < fr.NumRows(); i++ {
+		if d := fr.Meta(i).Day; d != 0 {
+			t.Fatalf("row %d on day %d, want day 0 only", i, d)
 		}
 	}
-}
-
-func TestFrameMWIFilter(t *testing.T) {
-	src := testSource(t)
-	lo, err := Frame(src, FrameOpts{Model: smart.MC1, NegEvery: 5, MWIBelow: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < lo.NumRows(); i++ {
-		if lo.Meta(i).MWI >= 60 {
-			t.Fatalf("MWIBelow leaked sample at MWI %v", lo.Meta(i).MWI)
-		}
-	}
-	hi, err := Frame(src, FrameOpts{Model: smart.MC1, NegEvery: 5, MWIAtLeast: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < hi.NumRows(); i++ {
-		if hi.Meta(i).MWI < 60 {
-			t.Fatalf("MWIAtLeast leaked sample at MWI %v", hi.Meta(i).MWI)
-		}
+	if fr.NumRows() != len(src.DrivesOf(smart.MC1)) {
+		t.Errorf("%d rows, want one per drive", fr.NumRows())
 	}
 }
 
@@ -211,7 +178,6 @@ func TestFrameOptErrors(t *testing.T) {
 		{Model: smart.MC1, DayLo: -1}, // bad range
 		{Model: smart.MC1, DayLo: 100, DayHi: 50},
 		{Model: smart.MC1, DayHi: 100000},
-		{Model: smart.MC1, MWIBelow: 10, MWIAtLeast: 20},
 	}
 	for i, opts := range cases {
 		if _, err := Frame(src, opts); !errors.Is(err, ErrBadOpts) {
@@ -221,9 +187,8 @@ func TestFrameOptErrors(t *testing.T) {
 }
 
 func TestFrameNoSamples(t *testing.T) {
-	src := testSource(t)
-	// An impossible MWI filter yields no samples.
-	_, err := Frame(src, FrameOpts{Model: smart.MC1, MWIBelow: 0.5})
+	// A model without drives yields no samples.
+	_, err := Frame(faultySource{days: 100}, FrameOpts{Model: smart.MC1, DayHi: 99})
 	if !errors.Is(err, ErrNoSamples) {
 		t.Errorf("error = %v, want ErrNoSamples", err)
 	}
@@ -304,7 +269,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 
 	// Frames built from both sources agree.
-	opts := FrameOpts{Model: smart.MB2, NegEvery: 9}
+	opts := FrameOpts{Model: smart.MB2, DayHi: src.Days() - 1, NegEvery: 9}
 	fa, err := Frame(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -358,8 +323,23 @@ func TestGapWithoutOptionFails(t *testing.T) {
 // reading: the strict reader rejects a blank cell but parses a literal
 // NaN, and the frame sanitizer imputes it.
 func TestNaNCellReadsAsMissing(t *testing.T) {
-	in := "day,model,drive_id,UCE_R\n0,MC1,1,1\n1,MC1,1,NaN\n2,MC1,1,3\n"
-	logs, err := ReadModelCSV(bytes.NewReader([]byte(in)))
+	feats := smart.MustSpec(smart.MC1).Features()
+	var in strings.Builder
+	in.WriteString("day,model,drive_id")
+	for _, ft := range feats {
+		in.WriteString("," + ft.String())
+	}
+	for day, v := range []string{"1", "NaN", "3"} {
+		fmt.Fprintf(&in, "\n%d,MC1,1", day)
+		for _, ft := range feats {
+			if ft.String() == "UCE_R" {
+				in.WriteString("," + v)
+			} else {
+				in.WriteString(",50")
+			}
+		}
+	}
+	logs, err := ReadModelCSV(strings.NewReader(in.String() + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +353,7 @@ func TestNaNCellReadsAsMissing(t *testing.T) {
 	}
 	ctr := &DefectCounter{}
 	fr, err := Frame(logs, FrameOpts{
-		Model: smart.MC1, NegEvery: 1, Features: []smart.Feature{uceR},
+		Model: smart.MC1, DayHi: 2, NegEvery: 1,
 		Sanitize: &SanitizeOpts{Counter: ctr},
 	})
 	if err != nil {
@@ -382,7 +362,11 @@ func TestNaNCellReadsAsMissing(t *testing.T) {
 	if got := ctr.Snapshot().ImputedCells; got == 0 {
 		t.Errorf("ImputedCells = %d, want > 0", got)
 	}
-	for i, v := range fr.Col(0) {
+	col, err := fr.ColByName("UCE_R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range col {
 		if math.IsNaN(v) {
 			t.Errorf("frame row %d still NaN after sanitize", i)
 		}

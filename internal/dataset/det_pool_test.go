@@ -18,18 +18,7 @@ func TestFrameDeterminismPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := FleetSource{Fleet: f}
-	cols0, _, err := src.Series(src.DrivesOf(smart.MC1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feats []smart.Feature
-	for ft := range cols0 {
-		feats = append(feats, ft)
-		if len(feats) == 6 {
-			break
-		}
-	}
-	opts := FrameOpts{Model: smart.MC1, DayLo: 500, DayHi: 560, NegEvery: 1, Features: feats, Expand: true, Workers: 8}
+	opts := FrameOpts{Model: smart.MC1, DayLo: 500, DayHi: 560, NegEvery: 1, Workers: 8}
 	a, err := Frame(src, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@ import (
 // stays missing (masked) rather than being filled with stale data.
 const DefaultMaxGap = 14
 
-// SanitizeOpts configures per-drive series cleaning, applied before
-// labeling, filtering, and feature expansion. The zero value scrubs
-// nothing but still imputes with the default gap bound.
+// SanitizeOpts configures per-drive series cleaning, applied before a
+// selection frame or an engine pass reads the series. The zero value
+// scrubs nothing but still imputes with the default gap bound.
 type SanitizeOpts struct {
 	// MaxGap bounds forward-fill imputation in days; 0 means
 	// DefaultMaxGap. Leading missing runs are back-filled from the
@@ -25,10 +25,11 @@ type SanitizeOpts struct {
 	// unsigned-overflow artifacts) scrubbed to missing before
 	// imputation. Values are matched exactly.
 	Sentinels []float64
-	// MissMask appends one "<feature>.miss" indicator column per
-	// original frame feature: 1 where the cell was missing or a
-	// sentinel before imputation, 0 otherwise. The mask lets the model
-	// distinguish imputed from observed readings.
+	// MissMask asks the engine to append one "<feature>.miss" cell per
+	// original feature to the rows it trains on and scores: 1 where the
+	// reading was missing or a sentinel before imputation (Missing), 0
+	// otherwise. The mask lets the model distinguish imputed from
+	// observed readings. Selection frames ignore it.
 	MissMask bool
 	// Counter, when non-nil, accumulates detected-defect counts across
 	// extractions. Safe for concurrent use.
@@ -44,11 +45,11 @@ func (s *SanitizeOpts) maxGap() int {
 
 // Clean writes the sanitized copy of col into dst, which must have
 // len(col) entries: sentinels scrubbed to missing, then bounded
-// imputation, exactly as a frame sanitizes the column. The column's
-// defect counts go to Counter. col is not modified.
+// imputation. The column's defect counts go to Counter. col is not
+// modified.
 func (s *SanitizeOpts) Clean(dst, col []float64) {
 	copy(dst, col)
-	s.count(sanitizeColumn(dst, nil, s))
+	s.count(sanitizeColumn(dst, s))
 }
 
 // Missing reports whether a raw reading is missing before imputation
@@ -70,8 +71,8 @@ func (s *SanitizeOpts) count(sentinels, imputed, residual int64) {
 // DefectCounter tallies the dirty-data conditions the sanitizer
 // detected and what it did about them. Counts are per sanitized cell:
 // building several frames over the same drives counts the same
-// underlying defect once per extraction, and an engine scoring pass
-// counts each drive's read columns once.
+// underlying defect once per extraction, and an engine pass (training
+// or scoring) counts each drive's read columns once.
 type DefectCounter struct {
 	sentinelCells atomic.Int64
 	imputedCells  atomic.Int64
@@ -102,46 +103,24 @@ func (c *DefectCounter) Snapshot() DefectStats {
 	}
 }
 
-// sanitizeSeries returns a cleaned copy of the columns extractDrive
-// will read (the frame features plus MWI_N, which drives filters and
-// metadata), together with each feature's pre-imputation missingness.
-// Unused columns pass through untouched; the input map and its slices
-// are never modified, so sources that share backing arrays (the cache)
-// stay intact.
-func sanitizeSeries(series map[smart.Feature][]float64, opts FrameOpts) (map[smart.Feature][]float64, map[smart.Feature][]bool) {
-	san := opts.Sanitize
-	used := make(map[smart.Feature]bool, len(opts.Features)+1)
-	for _, ft := range opts.Features {
-		used[ft] = true
-	}
-	used[smart.Feature{Attr: smart.MWI, Kind: smart.Normalized}] = true
-
-	out := make(map[smart.Feature][]float64, len(series))
-	miss := make(map[smart.Feature][]bool, len(used))
-	var sentinels, imputed, residual int64
-	for ft, col := range series {
-		if !used[ft] {
-			out[ft] = col
-			continue
+// sanitizeSeries returns cleaned copies of the columns extractDrive
+// will read: feats plus MWI_N, which drives the metadata. The input map
+// and its slices are never modified, so sources that share backing
+// arrays (the cache) stay intact.
+func sanitizeSeries(series map[smart.Feature][]float64, feats []smart.Feature, san *SanitizeOpts) map[smart.Feature][]float64 {
+	out := make(map[smart.Feature][]float64, len(feats)+1)
+	for _, ft := range append(slices.Clip(feats), mwiFeature) {
+		if col, ok := series[ft]; ok && out[ft] == nil {
+			out[ft] = make([]float64, len(col))
+			san.Clean(out[ft], col)
 		}
-		clean := make([]float64, len(col))
-		copy(clean, col)
-		m := make([]bool, len(col))
-		s, i, r := sanitizeColumn(clean, m, san)
-		sentinels += s
-		imputed += i
-		residual += r
-		out[ft] = clean
-		miss[ft] = m
 	}
-	san.count(sentinels, imputed, residual)
-	return out, miss
+	return out
 }
 
 // sanitizeColumn cleans one series in place: sentinel scrub, then
-// bounded LOCF imputation with leading backfill. miss, when non-nil,
-// records pre-imputation missingness (non-finite or sentinel).
-func sanitizeColumn(col []float64, miss []bool, san *SanitizeOpts) (sentinels, imputed, residual int64) {
+// bounded LOCF imputation with leading backfill.
+func sanitizeColumn(col []float64, san *SanitizeOpts) (sentinels, imputed, residual int64) {
 	firstFinite := -1
 	for day, v := range col {
 		for _, s := range san.Sentinels {
@@ -155,9 +134,6 @@ func sanitizeColumn(col []float64, miss []bool, san *SanitizeOpts) (sentinels, i
 		// overflow) are all treated as missing.
 		if v := col[day]; v-v != 0 {
 			col[day] = math.NaN()
-			if miss != nil {
-				miss[day] = true
-			}
 		} else if firstFinite < 0 {
 			firstFinite = day
 		}

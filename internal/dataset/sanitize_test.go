@@ -2,15 +2,15 @@ package dataset
 
 import (
 	"math"
-	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/smart"
 )
 
-// dirtySource serves a two-drive model with injected defects: drive 1
-// has a short gap (days 10-11), a sentinel at day 20, and a long gap
-// (days 30-47); drive 2 is clean. Columns are MWI_R/MWI_N/RSC_R/RSC_N.
+// dirtySource serves a two-drive model with injected defects in every
+// column the MA1 spec lists: drive 1 has a short gap (days 10-11), a
+// sentinel at day 20, and a long gap (days 30-47); drive 2 is clean.
 type dirtySource struct{ days int }
 
 func (d dirtySource) Days() int { return d.days }
@@ -27,12 +27,7 @@ func (d dirtySource) DrivesOf(m smart.ModelID) []DriveRef {
 
 func (d dirtySource) Series(ref DriveRef) (map[smart.Feature][]float64, int, error) {
 	cols := make(map[smart.Feature][]float64)
-	for _, ft := range []smart.Feature{
-		{Attr: smart.MWI, Kind: smart.Raw},
-		{Attr: smart.MWI, Kind: smart.Normalized},
-		{Attr: smart.RSC, Kind: smart.Raw},
-		{Attr: smart.RSC, Kind: smart.Normalized},
-	} {
+	for _, ft := range smart.MustSpec(smart.MA1).Features() {
 		col := make([]float64, d.days)
 		for day := range col {
 			col[day] = float64(100 + day)
@@ -49,20 +44,24 @@ func (d dirtySource) Series(ref DriveRef) (map[smart.Feature][]float64, int, err
 	return cols, d.days - 1, nil
 }
 
-func dirtyFrameOpts(san *SanitizeOpts) FrameOpts {
-	return FrameOpts{
-		Model: smart.MA1, NegEvery: 1, Sanitize: san,
-		Features: []smart.Feature{
-			{Attr: smart.MWI, Kind: smart.Normalized},
-			{Attr: smart.RSC, Kind: smart.Raw},
-		},
+func dirtyFrameOpts(src dirtySource, san *SanitizeOpts) FrameOpts {
+	return FrameOpts{Model: smart.MA1, DayHi: src.days - 1, NegEvery: 1, Sanitize: san}
+}
+
+// mwiCol returns the frame's MWI_N column.
+func mwiCol(t *testing.T, fr *frame.Frame) []float64 {
+	t.Helper()
+	col, err := fr.ColByName("MWI_N")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return col
 }
 
 func TestSanitizeImputesShortGapsMasksLong(t *testing.T) {
 	src := dirtySource{days: 60}
 	ctr := &DefectCounter{}
-	fr, err := Frame(src, dirtyFrameOpts(&SanitizeOpts{
+	fr, err := Frame(src, dirtyFrameOpts(src, &SanitizeOpts{
 		MaxGap:    5,
 		Sentinels: []float64{65535},
 		Counter:   ctr,
@@ -70,7 +69,7 @@ func TestSanitizeImputesShortGapsMasksLong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := fr.Col(0) // MWI_N, one row per drive-day, drive 1 first
+	col := mwiCol(t, fr) // one row per drive-day, drive 1 first
 	// Day 10-11 (short gap) imputed from day 9's value 109.
 	if col[10] != 109 || col[11] != 109 {
 		t.Errorf("short gap imputed to %v, %v, want 109", col[10], col[11])
@@ -92,53 +91,17 @@ func TestSanitizeImputesShortGapsMasksLong(t *testing.T) {
 	}
 }
 
-func TestSanitizeMissMaskColumns(t *testing.T) {
-	src := dirtySource{days: 60}
-	fr, err := Frame(src, dirtyFrameOpts(&SanitizeOpts{MaxGap: 5, MissMask: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := fr.Names()
-	nMask := 0
-	for _, n := range names {
-		if strings.HasSuffix(n, ".miss") {
-			nMask++
-		}
-	}
-	if nMask != 2 {
-		t.Fatalf("frame has %d mask columns (%v), want 2", nMask, names)
-	}
-	if names[len(names)-2] != "MWI_N.miss" || names[len(names)-1] != "RSC_R.miss" {
-		t.Errorf("mask columns misnamed or misplaced: %v", names[len(names)-2:])
-	}
-	maskCol := fr.Col(len(names) - 2)
-	valCol := fr.Col(0)
-	// Row for drive 1 day 10: value imputed, mask set. Day 9: observed.
-	if maskCol[10] != 1 || valCol[10] != 109 {
-		t.Errorf("day 10: mask %v value %v, want 1 / 109", maskCol[10], valCol[10])
-	}
-	if maskCol[9] != 0 {
-		t.Errorf("day 9: mask %v, want 0", maskCol[9])
-	}
-	// Drive 2 (clean) rows: all masks zero.
-	for i := 60; i < fr.NumRows(); i++ {
-		if maskCol[i] != 0 {
-			t.Fatalf("clean drive has mask bit set at row %d", i)
-		}
-	}
-}
-
 func TestSanitizeNilIsExactLegacyPath(t *testing.T) {
 	src := dirtySource{days: 60}
-	a, err := Frame(src, dirtyFrameOpts(nil))
+	a, err := Frame(src, dirtyFrameOpts(src, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Frame(src, dirtyFrameOpts(nil))
+	b, err := Frame(src, dirtyFrameOpts(src, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumFeatures() != 2 {
+	if a.NumFeatures() != len(smart.MustSpec(smart.MA1).Features()) {
 		t.Fatalf("legacy frame gained columns: %v", a.Names())
 	}
 	for c := 0; c < a.NumFeatures(); c++ {
@@ -151,15 +114,14 @@ func TestSanitizeNilIsExactLegacyPath(t *testing.T) {
 		}
 	}
 	// NaNs flow through untouched on the legacy path.
-	if v := a.Col(0)[10]; !math.IsNaN(v) {
+	if v := mwiCol(t, a)[10]; !math.IsNaN(v) {
 		t.Errorf("legacy path altered missing cell: %v", v)
 	}
 }
 
 func TestSanitizeAllMissingColumnStaysMissing(t *testing.T) {
 	col := []float64{math.NaN(), math.NaN(), math.NaN()}
-	miss := make([]bool, 3)
-	s, i, r := sanitizeColumn(col, miss, &SanitizeOpts{})
+	s, i, r := sanitizeColumn(col, &SanitizeOpts{})
 	if s != 0 || i != 0 || r != 3 {
 		t.Errorf("all-missing column: sentinels %d imputed %d residual %d", s, i, r)
 	}
@@ -172,8 +134,7 @@ func TestSanitizeAllMissingColumnStaysMissing(t *testing.T) {
 
 func TestSanitizeLeadingBackfill(t *testing.T) {
 	col := []float64{math.NaN(), math.NaN(), 5, 6}
-	miss := make([]bool, 4)
-	_, imputed, residual := sanitizeColumn(col, miss, &SanitizeOpts{MaxGap: 3})
+	_, imputed, residual := sanitizeColumn(col, &SanitizeOpts{MaxGap: 3})
 	if col[0] != 5 || col[1] != 5 {
 		t.Errorf("leading gap = %v, want backfill from 5", col[:2])
 	}
@@ -182,9 +143,10 @@ func TestSanitizeLeadingBackfill(t *testing.T) {
 	}
 	// Inf counts as missing.
 	col2 := []float64{1, math.Inf(1), 3}
-	miss2 := make([]bool, 3)
-	sanitizeColumn(col2, miss2, &SanitizeOpts{})
-	if col2[1] != 1 || !miss2[1] {
-		t.Errorf("Inf cell: value %v mask %v, want imputed 1 / true", col2[1], miss2[1])
+	san := &SanitizeOpts{}
+	miss := san.Missing(col2[1])
+	sanitizeColumn(col2, san)
+	if col2[1] != 1 || !miss {
+		t.Errorf("Inf cell: value %v mask %v, want imputed 1 / true", col2[1], miss)
 	}
 }

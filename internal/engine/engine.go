@@ -56,8 +56,9 @@ type Config struct {
 	// Forest configures the prediction model; zero NumTrees means the
 	// paper's 100 trees with maximum depth 13.
 	Forest forest.Config
-	// NegEvery is the negative-sample day stride in training and
-	// validation frames; 0 means 7.
+	// NegEvery is the negative-sample day stride of the selection and
+	// training frames (a fifth of it, at least 1, for the training
+	// frames of two wear groups); 0 means 7.
 	NegEvery int
 	// TargetRecall is the drive-level recall the alarm threshold is
 	// calibrated to on the validation period, making methods
@@ -75,10 +76,10 @@ type Config struct {
 	// reads it.
 	SplitMethod hist.SplitMethod
 	// Workers bounds the engine's parallelism — store ingest, frame
-	// extraction across drives, forest fitting, and batch scoring; 0
-	// means GOMAXPROCS. Results are bit-identical for any value (set 1
-	// to force serial execution). An explicit Forest.Workers takes
-	// precedence for the forest itself.
+	// extraction and row passes across drives, forest fitting, and
+	// batch scoring; 0 means GOMAXPROCS. Results are bit-identical for
+	// any value (set 1 to force serial execution). An explicit
+	// Forest.Workers takes precedence for the forest itself.
 	Workers int
 	// Seed drives the prediction model's randomness.
 	Seed int64
@@ -230,7 +231,8 @@ func (e *Engine) Store() *store.Store { return e.st }
 // evaluating many selectors against it (Exp#1's percentage sweeps)
 // avoids rebuilding the frame and curve per selector.
 type PhaseData struct {
-	// SelFrame is the original-feature training frame selectors rank.
+	// SelFrame is the original-feature frame over the fit period that
+	// selectors rank.
 	SelFrame *frame.Frame
 	// Curve is the survival curve computed from training data only.
 	Curve survival.Curve
@@ -346,44 +348,53 @@ func (pd *PhaseData) RunSelection(name string, selRes SelectorResult) (PhaseResu
 	return pd.runSelection(name, selRes, append([]StageStat(nil), pd.prep...))
 }
 
-// trainFrame extracts group g's training frame over the fit period,
-// one of nGroups wear groups.
-func (pd *PhaseData) trainFrame(g *group, nGroups int) (*frame.Frame, error) {
-	src, model, ph, cfg := pd.src, pd.model, pd.ph, pd.cfg
-	// Wear groups are subsets with inherently higher positive density;
-	// denser negative sampling keeps the class ratio (and with it the
-	// forest's probability scale) closer to the full population's.
-	groupNegEvery := cfg.NegEvery
-	if nGroups > 1 {
-		groupNegEvery = max(1, cfg.NegEvery/5)
+// trainFrames builds every group's training frame over days [lo, hi]
+// of src in one pass over the drives, through the row assembly that
+// scores: each drive's positive days, and its negative days with
+// (day−ID) % negEvery == 0. Wear groups are subsets with inherently
+// higher positive density; denser negative sampling keeps the class
+// ratio (and with it the forest's probability scale) closer to the
+// full population's. A group the pass leaves without positives trains
+// on the whole population with its features instead, at the config's
+// stride.
+func trainFrames(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config) ([]*frame.Frame, error) {
+	negEvery := cfg.NegEvery
+	if len(groups) > 1 {
+		negEvery = max(1, cfg.NegEvery/5)
 	}
-	fr, err := dataset.Frame(src, dataset.FrameOpts{
-		Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
-		NegEvery: groupNegEvery, Features: g.feats, Expand: true,
-		Windows: cfg.Windows, MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
-		Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
-	})
-	if err != nil && !errors.Is(err, dataset.ErrNoSamples) {
+	frames, err := trainPass(src, model, groups, lo, hi, negEvery, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: training frame: %w", err)
 	}
-	if err == nil && fr.Positives() > 0 {
-		return fr, nil
+	for g, fr := range frames {
+		if fr != nil && fr.Positives() > 0 {
+			continue
+		}
+		whole, err := trainPass(src, model, []group{{feats: groups[g].feats}}, lo, hi, cfg.NegEvery, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: fallback training frame: %w", err)
+		}
+		if whole[0] == nil || whole[0].Positives() == 0 {
+			return nil, ErrNoTrainingSignal
+		}
+		frames[g] = whole[0]
 	}
-	// Degenerate group: train on the whole population with the group's
-	// features instead.
-	fr, err = dataset.Frame(src, dataset.FrameOpts{
-		Model: model, DayLo: ph.TrainLo, DayHi: pd.fitHi,
-		NegEvery: cfg.NegEvery, Features: g.feats, Expand: true,
-		Windows: cfg.Windows, Workers: cfg.Workers,
-		Sanitize: cfg.sanitizeOpts(true),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: fallback training frame: %w", err)
+	return frames, nil
+}
+
+// trainPass assembles the groups' frames over days [lo, hi] with every
+// positive day and the negative days (day−ID) % negEvery == 0 of each
+// drive; a group without rows gets a nil frame.
+func trainPass(src dataset.Source, model smart.ModelID, groups []group, lo, hi, negEvery int, cfg Config) ([]*frame.Frame, error) {
+	s := newScorer(model, groups, nil, cfg)
+	var buf ScoreBuf
+	keep := func(ref dataset.DriveRef, day int) bool {
+		return ref.Label(day) == 1 || (day-ref.ID)%negEvery == 0
 	}
-	if fr.Positives() == 0 {
-		return nil, ErrNoTrainingSignal
+	if _, err := s.assemble(src, lo, hi, &buf, keep); err != nil {
+		return nil, err
 	}
-	return fr, nil
+	return s.frames(&buf)
 }
 
 // runSelection is the Train → Calibrate → Score → Evaluate stage
@@ -396,20 +407,19 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	}
 
 	// Train a model per group on the fit period; groups without
-	// signal fall back to the all-drives feature set and population.
+	// signal fall back to the whole population.
 	err = timeStage(cfg, &stats, StageTrain, func() (int, error) {
+		frames, err := trainFrames(src, model, groups, ph.TrainLo, pd.fitHi, cfg)
+		if err != nil {
+			return 0, err
+		}
 		rows := 0
-		for gi := range groups {
-			g := &groups[gi]
-			trainFr, err := pd.trainFrame(g, len(groups))
-			if err != nil {
-				return rows, err
-			}
-			rows += trainFr.NumRows()
-			g.model, err = fitModel(trainFr, cfg)
-			if err != nil {
+		for g, fr := range frames {
+			rows += fr.NumRows()
+			if groups[g].model, err = fitModel(fr, cfg); err != nil {
 				return rows, fmt.Errorf("pipeline: fit group model: %w", err)
 			}
+			frames[g] = nil // free the rows before the next group's fit
 		}
 		return rows, nil
 	})

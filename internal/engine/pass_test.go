@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/featgen"
 	"repro/internal/flat"
 	"repro/internal/forest"
 	"repro/internal/frame"
@@ -19,13 +19,211 @@ import (
 	"repro/internal/store"
 )
 
-// The engine's one window scorer (Scorer.pass and its folds) is
-// checked here against a frame-path reference that builds the same
-// rows through dataset.Frame, one every-day frame per wear group, and
-// folds them per drive. The fixture is a small simulated MC1 fleet
-// with injected missing readings, sentinels and long gaps, a two-group
-// snapshot whose wear bounds leave a gap no group admits, and the same
-// groups trained on sanitized, masked frames for robust scoring.
+// The engine's one row assembler (Scorer.assemble, the scoring pass
+// and its folds, and the training frames built on it) is checked here
+// against a frame-path reference: refFrame, the per-group expanding
+// extraction that built training and scoring frames before the pass
+// did. Scoring is checked against one every-day reference frame per
+// wear group folded per drive, training against the reference's
+// per-group frames and degenerate fallback. The fixture is a small
+// simulated MC1 fleet with injected missing readings, sentinels and
+// long gaps, a two-group snapshot whose wear bounds leave a gap no
+// group admits, and the same groups trained on sanitized, masked
+// frames for robust scoring.
+
+// refOpts selects the drive-days and columns of a reference frame.
+type refOpts struct {
+	lo, hi   int // sample days, inclusive
+	negEvery int // keep every positive day and every negEvery-th negative one
+	feats    []smart.Feature
+	windows  []int // nil means featgen.DefaultWindows
+	// below, when > 0, keeps days whose MWI_N is strictly below it;
+	// atLeast, when > 0, keeps days whose MWI_N is at least it.
+	below, atLeast float64
+	san            *dataset.SanitizeOpts // nil: no cleaning, no masks
+}
+
+// refFrame is the reference extraction: for each drive in inventory
+// order, its series cleaned column by column when san is set, the
+// kept days of [lo, min(hi, lastDay)] (positive, or (day−ID) %
+// negEvery == 0, within the wear bounds; a NaN wear reading fails
+// every >= test, and a drive without MWI_N reads 0), and per kept day
+// the features, then every feature's generated statistics over the
+// whole range (featgen.GenerateRangeInto from lo), then the ".miss"
+// cells of the raw readings when san.MissMask is set. It returns nil
+// when no day is kept. It never feeds san.Counter.
+func refFrame(src dataset.Source, model smart.ModelID, o refOpts) (*frame.Frame, error) {
+	windows := o.windows
+	if windows == nil {
+		windows = featgen.DefaultWindows
+	}
+	nGen := featgen.NumGenerated(windows)
+	var san *dataset.SanitizeOpts
+	if o.san != nil {
+		cp := *o.san
+		cp.Counter = nil
+		san = &cp
+	}
+	masks := san != nil && san.MissMask
+	var names []string
+	for _, ft := range o.feats {
+		names = append(names, ft.String())
+	}
+	for _, ft := range o.feats {
+		names = append(names, featgen.Names(ft.String(), windows)...)
+	}
+	if masks {
+		for _, ft := range o.feats {
+			names = append(names, ft.String()+".miss")
+		}
+	}
+	cols := make([][]float64, len(names))
+	var labels []int
+	var meta []frame.Meta
+	for _, ref := range src.DrivesOf(model) {
+		raw, last, err := src.Series(ref)
+		if err != nil {
+			return nil, err
+		}
+		hi := min(o.hi, last)
+		if o.lo > hi {
+			continue
+		}
+		series := raw
+		if san != nil {
+			series = make(map[smart.Feature][]float64, len(raw))
+			for ft, col := range raw {
+				series[ft] = col
+			}
+			for _, ft := range append([]smart.Feature{MWIFeature}, o.feats...) {
+				if col, ok := raw[ft]; ok {
+					clean := make([]float64, len(col))
+					san.Clean(clean, col)
+					series[ft] = clean
+				}
+			}
+		}
+		wear := func(day int) float64 {
+			if col := series[MWIFeature]; col != nil {
+				return col[day]
+			}
+			return 0
+		}
+		var days []int
+		for day := o.lo; day <= hi; day++ {
+			if ref.Label(day) == 0 && (day-ref.ID)%o.negEvery != 0 {
+				continue
+			}
+			if o.below > 0 && wear(day) >= o.below {
+				continue
+			}
+			if o.atLeast > 0 && !(wear(day) >= o.atLeast) {
+				continue
+			}
+			days = append(days, day)
+		}
+		if len(days) == 0 {
+			continue
+		}
+		gen := make([][]float64, len(o.feats)*nGen)
+		for fi, ft := range o.feats {
+			col, ok := series[ft]
+			if !ok {
+				return nil, fmt.Errorf("drive %d has no %v column", ref.ID, ft)
+			}
+			for j := 0; j < nGen; j++ {
+				gen[fi*nGen+j] = make([]float64, hi-o.lo+1)
+			}
+			if _, err := featgen.GenerateRangeInto(gen[fi*nGen:(fi+1)*nGen], col, windows, o.lo, hi, nil); err != nil {
+				return nil, err
+			}
+		}
+		for _, day := range days {
+			c := 0
+			for _, ft := range o.feats {
+				cols[c] = append(cols[c], series[ft][day])
+				c++
+			}
+			for _, g := range gen {
+				cols[c] = append(cols[c], g[day-o.lo])
+				c++
+			}
+			if masks {
+				for _, ft := range o.feats {
+					v := 0.0
+					if san.Missing(raw[ft][day]) {
+						v = 1
+					}
+					cols[c] = append(cols[c], v)
+					c++
+				}
+			}
+			labels = append(labels, ref.Label(day))
+			meta = append(meta, frame.Meta{DriveID: ref.ID, Day: day, MWI: wear(day)})
+		}
+	}
+	if len(labels) == 0 {
+		return nil, nil
+	}
+	return frame.New(names, cols, labels, meta)
+}
+
+// groupRef is refFrame's options for group g's frame over [lo, hi].
+func groupRef(g group, lo, hi, negEvery int, windows []int, san *dataset.SanitizeOpts) refOpts {
+	return refOpts{lo: lo, hi: hi, negEvery: negEvery, feats: g.feats, windows: windows,
+		below: g.mwiBelow, atLeast: g.mwiAtLeast, san: san}
+}
+
+// refTrainFrames is the reference of trainFrames: one refFrame per
+// group, every positive day and every negEvery-th negative day
+// (cfg.NegEvery/5, at least 1, with more than one group), and for a
+// group left without positives the whole population with its
+// features at cfg.NegEvery.
+func refTrainFrames(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config) ([]*frame.Frame, error) {
+	negEvery := cfg.NegEvery
+	if len(groups) > 1 {
+		negEvery = max(1, cfg.NegEvery/5)
+	}
+	san := cfg.sanitizeOpts(true)
+	out := make([]*frame.Frame, len(groups))
+	for gi, g := range groups {
+		fr, err := refFrame(src, model, groupRef(g, lo, hi, negEvery, cfg.Windows, san))
+		if err != nil {
+			return nil, err
+		}
+		if fr == nil || fr.Positives() == 0 {
+			if fr, err = refFrame(src, model, groupRef(group{feats: g.feats}, lo, hi, cfg.NegEvery, cfg.Windows, san)); err != nil {
+				return nil, err
+			}
+			if fr == nil || fr.Positives() == 0 {
+				return nil, ErrNoTrainingSignal
+			}
+		}
+		out[gi] = fr
+	}
+	return out, nil
+}
+
+// sameFrame fails unless got and want have the same column names,
+// cells (by Float64bits), labels and metadata, in the same row order.
+func sameFrame(t testing.TB, what string, got, want *frame.Frame) {
+	t.Helper()
+	if !slices.Equal(got.Names(), want.Names()) {
+		t.Fatalf("%s: columns %v, reference %v", what, got.Names(), want.Names())
+	}
+	if !slices.Equal(got.Labels(), want.Labels()) {
+		t.Fatalf("%s: %d labels differ from the reference's %d", what, got.NumRows(), want.NumRows())
+	}
+	for c := 0; c < want.NumFeatures(); c++ {
+		sameBits(t, fmt.Sprintf("%s column %s", what, want.Names()[c]), got.Col(c), want.Col(c))
+	}
+	for i := 0; i < want.NumRows(); i++ {
+		g, w := got.Meta(i), want.Meta(i)
+		if g.DriveID != w.DriveID || g.Day != w.Day || math.Float64bits(g.MWI) != math.Float64bits(w.MWI) {
+			t.Fatalf("%s row %d: meta %+v, reference %+v", what, i, g, w)
+		}
+	}
+}
 
 // refRow is one drive-day the reference scored.
 type refRow struct {
@@ -40,7 +238,7 @@ type refDrive struct {
 }
 
 // frameScore is the frame-path reference of s.pass: it scores every
-// drive-day of [lo, hi] with s's groups through dataset.Frame (robust
+// drive-day of [lo, hi] with s's groups through refFrame (robust
 // configs sanitize each drive's series and append ".miss" columns
 // there) and returns the scored days by drive ID with the number of
 // rows scored.
@@ -65,17 +263,12 @@ func frameRows(src dataset.Source, s *Scorer, lo, hi int) (map[int]*refDrive, []
 	out := make(map[int]*refDrive)
 	frames := make([][][]float64, len(s.groups))
 	for gi, g := range s.groups {
-		fr, err := dataset.Frame(src, dataset.FrameOpts{
-			Model: s.model, DayLo: lo, DayHi: hi, NegEvery: 1,
-			Features: g.feats, Expand: true, Windows: s.cfg.Windows,
-			MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
-			Workers: s.cfg.Workers, Sanitize: s.cfg.sanitizeOpts(true),
-		})
-		if errors.Is(err, dataset.ErrNoSamples) {
-			continue
-		}
+		fr, err := refFrame(src, s.model, groupRef(g, lo, hi, 1, s.cfg.Windows, s.cfg.sanitizeOpts(true)))
 		if err != nil {
 			return nil, nil, err
+		}
+		if fr == nil {
+			continue
 		}
 		frames[gi] = frameColumns(fr)
 		probs := make([]float64, fr.NumRows())
@@ -391,14 +584,11 @@ func passGroups(src dataset.Source, san *dataset.SanitizeOpts) ([]group, error) 
 	}
 	for gi := range groups {
 		g := &groups[gi]
-		fr, err := dataset.Frame(src, dataset.FrameOpts{
-			Model: smart.MC1, DayLo: 0, DayHi: 79, NegEvery: 2,
-			Features: g.feats, Expand: true, Sanitize: san,
-		})
+		fr, err := refFrame(src, smart.MC1, refOpts{lo: 0, hi: 79, negEvery: 2, feats: g.feats, san: san})
 		if err != nil {
 			return nil, err
 		}
-		if fr.Positives() == 0 {
+		if fr == nil || fr.Positives() == 0 {
 			return nil, fmt.Errorf("group %d trains without positives", gi)
 		}
 		fo, err := forest.Fit(frameColumns(fr), fr.Labels(), forest.Config{NumTrees: 4, MaxDepth: 6, Seed: int64(gi + 1)})
@@ -587,32 +777,54 @@ func TestScorerMatchesFramePath(t *testing.T) {
 }
 
 // TestRobustPassCountsDefectsOnce pins a robust pass's defect
-// accounting: each drive with a day in the window has its read columns
-// (MWI_N and the union of the groups' features) sanitized, and
-// counted, exactly once.
+// accounting, for scoring and for training: each drive with a day in
+// the window has its read columns (MWI_N and the union of the groups'
+// features) sanitized, and counted, exactly once — once per pass, not
+// once per wear group.
 func TestRobustPassCountsDefectsOnce(t *testing.T) {
 	fx := getPassFixture(t)
-	s := robustScorer(fx.masked, passSanitize(true), 2)
-	const lo, hi = 90, 119
-	if _, err := s.pass(fx.robust, lo, hi, new(ScoreBuf)); err != nil {
-		t.Fatal(err)
-	}
-	var want dataset.DefectCounter
-	san := passSanitize(true)
-	san.Counter = &want
-	for _, ref := range fx.robust.refs {
-		if fx.robust.last[ref.ID] < lo {
-			continue
-		}
-		for _, ft := range s.reads {
-			if col := fx.robust.series[ref.ID][ft]; col != nil {
-				san.Clean(make([]float64, len(col)), col)
+	cases := []struct {
+		name   string
+		lo, hi int
+		run    func(s *Scorer, lo, hi int) error
+	}{
+		{"score", 90, 119, func(s *Scorer, lo, hi int) error {
+			_, err := s.pass(fx.robust, lo, hi, new(ScoreBuf))
+			return err
+		}},
+		{"train", 10, 79, func(s *Scorer, lo, hi int) error {
+			frames, err := trainFrames(fx.robust, smart.MC1, s.groups, lo, hi, s.cfg)
+			if err == nil && len(frames) != 2 {
+				err = fmt.Errorf("%d training frames", len(frames))
 			}
-		}
+			return err
+		}},
 	}
-	got := s.cfg.Robust.Report.Counter().Snapshot()
-	if got != want.Snapshot() || got.SentinelCells == 0 || got.ImputedCells == 0 || got.ResidualCells == 0 {
-		t.Fatalf("pass counted %+v, want %+v with every kind nonzero", got, want.Snapshot())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := robustScorer(fx.masked, passSanitize(true), 2)
+			s.cfg.NegEvery = 10
+			if err := tc.run(s, tc.lo, tc.hi); err != nil {
+				t.Fatal(err)
+			}
+			var want dataset.DefectCounter
+			san := passSanitize(true)
+			san.Counter = &want
+			for _, ref := range fx.robust.refs {
+				if fx.robust.last[ref.ID] < tc.lo {
+					continue
+				}
+				for _, ft := range s.reads {
+					if col := fx.robust.series[ref.ID][ft]; col != nil {
+						san.Clean(make([]float64, len(col)), col)
+					}
+				}
+			}
+			got := s.cfg.Robust.Report.Counter().Snapshot()
+			if got != want.Snapshot() || got.SentinelCells == 0 || got.ImputedCells == 0 || got.ResidualCells == 0 {
+				t.Fatalf("pass counted %+v, want %+v with every kind nonzero", got, want.Snapshot())
+			}
+		})
 	}
 }
 

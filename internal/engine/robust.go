@@ -10,16 +10,16 @@ import (
 // RobustOpts hardens the pipeline against dirty data. With a non-nil
 // Robust config, every frame the pipeline builds and every window it
 // scores is sanitized (sentinel scrub, bounded imputation,
-// missingness masks on training frames and scored rows), a phase whose
+// missingness masks on training and scored rows), a phase whose
 // selection fails falls back to the previous phase's selection before
 // being skipped, and all degradation events are accounted in the
-// Report. A scoring pass sanitizes, and counts, each drive's read
-// columns once, not once per wear-group frame. A nil Robust config
-// reproduces the legacy pipeline exactly, bit for bit.
+// Report. A training or scoring pass sanitizes, and counts, each
+// drive's read columns once, not once per wear group. A nil Robust
+// config reproduces the legacy pipeline exactly, bit for bit.
 type RobustOpts struct {
 	// Sanitize configures series cleaning. Counter is overwritten to
 	// feed the Report when one is set; MissMask applies to training
-	// frames and scored rows only (the selection frame keeps pure
+	// and scored rows only (the selection frame keeps pure
 	// feature columns, which selectors rank and parse by name).
 	Sanitize dataset.SanitizeOpts
 	// Report, when non-nil, accumulates degradation events and detected
@@ -27,9 +27,9 @@ type RobustOpts struct {
 	Report *RunReport
 }
 
-// sanitizeOpts builds the sanitization options of a frame or scoring
-// pass; mask selects whether missingness-mask columns are appended
-// (training frames and scored rows only).
+// sanitizeOpts builds the sanitization options of a selection frame
+// or an engine pass; mask selects whether missingness-mask cells are
+// appended (training and scored rows only).
 func (c Config) sanitizeOpts(mask bool) *dataset.SanitizeOpts {
 	if c.Robust == nil {
 		return nil

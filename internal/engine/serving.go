@@ -11,17 +11,19 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/featgen"
+	"repro/internal/frame"
 	"repro/internal/smart"
 	"repro/internal/stats"
 )
 
-// This file is the engine's one window scorer and the Scorer surface
-// the serving daemon builds on: the one-pass scoring of a window
-// (ScoreInto, and the Calibrate and Score stages of a phase), the row
-// assembler it shares with the daemon (FillRow), and read-only
-// accessors for the group structure, so a server can route a drive to
-// its wear group, assemble that group's model-input row, and push
-// single rows or batches straight through the group's compiled model.
+// This file is the engine's one row assembler and window scorer, and
+// the Scorer surface the serving daemon builds on: the one pass over a
+// window's drives that builds the rows a phase trains on (Train) and
+// scores (ScoreInto, Calibrate and Score), the row fill it shares with
+// the daemon (fillRows, behind FillRow), and read-only accessors for
+// the group structure, so a server can route a drive to its wear
+// group, assemble that group's model-input row, and push single rows
+// or batches straight through the group's compiled model.
 
 // ScoreBuf recycles the working state of repeated scoring passes — the
 // drives' column views, the groups' model-input columns and
@@ -35,6 +37,7 @@ import (
 type ScoreBuf struct {
 	refs     []dataset.DriveRef // the pass's drives, inventory order
 	lo, hi   int                // the pass's window
+	keep     keepRule           // the pass's row rule; nil keeps every routed day
 	views    [][]float64        // drive d's columns at [d*len(reads), (d+1)*len(reads))
 	wear     [][]float64        // robust passes: drive d's sanitized MWI_N
 	lastDay  []int              // drive d's last visible day
@@ -51,11 +54,10 @@ type ScoreBuf struct {
 
 // passWorker is one pass goroutine's row-assembly scratch.
 type passWorker struct {
-	feat  [][]float64 // the routed group's feature columns
+	feat  [][]float64 // a group's feature columns
 	cols  [][]float64 // robust passes: the drive's sanitized columns, by read
 	clean [][]float64 // robust passes: cols' backing, by read
-	row   []float64
-	next  []int // per group: the next row to write for the current drive
+	days  [][]int     // per group: the current drive's kept days
 	rs    RowScratch
 }
 
@@ -106,7 +108,7 @@ type columnReader interface {
 }
 
 // mwiOn is the routing wear index of a day: the MWI_N reading, or 0
-// for a drive without the column (as frame extraction defaults it).
+// for a drive without the column.
 func mwiOn(col []float64, day int) float64 {
 	if col == nil {
 		return 0
@@ -123,20 +125,47 @@ func (s *Scorer) wearOf(buf *ScoreBuf, d int) []float64 {
 	return buf.views[d*len(s.reads)]
 }
 
+// keepRule decides whether a routed day of a drive becomes a row of a
+// pass.
+type keepRule func(ref dataset.DriveRef, day int) bool
+
 // pass scores every routed day of [lo, hi] into buf and returns the
-// number of rows scored; the outcomes and calibration folds read them.
+// number of rows scored: assemble, then one kernel call per group. The
+// outcomes and calibration folds read the scores.
+func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error) {
+	rows, err := s.assemble(src, lo, hi, buf, nil)
+	if err != nil {
+		return 0, err
+	}
+	buf.probs = grow(buf.probs, len(s.groups))
+	for g := range s.groups {
+		buf.probs[g] = grow(buf.probs[g], buf.totals[g])
+		if buf.totals[g] == 0 {
+			continue
+		}
+		if err := s.groups[g].model.PredictProbaBatch(buf.cols[g], buf.probs[g]); err != nil {
+			return 0, err
+		}
+	}
+	return rows, nil
+}
+
+// assemble writes the model-input row of every routed day of [lo, hi]
+// that keep admits (nil admits all) into its group's input columns in
+// buf, and returns the number of rows.
 //
 // It reads each drive's needed columns once (store snapshots hand them
 // out without building a series map) — sanitized once per drive when
-// the config is robust, routing and reported wear included — writes
-// every routed day's FillRow row, then its ".miss" cells when masks
-// are on, straight into its group's input columns, and makes one
-// kernel call per group. Rolling statistics are per day and the
-// kernel is row-local, so the scores do not depend on Workers.
-func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error) {
+// the config is robust, routing and reported wear included — and
+// writes each group's rows of the drive (fillRows, the cells FillRow
+// writes), then their ".miss" cells when masks are on, straight into
+// the group's columns. Each group's rows are its drives' in inventory
+// order, days ascending; rolling statistics are per day, so the rows
+// do not depend on Workers.
+func (s *Scorer) assemble(src dataset.Source, lo, hi int, buf *ScoreBuf, keep keepRule) (int, error) {
 	refs := src.DrivesOf(s.model)
 	n, nr, ng := len(refs), len(s.reads), len(s.groups)
-	buf.refs, buf.lo, buf.hi = refs, lo, hi
+	buf.refs, buf.lo, buf.hi, buf.keep = refs, lo, hi, keep
 	buf.views = grow(buf.views, n*nr)
 	buf.lastDay = grow(buf.lastDay, n)
 	buf.offsets = grow(buf.offsets, n*ng)
@@ -145,7 +174,7 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 	}
 	cr, _ := src.(columnReader)
 
-	// Read every drive once and count its routed days per group.
+	// Read every drive once and count its kept days per group.
 	err := s.forChunks(n, buf, func(_, d int) error {
 		view := buf.views[d*nr : (d+1)*nr]
 		var last int
@@ -175,7 +204,7 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 		count := buf.offsets[d*ng : (d+1)*ng]
 		clear(count)
 		for day := lo; day <= min(hi, last); day++ {
-			if g := s.PickGroup(mwiOn(wear, day)); g >= 0 {
+			if g := s.route(buf, d, wear, day); g >= 0 {
 				count[g]++
 			}
 		}
@@ -198,8 +227,7 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 	}
 	buf.slabs = grow(buf.slabs, ng)
 	buf.cols = grow(buf.cols, ng)
-	buf.probs = grow(buf.probs, ng)
-	scored := 0
+	assembled := 0
 	for g := 0; g < ng; g++ {
 		rows, width := buf.totals[g], s.rowWidth(g)
 		buf.slabs[g] = grow(buf.slabs[g], rows*width)
@@ -207,11 +235,10 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 		for c := range buf.cols[g] {
 			buf.cols[g][c] = buf.slabs[g][c*rows : (c+1)*rows : (c+1)*rows]
 		}
-		buf.probs[g] = grow(buf.probs[g], rows)
-		scored += rows
+		assembled += rows
 	}
 
-	// Assemble every routed day's row into its group's columns.
+	// Assemble every kept day's row into its group's columns.
 	err = s.forChunks(n, buf, func(w, d int) error {
 		pw := &buf.workers[w]
 		view := buf.views[d*nr : (d+1)*nr]
@@ -235,10 +262,16 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 			}
 		}
 		wear := s.wearOf(buf, d)
-		copy(pw.next, buf.offsets[d*ng:(d+1)*ng])
+		for g := range pw.days {
+			pw.days[g] = pw.days[g][:0]
+		}
 		for day := lo; day <= min(hi, last); day++ {
-			g := s.PickGroup(mwiOn(wear, day))
-			if g < 0 {
+			if g := s.route(buf, d, wear, day); g >= 0 {
+				pw.days[g] = append(pw.days[g], day)
+			}
+		}
+		for g, days := range pw.days {
+			if len(days) == 0 {
 				continue
 			}
 			feat := pw.feat[:len(s.cols[g])]
@@ -247,23 +280,21 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 					return fmt.Errorf("drive %d has no %v column", refs[d].ID, s.reads[r])
 				}
 			}
-			row := pw.row[:s.rowWidth(g)]
-			fill := s.GroupInputWidth(g)
-			if err := s.FillRow(g, feat, day, row[:fill], &pw.rs); err != nil {
+			first := buf.offsets[d*ng+g]
+			if err := s.fillRows(g, feat, days, buf.cols[g], first, &pw.rs); err != nil {
 				return fmt.Errorf("drive %d: %w", refs[d].ID, err)
 			}
 			if s.masks {
+				fill := s.GroupInputWidth(g)
 				for i, r := range s.cols[g] {
-					row[fill+i] = 0
-					if s.san.Missing(view[r][day]) {
-						row[fill+i] = 1
+					dst := buf.cols[g][fill+i][first : first+len(days)]
+					for t, day := range days {
+						dst[t] = 0
+						if s.san.Missing(view[r][day]) {
+							dst[t] = 1
+						}
 					}
 				}
-			}
-			r := pw.next[g]
-			pw.next[g]++
-			for c, v := range row {
-				buf.cols[g][c][r] = v
 			}
 		}
 		return nil
@@ -271,33 +302,35 @@ func (s *Scorer) pass(src dataset.Source, lo, hi int, buf *ScoreBuf) (int, error
 	if err != nil {
 		return 0, err
 	}
-	for g := 0; g < ng; g++ {
-		if buf.totals[g] == 0 {
-			continue
-		}
-		if err := s.groups[g].model.PredictProbaBatch(buf.cols[g], buf.probs[g]); err != nil {
-			return 0, err
-		}
-	}
-	return scored, nil
+	return assembled, nil
 }
 
-// eachDay feeds drive d's scored days of the last pass to fn in
-// ascending order, each with its group, probability and routing wear
-// index.
-func (s *Scorer) eachDay(buf *ScoreBuf, d int, fn func(day, g int, p, mwi float64)) {
+// route returns the group drive d's day goes to in the current pass:
+// the group PickGroup routes its wear index to, or -1 when no group
+// admits it or the pass's keep rule drops the day.
+func (s *Scorer) route(buf *ScoreBuf, d int, wear []float64, day int) int {
+	g := s.PickGroup(mwiOn(wear, day))
+	if g < 0 || buf.keep == nil || buf.keep(buf.refs[d], day) {
+		return g
+	}
+	return -1
+}
+
+// eachDay feeds drive d's rows of the last pass to fn in ascending day
+// order, each with its group, its row in the group's columns, and its
+// routing wear index.
+func (s *Scorer) eachDay(buf *ScoreBuf, d int, fn func(day, g, r int, mwi float64)) {
 	ng := len(s.groups)
 	wear := s.wearOf(buf, d)
 	buf.next = grow(buf.next, ng)
 	next := buf.next
 	copy(next, buf.offsets[d*ng:(d+1)*ng])
 	for day := buf.lo; day <= min(buf.hi, buf.lastDay[d]); day++ {
-		mwi := mwiOn(wear, day)
-		g := s.PickGroup(mwi)
+		g := s.route(buf, d, wear, day)
 		if g < 0 {
 			continue
 		}
-		fn(day, g, buf.probs[g][next[g]], mwi)
+		fn(day, g, next[g], mwiOn(wear, day))
 		next[g]++
 	}
 }
@@ -309,8 +342,8 @@ func (s *Scorer) outcomes(buf *ScoreBuf) []DriveOutcome {
 	out := buf.outcomes[:0]
 	for d, ref := range buf.refs {
 		fold, scored := newAlarmFold(), false
-		s.eachDay(buf, d, func(day, g int, p, mwi float64) {
-			fold.add(day, p, mwi, s.thresholds[g])
+		s.eachDay(buf, d, func(day, g, r int, mwi float64) {
+			fold.add(day, buf.probs[g][r], mwi, s.thresholds[g])
 			scored = true
 		})
 		if scored {
@@ -336,7 +369,8 @@ func (s *Scorer) calibration(buf *ScoreBuf) []calibDrive {
 		for g := range cd.groupMax {
 			cd.groupMax[g] = math.NaN()
 		}
-		s.eachDay(buf, d, func(day, g int, p, _ float64) {
+		s.eachDay(buf, d, func(day, g, r int, _ float64) {
+			p := buf.probs[g][r]
 			if cd.first < 0 {
 				cd.first = day
 			}
@@ -354,6 +388,58 @@ func (s *Scorer) calibration(buf *ScoreBuf) []calibDrive {
 	return out
 }
 
+// frames builds each group's training frame from the last pass: the
+// group's assembled columns, which the frame takes over from buf, each
+// row's label, and each row's drive, day and routing wear index. A
+// group without rows gets a nil frame.
+func (s *Scorer) frames(buf *ScoreBuf) ([]*frame.Frame, error) {
+	ng := len(s.groups)
+	labels := make([][]int, ng)
+	meta := make([][]frame.Meta, ng)
+	for g := range labels {
+		labels[g] = make([]int, buf.totals[g])
+		meta[g] = make([]frame.Meta, buf.totals[g])
+	}
+	for d, ref := range buf.refs {
+		s.eachDay(buf, d, func(day, g, r int, mwi float64) {
+			labels[g][r] = ref.Label(day)
+			meta[g][r] = frame.Meta{DriveID: ref.ID, Day: day, MWI: mwi}
+		})
+	}
+	out := make([]*frame.Frame, ng)
+	for g := range out {
+		if buf.totals[g] == 0 {
+			continue
+		}
+		fr, err := frame.New(s.rowNames(g), buf.cols[g], labels[g], meta[g])
+		if err != nil {
+			return nil, err
+		}
+		out[g] = fr
+		buf.slabs[g], buf.cols[g] = nil, nil
+	}
+	return out, nil
+}
+
+// rowNames names group g's row cells in a pass: the features, each
+// feature's generated statistics, then the ".miss" cells.
+func (s *Scorer) rowNames(g int) []string {
+	feats := s.groups[g].feats
+	names := make([]string, 0, s.rowWidth(g))
+	for _, ft := range feats {
+		names = append(names, ft.String())
+	}
+	for _, ft := range feats {
+		names = append(names, featgen.Names(ft.String(), s.Windows())...)
+	}
+	if s.masks {
+		for _, ft := range feats {
+			names = append(names, ft.String()+".miss")
+		}
+	}
+	return names
+}
+
 // forChunks runs fn(worker, drive) for every drive in [0, n), spread
 // over the scorer's Workers in chunks of passChunk drives, and returns
 // the error of the first failing drive in inventory order. It also
@@ -365,16 +451,14 @@ func (s *Scorer) forChunks(n int, buf *ScoreBuf, fn func(w, d int) error) error 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, chunks))
-	width := 0
-	for g := range s.groups {
-		width = max(width, s.rowWidth(g))
-	}
 	buf.workers = grow(buf.workers, workers)
 	for w := range buf.workers {
 		pw := &buf.workers[w]
 		pw.feat = grow(pw.feat, len(s.reads))
-		pw.next = grow(pw.next, len(s.groups))
-		pw.row = grow(pw.row, width)
+		if len(pw.days) < len(s.groups) {
+			pw.days = append(pw.days, make([][]int, len(s.groups)-len(pw.days))...)
+		}
+		pw.days = pw.days[:len(s.groups)]
 		if s.san != nil {
 			pw.cols = grow(pw.cols, len(s.reads))
 			if len(pw.clean) < len(s.reads) {
@@ -430,6 +514,8 @@ func grow[T any](s []T, n int) []T {
 // RowScratch is FillRow's reusable working state. The zero value is
 // ready to use; a RowScratch must not be used concurrently.
 type RowScratch struct {
+	cells   [][]float64 // FillRow: one-cell views of the row
+	days    []int       // FillRow: the one day
 	gen     [][]float64
 	rolling []stats.RollingStats
 }
@@ -438,17 +524,17 @@ type RowScratch struct {
 // must have GroupInputWidth(g) entries: each selected feature's value
 // on the day, then each feature's generated window statistics in
 // featgen order. cols holds the group's feature columns in
-// GroupFeatures order, each covering at least days [0, day]. With
-// MaxWindow days of history before day the row is bit-identical to the
-// rows the engine trains on and scores windows with, so online scores
-// match offline ones exactly.
+// GroupFeatures order, each covering at least days [0, day]. It writes
+// the cells the engine's one pass writes for the rows a phase trains
+// on and scores windows with, so with MaxWindow days of history before
+// day online scores match offline ones exactly.
 // Once sc has grown, FillRow allocates nothing.
 func (s *Scorer) FillRow(g int, cols [][]float64, day int, row []float64, sc *RowScratch) error {
 	if g < 0 || g >= len(s.groups) {
 		return fmt.Errorf("pipeline: group %d out of range [0, %d)", g, len(s.groups))
 	}
-	feats, windows := s.groups[g].feats, s.Windows()
-	k, nGen := len(feats), featgen.NumGenerated(windows)
+	feats := s.groups[g].feats
+	k, nGen := len(feats), featgen.NumGenerated(s.Windows())
 	if len(cols) != k || len(row) != k+k*nGen {
 		return fmt.Errorf("pipeline: group %d row needs %d feature columns and %d cells, got %d and %d",
 			g, k, k+k*nGen, len(cols), len(row))
@@ -457,19 +543,44 @@ func (s *Scorer) FillRow(g int, cols [][]float64, day int, row []float64, sc *Ro
 		if day < 0 || day >= len(col) {
 			return fmt.Errorf("pipeline: day %d outside %v's %d days", day, feats[i], len(col))
 		}
-		row[i] = col[day]
 	}
+	sc.cells = grow(sc.cells, len(row))
+	for c := range row {
+		sc.cells[c] = row[c : c+1]
+	}
+	sc.days = append(sc.days[:0], day)
+	return s.fillRows(g, cols, sc.days, sc.cells, 0, sc)
+}
+
+// fillRows writes group g's model-input cells for each of days
+// (ascending, each inside every column of cols) into rows r, r+1, ...
+// of dst: cell c of days[t] goes to dst[c][r+t]. The cells are each
+// feature's value on the day, then each feature's generated window
+// statistics in featgen order; cols holds the group's feature columns
+// in GroupFeatures order. Every run of consecutive days is generated
+// in one call, straight into its rows.
+func (s *Scorer) fillRows(g int, cols [][]float64, days []int, dst [][]float64, r int, sc *RowScratch) error {
+	windows := s.Windows()
+	k, nGen := len(cols), featgen.NumGenerated(windows)
 	sc.gen = grow(sc.gen, nGen)
 	for i, col := range cols {
-		// Generate straight into the row: gen[j] is cell j of feature
-		// i's statistics.
-		base := k + i*nGen
-		for j := range sc.gen {
-			sc.gen[j] = row[base+j : base+j+1]
+		orig := dst[i][r : r+len(days)]
+		for t, day := range days {
+			orig[t] = col[day]
 		}
-		var err error
-		if sc.rolling, err = featgen.GenerateRangeInto(sc.gen, col, windows, day, day, sc.rolling); err != nil {
-			return fmt.Errorf("pipeline: expand %v: %w", feats[i], err)
+		for t := 0; t < len(days); {
+			e := t + 1
+			for e < len(days) && days[e] == days[e-1]+1 {
+				e++
+			}
+			for j := range sc.gen {
+				sc.gen[j] = dst[k+i*nGen+j][r+t : r+e]
+			}
+			var err error
+			if sc.rolling, err = featgen.GenerateRangeInto(sc.gen, col, windows, days[t], days[e-1], sc.rolling); err != nil {
+				return fmt.Errorf("pipeline: expand %v: %w", s.groups[g].feats[i], err)
+			}
+			t = e
 		}
 	}
 	return nil
@@ -487,10 +598,10 @@ func (s *Scorer) GroupFeatures(g int) []smart.Feature {
 }
 
 // GroupMWIBounds returns group g's wear filter (0 = unbounded on that
-// side), with the same semantics the engine applies when routing
-// drive-days: a day belongs to the group when (below == 0 or
-// mwi < below) and (atLeast == 0 or mwi >= atLeast). A NaN wear index
-// fails every >= comparison, so it lands in the low-wear group only.
+// side), as PickGroup applies it: a day belongs to the group when
+// (below == 0 or mwi < below) and (atLeast == 0 or mwi >= atLeast). A
+// NaN wear index fails every >= comparison, so it lands in the
+// low-wear group only.
 func (s *Scorer) GroupMWIBounds(g int) (below, atLeast float64) {
 	return s.groups[g].mwiBelow, s.groups[g].mwiAtLeast
 }
@@ -498,10 +609,10 @@ func (s *Scorer) GroupMWIBounds(g int) (below, atLeast float64) {
 // GroupThreshold returns group g's calibrated alarm threshold.
 func (s *Scorer) GroupThreshold(g int) float64 { return s.thresholds[g] }
 
-// PickGroup returns the index of the wear group that scores a day with
-// the given wear index, or -1 when no group admits it. The comparison
-// logic mirrors the wear filter of the engine's training frames bit
-// for bit, including the NaN behavior documented on GroupMWIBounds.
+// PickGroup returns the index of the first wear group whose bounds
+// admit a day with the given wear index, or -1 when none does (NaN
+// behavior as documented on GroupMWIBounds). The engine's pass routes
+// every day it trains on or scores through it.
 func (s *Scorer) PickGroup(mwi float64) int {
 	for g := range s.groups {
 		gr := &s.groups[g]

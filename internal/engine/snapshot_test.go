@@ -320,27 +320,22 @@ func TestFlatScoringParity(t *testing.T) {
 		}
 		type driveDay struct{ drive, day int }
 		ptrScores := make(map[driveDay]float64)
-		for i := range flatGroups {
-			g := &flatGroups[i]
-			trainFr, err := pd.trainFrame(g, len(flatGroups))
-			if err != nil {
-				t.Fatal(err)
-			}
+		trainFrs, err := trainFrames(pd.src, pd.model, flatGroups, ph.TrainLo, pd.fitHi, pd.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range flatGroups {
+			trainFr := trainFrs[i]
 			f, err := forest.Fit(frameCols(trainFr), trainFr.Labels(), pd.cfg.Forest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, err := dataset.Frame(src, dataset.FrameOpts{
-				Model: snap.Model, DayLo: ph.TestLo, DayHi: ph.TestHi, NegEvery: 1,
-				Features: g.feats, Expand: true, Windows: cfg.Windows,
-				MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
-				Sanitize: cfg.sanitizeOpts(true),
-			})
-			if errors.Is(err, dataset.ErrNoSamples) {
-				continue
-			}
+			fr, err := refFrame(src, snap.Model, groupRef(g, ph.TestLo, ph.TestHi, 1, cfg.Windows, nil))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if fr == nil {
+				continue
 			}
 			probs, err := f.PredictProbaAll(frameCols(fr))
 			if err != nil {

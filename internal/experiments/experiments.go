@@ -254,7 +254,7 @@ func (h *Harness) rankers() ([]selection.Ranker, error) {
 // the characterization tables (III, IV, V).
 func (h *Harness) selectionFrame(m smart.ModelID) (frameWithModel, error) {
 	opts := dataset.FrameOpts{
-		Model: m, NegEvery: h.cfg.NegEvery, Workers: h.cfg.Workers,
+		Model: m, DayHi: h.src.Days() - 1, NegEvery: h.cfg.NegEvery, Workers: h.cfg.Workers,
 	}
 	if h.cfg.Robust {
 		// Maskless: characterization works on pure feature columns.

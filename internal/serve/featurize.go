@@ -69,8 +69,8 @@ func (sv *serving) driveRow(g *groupRT, series map[smart.Feature][]float64, day 
 
 // routeMWI extracts the wear index the engine would route the day by:
 // the normalized MWI column at the scored day when present, else 0 —
-// the same default the engine's extraction applies to series without
-// a wear column. An explicit override wins.
+// the same default the engine's pass applies to series without a wear
+// column. An explicit override wins.
 func routeMWI(series map[smart.Feature][]float64, day int, override *float64) float64 {
 	if override != nil {
 		return *override
