@@ -36,11 +36,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,6 +54,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/flat"
@@ -59,6 +63,7 @@ import (
 	"repro/internal/hist"
 	"repro/internal/pipeline"
 	"repro/internal/rankeval"
+	"repro/internal/serve"
 	"repro/internal/simulate"
 	"repro/internal/smart"
 	"repro/internal/store"
@@ -348,6 +353,7 @@ var benches = []bench{
 	{name: "series-gen-batch", fn: benchSeriesGenBatch},
 	{name: "fleet-score", fn: benchFleetScore},
 	{name: "scorer-fleet-pass", fn: benchScorerFleetPass},
+	{name: "serve-batch-inline", fn: benchServeBatchInline},
 	{name: "rank-eval", fn: benchRankEval},
 }
 
@@ -784,6 +790,7 @@ func benchFleetScore(b *testing.B) {
 // fully ingested in-memory store.
 var scorerFleetState struct {
 	once   sync.Once
+	src    dataset.Source
 	scorer *engine.Scorer
 	snap   *store.Snapshot
 	day    int
@@ -803,6 +810,7 @@ func scorerFleetSetup() error {
 			return
 		}
 		src := dataset.FleetSource{Fleet: fleet}
+		s.src = src
 		train := days - 30
 		ph := engine.Phase{TrainLo: 0, TrainHi: train - 1, TestLo: train, TestHi: days - 1}
 		res, err := engine.RunPhase(src, smart.MC1, pipeline.WEFR{}, ph, engine.Config{
@@ -855,5 +863,93 @@ func benchScorerFleetPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
+	}
+}
+
+// serveBatchState is serve-batch-inline's fixture: scorer-fleet-pass's
+// snapshot served by an in-process daemon, and one 64-drive inline
+// batch body cut from the same fleet the way perfbench cuts them.
+var serveBatchState struct {
+	once sync.Once
+	h    http.Handler
+	body []byte
+	err  error
+}
+
+func serveBatchSetup() error {
+	s := &serveBatchState
+	s.once.Do(func() {
+		s.err = func() error {
+			if err := scorerFleetSetup(); err != nil {
+				return err
+			}
+			fs := &scorerFleetState
+			dir, err := os.MkdirTemp("", "bench-serve-*")
+			if err != nil {
+				return err
+			}
+			cleanups = append(cleanups, func() { os.RemoveAll(dir) })
+			reg := &core.Registry{Dir: dir}
+			if _, err := engine.SaveSnapshot(reg, "serving", fs.scorer.Snapshot()); err != nil {
+				return err
+			}
+			srv, err := serve.New(serve.Options{Registry: reg, Artifacts: []string{"serving"}})
+			if err != nil {
+				return err
+			}
+			cleanups = append(cleanups, srv.Close)
+			s.h = srv.Handler()
+
+			// perfbench's cutter: a uniformly drawn MC1 drive-day after
+			// training, with MaxWindow days of history, every column.
+			window := fs.scorer.MaxWindow()
+			drives := fs.src.DrivesOf(smart.MC1)
+			lo, hi := max(fs.day, window), fs.src.Days()-1
+			rng := rand.New(rand.NewSource(1))
+			req := serve.BatchRequest{Model: "serving"}
+			for len(req.Drives) < 64 {
+				ref := drives[rng.Intn(len(drives))]
+				day := lo + rng.Intn(hi-lo+1)
+				cols, last, err := fs.src.Series(ref)
+				if err != nil {
+					return err
+				}
+				if day > last {
+					continue
+				}
+				series := make(map[string][]float64, len(cols))
+				for ft, col := range cols {
+					series[ft.String()] = col[day-window : day+1]
+				}
+				req.Drives = append(req.Drives, serve.BatchDrive{Series: series})
+			}
+			s.body, err = json.Marshal(req)
+			return err
+		}()
+	})
+	return s.err
+}
+
+// benchServeBatchInline measures one POST /v1/score/batch of 64 inline
+// drives (38 features x 8 days, about 90 KB) through the daemon's
+// handler in process: body decode, featurize, one kernel call per wear
+// group, and the response encode, without the network.
+func benchServeBatchInline(b *testing.B) {
+	if err := serveBatchSetup(); err != nil {
+		b.Fatal(err)
+	}
+	s := &serveBatchState
+	post := func() {
+		rec := httptest.NewRecorder()
+		s.h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/batch", bytes.NewReader(s.body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -104,7 +105,7 @@ func (s *Scorer) ScoreInto(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]Dri
 // columns without building its series map (store snapshots); other
 // sources are read through Series.
 type columnReader interface {
-	Columns(ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error)
+	Columns(ctx context.Context, ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error)
 }
 
 // mwiOn is the routing wear index of a day: the MWI_N reading, or 0
@@ -180,7 +181,7 @@ func (s *Scorer) assemble(src dataset.Source, lo, hi int, buf *ScoreBuf, keep ke
 		var last int
 		var err error
 		if cr != nil {
-			last, err = cr.Columns(refs[d], s.reads, view)
+			last, err = cr.Columns(context.TODO(), refs[d], s.reads, view)
 		} else {
 			var series map[smart.Feature][]float64
 			series, last, err = src.Series(refs[d])

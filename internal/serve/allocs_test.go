@@ -3,9 +3,10 @@
 package serve
 
 import (
+	"bytes"
+	"io"
+	"net/http/httptest"
 	"testing"
-
-	"repro/internal/smart"
 )
 
 // Allocation counts are pinned only without the race detector, which
@@ -20,7 +21,7 @@ func TestSingleScoreAllocs(t *testing.T) {
 	sv := s.arts["serving"].cur.Load()
 	snap := st.Snapshot()
 	day := snapA.TrainedThrough + 3
-	var series map[smart.Feature][]float64
+	var tbl seriesTable
 	g := -1
 	for _, ref := range snap.RefIndex(testModel) {
 		cols, lastDay, err := snap.Series(ref)
@@ -30,8 +31,11 @@ func TestSingleScoreAllocs(t *testing.T) {
 		if lastDay < day {
 			continue
 		}
-		if g = sv.scorer.PickGroup(routeMWI(cols, day, nil)); g >= 0 {
-			series = cols
+		tbl = seriesTable{}
+		for ft, col := range cols {
+			tbl[ft.Index()] = col
+		}
+		if g = sv.scorer.PickGroup(routeMWI(&tbl, day, nil)); g >= 0 {
 			break
 		}
 	}
@@ -41,7 +45,7 @@ func TestSingleScoreAllocs(t *testing.T) {
 	rt := sv.groups[g]
 	fs := getScratch(rt.width, len(rt.feats))
 	defer putScratch(fs)
-	if err := sv.driveRow(rt, series, day, fs); err != nil {
+	if err := sv.driveRow(rt, &tbl, day, fs); err != nil {
 		t.Fatal(err)
 	}
 	score := func() {
@@ -52,5 +56,45 @@ func TestSingleScoreAllocs(t *testing.T) {
 	score()
 	if allocs := testing.AllocsPerRun(1000, score); allocs != 0 {
 		t.Errorf("one-row ScoreBatch allocates %.3f objects/op, want 0", allocs)
+	}
+}
+
+// batchDecodeAllocCeiling caps one warm decode of a perfbench-shaped
+// 64-drive batch body. The decoder reads into pooled buffers, so a
+// decode measured 2 objects (the body-limit reader and the model name)
+// however many numbers the body holds; the ceiling is that plus a
+// margin of 6.
+const batchDecodeAllocCeiling = 8
+
+// TestBatchDecodeAllocs pins the allocations of decoding one 64-drive
+// inline batch body (38 features x 8 days) with a warm body pool.
+func TestBatchDecodeAllocs(t *testing.T) {
+	body := batchBody(t, inlineWindows(t, 64, 1))
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest("POST", "/v1/score/batch", rd)
+	w := httptest.NewRecorder()
+	decode := func() {
+		rd.Reset(body)
+		req.Body = io.NopCloser(rd)
+		b, err := decodeSeries(w, req, true, DefaultMaxBodyBytes, DefaultMaxBatchRequest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.n != 64 {
+			t.Fatalf("decoded %d drives, want 64", b.n)
+		}
+		b.release()
+	}
+	decode()
+	allocs := testing.AllocsPerRun(100, decode)
+	ref := testing.AllocsPerRun(5, func() {
+		var req BatchRequest
+		if refDecodeBody(body, DefaultMaxBodyBytes, &req) != 0 {
+			t.Fatal("the reference rejects the body")
+		}
+	})
+	t.Logf("one 64-drive batch decode: %.0f allocations (encoding/json: %.0f)", allocs, ref)
+	if allocs > batchDecodeAllocCeiling {
+		t.Errorf("one 64-drive batch decode allocates %.1f objects, ceiling %d", allocs, batchDecodeAllocCeiling)
 	}
 }

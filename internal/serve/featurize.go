@@ -2,11 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/smart"
 )
 
 // featScratch is the pooled working state of one row assembly and
@@ -49,13 +47,13 @@ func getScratch(width, k int) *featScratch {
 func putScratch(fs *featScratch) { featPool.Put(fs) }
 
 // driveRow fills fs.row with the group's model inputs for the given
-// day of the series (engine.Scorer.FillRow). Series columns must all
+// day of the drive's columns (engine.Scorer.FillRow). Columns must all
 // have length > day; features the group selected must be present.
-func (sv *serving) driveRow(g *groupRT, series map[smart.Feature][]float64, day int, fs *featScratch) error {
-	for i, ft := range g.feats {
-		col, ok := series[ft]
-		if !ok {
-			return &reqError{code: 400, msg: fmt.Sprintf("series is missing selected feature %v", ft)}
+func (sv *serving) driveRow(g *groupRT, tbl *seriesTable, day int, fs *featScratch) error {
+	for i, fi := range g.idx {
+		col := tbl[fi]
+		if col == nil {
+			return &reqError{code: 400, msg: fmt.Sprintf("series is missing selected feature %v", g.feats[i])}
 		}
 		fs.feat[i] = col
 	}
@@ -67,51 +65,19 @@ func (sv *serving) driveRow(g *groupRT, series map[smart.Feature][]float64, day 
 	return nil
 }
 
+// mwiIndex is the routing wear column's place in a seriesTable.
+var mwiIndex = engine.MWIFeature.Index()
+
 // routeMWI extracts the wear index the engine would route the day by:
 // the normalized MWI column at the scored day when present, else 0 —
 // the same default the engine's pass applies to series without a wear
 // column. An explicit override wins.
-func routeMWI(series map[smart.Feature][]float64, day int, override *float64) float64 {
+func routeMWI(tbl *seriesTable, day int, override *float64) float64 {
 	if override != nil {
 		return *override
 	}
-	if col, ok := series[engine.MWIFeature]; ok && day < len(col) {
+	if col := tbl[mwiIndex]; day < len(col) {
 		return col[day]
 	}
 	return 0
-}
-
-// checkSeries validates an inline series upload against the serving
-// snapshot: parseable feature names, equal column lengths, and a
-// bounded span. It returns the parsed columns and the common length.
-func (sv *serving) checkSeries(raw map[string][]float64, maxDays int) (map[smart.Feature][]float64, int, error) {
-	if len(raw) == 0 {
-		return nil, 0, &reqError{code: 400, msg: "series is empty"}
-	}
-	cols := make(map[smart.Feature][]float64, len(raw))
-	n := -1
-	for name, vals := range raw {
-		ft, err := smart.ParseFeature(name)
-		if err != nil {
-			return nil, 0, &reqError{code: 400, msg: fmt.Sprintf("unknown feature %q", name)}
-		}
-		if len(vals) == 0 {
-			return nil, 0, &reqError{code: 400, msg: fmt.Sprintf("feature %q has an empty series", name)}
-		}
-		if len(vals) > maxDays {
-			return nil, 0, &reqError{code: 413, msg: fmt.Sprintf("feature %q has %d days, limit %d", name, len(vals), maxDays)}
-		}
-		if n < 0 {
-			n = len(vals)
-		} else if len(vals) != n {
-			return nil, 0, &reqError{code: 400, msg: fmt.Sprintf("feature %q has %d days, other columns have %d", name, len(vals), n)}
-		}
-		for _, v := range vals {
-			if math.IsInf(v, 0) {
-				return nil, 0, &reqError{code: 400, msg: fmt.Sprintf("feature %q contains an infinite value", name)}
-			}
-		}
-		cols[ft] = vals
-	}
-	return cols, n, nil
 }

@@ -54,7 +54,11 @@ type ScoreRequest struct {
 	// the MWI_N column at the scored day.
 	MWI *float64 `json:"mwi,omitempty"`
 	// Series is the inline telemetry, keyed by feature name (e.g.
-	// "UCE_R", "MWI_N").
+	// "UCE_R", "MWI_N"). A null inside a column is a missing reading:
+	// the daemon scores it as NaN, which each tree routes by its
+	// missing-value direction, as the engine treats a missing store
+	// reading. (encoding/json cannot marshal NaN, so a Go client sends
+	// a missing reading by writing null in the body itself.)
 	Series map[string][]float64 `json:"series,omitempty"`
 }
 
@@ -368,12 +372,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ScoreRequest
-	if err := s.decodeBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	b, err := decodeSeries(w, r, false, s.opts.MaxBodyBytes, s.opts.MaxBatchRequest)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	resp, err := s.scoreOne(r.Context(), req)
+	defer b.release()
+	resp, err := s.scoreOne(r.Context(), b, &b.drives[0])
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -384,25 +389,25 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// scoreOne scores a single drive-day on the artifact's active
-// snapshot, captured once: a concurrent hot swap cannot change the
-// (version, config-hash) the response reports.
-func (s *Server) scoreOne(ctx context.Context, req ScoreRequest) (ScoreResponse, error) {
-	art, ok := s.artifactByName(req.Model)
+// scoreOne scores a single drive-day of a decoded score body on the
+// artifact's active snapshot, captured once: a concurrent hot swap
+// cannot change the (version, config-hash) the response reports.
+func (s *Server) scoreOne(ctx context.Context, b *seriesBody, d *bodyDrive) (ScoreResponse, error) {
+	art, ok := s.artifactByName(b.model)
 	if !ok {
-		return ScoreResponse{}, &reqError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown model %q", req.Model)}
+		return ScoreResponse{}, &reqError{code: http.StatusNotFound, msg: fmt.Sprintf("unknown model %q", b.model)}
 	}
-	return s.scoreOn(ctx, art.cur.Load(), req)
+	return s.scoreOn(ctx, art.cur.Load(), b, d)
 }
 
-// scoreOn scores the request against one captured serving state: the
+// scoreOn scores the drive against one captured serving state: the
 // row is assembled in pooled scratch and scored by one kernel call.
-func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (ScoreResponse, error) {
-	series, day, driveID, err := s.resolveSeries(ctx, sv, req.DriveID, req.Day, req.Series)
+func (s *Server) scoreOn(ctx context.Context, sv *serving, b *seriesBody, d *bodyDrive) (ScoreResponse, error) {
+	tbl, day, driveID, err := s.resolveSeries(ctx, sv, b, d)
 	if err != nil {
 		return ScoreResponse{}, err
 	}
-	mwi := routeMWI(series, day, req.MWI)
+	mwi := routeMWI(tbl, day, d.mwiOverride())
 	g := sv.scorer.PickGroup(mwi)
 	if g < 0 {
 		return ScoreResponse{}, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("no wear group admits MWI %v", mwi)}
@@ -410,7 +415,7 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 	rt := sv.groups[g]
 	fs := getScratch(rt.width, len(rt.feats))
 	defer putScratch(fs)
-	if err := sv.driveRow(rt, series, day, fs); err != nil {
+	if err := sv.driveRow(rt, tbl, day, fs); err != nil {
 		return ScoreResponse{}, err
 	}
 	if err := sv.scorer.ScoreBatch(g, fs.cols, fs.prob[:]); err != nil {
@@ -426,8 +431,9 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 	}, nil
 }
 
-// resolveSeries produces the telemetry columns and scored day for a
-// request: inline series (scored day = last day) or a store lookup.
+// resolveSeries fills b's table with the drive's telemetry columns and
+// returns it with the scored day: the inline series (scored day = last
+// day), or the store's columns of the features the snapshot reads.
 //
 // The store-backed branch is the breaker-guarded dependency edge:
 // with the breaker open it fast-fails 503 store_unavailable without
@@ -438,56 +444,65 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 // half-open probe slot. Likewise a cancelled or deadline-blown fetch
 // is the client's deadline, not the store's failure — it releases the
 // probe slot instead of counting against the streak.
-func (s *Server) resolveSeries(ctx context.Context, sv *serving, driveID, day *int, inline map[string][]float64) (map[smart.Feature][]float64, int, int, error) {
-	if inline != nil {
-		if driveID != nil {
+func (s *Server) resolveSeries(ctx context.Context, sv *serving, b *seriesBody, d *bodyDrive) (*seriesTable, int, int, error) {
+	tbl := &b.tbl
+	*tbl = seriesTable{}
+	if d.inline {
+		if d.hasDriveID {
 			return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: "request has both series and drive_id; send one"}
 		}
-		cols, n, err := sv.checkSeries(inline, s.opts.MaxSeriesDays)
+		n, err := d.checkSeries(s.opts.MaxSeriesDays)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		d := n - 1
-		if day != nil {
-			if *day < 0 || *day >= n {
-				return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: fmt.Sprintf("day %d outside series span %d", *day, n)}
-			}
-			d = *day
+		for _, c := range d.cols {
+			tbl[c.feat] = b.column(c)
 		}
-		return cols, d, 0, nil
+		day := n - 1
+		if d.hasDay {
+			if d.day < 0 || d.day >= n {
+				return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: fmt.Sprintf("day %d outside series span %d", d.day, n)}
+			}
+			day = d.day
+		}
+		return tbl, day, 0, nil
 	}
-	if driveID == nil {
+	if !d.hasDriveID {
 		return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: "request needs series or drive_id"}
 	}
 	if s.opts.Store == nil {
 		return nil, 0, 0, &reqError{code: http.StatusNotImplemented, msg: "store-backed scoring is disabled: no store configured"}
 	}
 	snap := s.opts.Store.Snapshot()
-	ref, ok := snap.RefIndex(sv.model)[*driveID]
+	ref, ok := snap.RefIndex(sv.model)[d.driveID]
 	if !ok {
-		return nil, 0, 0, &reqError{code: http.StatusNotFound, msg: fmt.Sprintf("model %v has no drive %d", sv.model, *driveID)}
+		return nil, 0, 0, &reqError{code: http.StatusNotFound, msg: fmt.Sprintf("model %v has no drive %d", sv.model, d.driveID)}
 	}
 	if !s.brk.allow() {
 		return nil, 0, 0, &reqError{code: http.StatusServiceUnavailable, kind: kindStoreUnavailable, msg: "store circuit breaker open; retry with inline series"}
 	}
 	if err := faults.Op(ctx, SiteStoreSeries); err != nil {
 		s.brkFetchFailed(err)
-		return nil, 0, 0, storeErr(*driveID, err)
+		return nil, 0, 0, storeErr(d.driveID, err)
 	}
-	cols, lastDay, err := snap.SeriesCtx(ctx, ref)
+	var view [smart.NumFeatures][]float64
+	lastDay, err := snap.Columns(ctx, ref, sv.reads, view[:len(sv.reads)])
 	if err != nil {
 		s.brkFetchFailed(err)
-		return nil, 0, 0, storeErr(*driveID, err)
+		return nil, 0, 0, storeErr(d.driveID, err)
 	}
 	s.brk.success()
-	d := lastDay
-	if day != nil {
-		if *day < 0 || *day > lastDay {
-			return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: fmt.Sprintf("day %d outside drive %d's observed span [0, %d]", *day, *driveID, lastDay)}
-		}
-		d = *day
+	for i, ft := range sv.reads {
+		tbl[ft.Index()] = view[i]
 	}
-	return cols, d, *driveID, nil
+	day := lastDay
+	if d.hasDay {
+		if d.day < 0 || d.day > lastDay {
+			return nil, 0, 0, &reqError{code: http.StatusBadRequest, msg: fmt.Sprintf("day %d outside drive %d's observed span [0, %d]", d.day, d.driveID, lastDay)}
+		}
+		day = d.day
+	}
+	return tbl, day, d.driveID, nil
 }
 
 // brkFetchFailed feeds a failed store fetch to the circuit breaker.
@@ -516,26 +531,27 @@ func storeErr(driveID int, err error) error {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req BatchRequest
-	if err := s.decodeBody(w, r, s.opts.MaxBodyBytes, &req); err != nil {
+	b, err := decodeSeries(w, r, true, s.opts.MaxBodyBytes, s.opts.MaxBatchRequest)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	art, ok := s.artifactByName(req.Model)
+	defer b.release()
+	art, ok := s.artifactByName(b.model)
 	if !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown model %q", req.Model)
+		s.writeErr(w, http.StatusNotFound, "unknown model %q", b.model)
 		return
 	}
-	if len(req.Drives) == 0 {
+	if b.n == 0 {
 		s.writeErr(w, http.StatusBadRequest, "batch has no drives")
 		return
 	}
-	if len(req.Drives) > s.opts.MaxBatchRequest {
-		s.writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d drives exceeds limit %d", len(req.Drives), s.opts.MaxBatchRequest)
+	if b.n > s.opts.MaxBatchRequest {
+		s.writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d drives exceeds limit %d", b.n, s.opts.MaxBatchRequest)
 		return
 	}
 	sv := art.cur.Load()
-	resp, err := s.scoreBatchOn(r.Context(), sv, req)
+	resp, err := s.scoreBatchOn(r.Context(), sv, b)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -551,8 +567,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // call, results returned in request order. Validation is
 // all-or-nothing — any bad drive fails the whole batch before
 // anything is scored.
-func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest) (BatchResponse, error) {
-	n := len(req.Drives)
+func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, b *seriesBody) (BatchResponse, error) {
+	n := b.n
 	type placed struct {
 		group int
 		slot  int // row within the group's bucket
@@ -562,23 +578,24 @@ func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest
 	buckets := make([][]int, len(sv.groups)) // group -> request indices
 	resp := BatchResponse{Model: sv.name, Version: sv.version, ConfigHash: sv.hash}
 
-	for i, d := range req.Drives {
+	for i := range b.drives[:n] {
+		d := &b.drives[i]
 		if err := ctx.Err(); err != nil {
 			return resp, &reqError{code: http.StatusServiceUnavailable, kind: kindDeadlineExceeded,
 				msg: fmt.Sprintf("deadline exceeded after featurizing %d of %d drives", i, n)}
 		}
-		series, day, driveID, err := s.resolveSeries(ctx, sv, d.DriveID, d.Day, d.Series)
+		tbl, day, driveID, err := s.resolveSeries(ctx, sv, b, d)
 		if err != nil {
 			return resp, &reqError{code: errCode(err), kind: errKind(err), msg: fmt.Sprintf("drive %d of batch: %v", i, err)}
 		}
-		mwi := routeMWI(series, day, d.MWI)
+		mwi := routeMWI(tbl, day, d.mwiOverride())
 		g := sv.scorer.PickGroup(mwi)
 		if g < 0 {
 			return resp, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("drive %d of batch: no wear group admits MWI %v", i, mwi)}
 		}
 		rt := sv.groups[g]
 		fs := getScratch(rt.width, len(rt.feats))
-		if err := sv.driveRow(rt, series, day, fs); err != nil {
+		if err := sv.driveRow(rt, tbl, day, fs); err != nil {
 			putScratch(fs)
 			return resp, &reqError{code: errCode(err), msg: fmt.Sprintf("drive %d of batch: %v", i, err)}
 		}

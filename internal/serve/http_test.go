@@ -160,29 +160,38 @@ func TestOversizedBody(t *testing.T) {
 	}
 }
 
-// FuzzScoreRequest fuzzes the single-score decode/validate path: no
-// input may panic the handler or produce a 5xx.
+// FuzzScoreRequest fuzzes the score and batch decode/validate paths:
+// no input may panic the handler or produce a 5xx.
 func FuzzScoreRequest(f *testing.F) {
-	s := newFuzzServer(f)
+	s := newFuzzServer(f, Options{})
 	h := s.Handler()
 
-	f.Add([]byte(`{"model":"serving","series":{"MWI_N":[0.5],"UCE_R":[0.1]}}`))
-	f.Add([]byte(`{"model":"serving","drive_id":3,"day":200}`))
-	f.Add([]byte(`{"model":`))
-	f.Add([]byte(`{"model":"serving","series":{"MWI_N":[1e999]}}`))
-	f.Add([]byte(`{"model":"serving","mwi":0.9,"series":{"MWI_N":[0.1,0.2,0.3]}}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(``))
+	f.Add([]byte(`{"model":"serving","series":{"MWI_N":[0.5],"UCE_R":[0.1]}}`), false)
+	f.Add([]byte(`{"model":"serving","drive_id":3,"day":200}`), false)
+	f.Add([]byte(`{"model":`), false)
+	f.Add([]byte(`{"model":"serving","series":{"MWI_N":[1e999]}}`), false)
+	f.Add([]byte(`{"model":"serving","mwi":0.9,"series":{"MWI_N":[0.1,0.2,0.3]}}`), false)
+	f.Add([]byte(`{"model":"serving","series":{"MWI_N":[null,0.2]}}`), false)
+	f.Add([]byte(`[]`), false)
+	f.Add([]byte(``), false)
+	f.Add([]byte(`{"model":"serving","drives":[{"series":{"MWI_N":[0.5],"UCE_R":[0.1]}},{"drive_id":3}]}`), true)
+	f.Add([]byte(`{"model":"serving","drives":[{"mwi":0.9,"series":{"MWI_N":[0.1,null]}}]}`), true)
+	f.Add([]byte(`{"model":"serving","drives":[]}`), true)
+	f.Add([]byte(`{"model":"serving","drives":[{"series":{"MWI_N":[0.5]}}],"drives":[{"day":0}]}`), true)
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest("POST", "/v1/score", bytes.NewReader(body))
+	f.Fuzz(func(t *testing.T, body []byte, batch bool) {
+		path := "/v1/score"
+		if batch {
+			path = "/v1/score/batch"
+		}
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		// 501 is the documented answer for store-backed requests on a
 		// store-less daemon; anything else in 5xx is a handler bug.
 		if rec.Code >= 500 && rec.Code != http.StatusNotImplemented {
-			t.Fatalf("input %q produced HTTP %d: %s", body, rec.Code, rec.Body.String())
+			t.Fatalf("%s input %q produced HTTP %d: %s", path, body, rec.Code, rec.Body.String())
 		}
 	})
 }
@@ -190,7 +199,7 @@ func FuzzScoreRequest(f *testing.F) {
 // newFuzzServer mirrors newTestServer for *testing.F. No store is
 // attached: store-backed requests answer 501, which keeps the fuzz
 // target on the decode/validate path it is meant to cover.
-func newFuzzServer(f *testing.F) *Server {
+func newFuzzServer(f *testing.F, opts Options) *Server {
 	f.Helper()
 	fixtureOnce.Do(buildFixture)
 	if fixture.err != nil {
@@ -200,7 +209,9 @@ func newFuzzServer(f *testing.F) *Server {
 	if _, err := engine.SaveSnapshot(reg, "serving", fixture.snapA); err != nil {
 		f.Fatal(err)
 	}
-	s, err := New(Options{Registry: reg, Artifacts: []string{"serving"}})
+	opts.Registry = reg
+	opts.Artifacts = []string{"serving"}
+	s, err := New(opts)
 	if err != nil {
 		f.Fatal(err)
 	}

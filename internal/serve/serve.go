@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -253,6 +254,9 @@ type serving struct {
 	windows   []int
 	maxWindow int
 	groups    []*groupRT
+	// reads lists the columns a store-backed drive is read for: MWI_N,
+	// then every group's features not yet listed.
+	reads []smart.Feature
 
 	// fleetBuf recycles the fleet-endpoint scoring scratch; fleetMu
 	// serializes its use (fleet scoring is a whole-pass operation, so
@@ -265,7 +269,8 @@ type serving struct {
 type groupRT struct {
 	index     int
 	feats     []smart.Feature
-	width     int // model-input columns
+	idx       []int // feats' seriesTable places
+	width     int   // model-input columns
 	threshold float64
 }
 
@@ -339,14 +344,22 @@ func (s *Server) newServing(name string, version int) (*serving, error) {
 		scorer:    scorer,
 		windows:   scorer.Windows(),
 		maxWindow: scorer.MaxWindow(),
+		reads:     []smart.Feature{engine.MWIFeature},
 	}
 	for g := 0; g < scorer.NumGroups(); g++ {
-		sv.groups = append(sv.groups, &groupRT{
+		rt := &groupRT{
 			index:     g,
 			feats:     scorer.GroupFeatures(g),
 			width:     scorer.GroupInputWidth(g),
 			threshold: scorer.GroupThreshold(g),
-		})
+		}
+		for _, ft := range rt.feats {
+			rt.idx = append(rt.idx, ft.Index())
+			if !slices.Contains(sv.reads, ft) {
+				sv.reads = append(sv.reads, ft)
+			}
+		}
+		sv.groups = append(sv.groups, rt)
 	}
 	return sv, nil
 }

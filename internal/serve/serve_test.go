@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/smart"
 	"repro/internal/store"
 )
 
@@ -69,13 +72,22 @@ func TestServeParity(t *testing.T) {
 	// Each case is one request with the offline outcome it must echo.
 	type parityCase struct {
 		label string
-		req   ScoreRequest
+		req   any // a ScoreRequest, or a raw body
 		prob  float64
 		alarm bool
 	}
 	var cases []parityCase
 	snap := st.Snapshot()
 	refs := snap.RefIndex(testModel)
+	// Every fourth inline drive carries missing readings: nanFeat is
+	// null in the body on the scored day and on a day of the window
+	// history before it. Its offline outcome scores the same drive-day
+	// from a source with those cells NaN.
+	nanSrc := nanSource{Source: snap, feat: scorer.GroupFeatures(0)[0], days: []int{day - 2, day}, drives: map[int]bool{}}
+	if nanSrc.feat == engine.MWIFeature {
+		nanSrc.feat = scorer.GroupFeatures(0)[1]
+	}
+	var nanCases []int // indices into cases, prob and alarm from the NaN pass
 	checked := 0
 	for _, o := range offline {
 		if checked >= 25 {
@@ -95,17 +107,44 @@ func TestServeParity(t *testing.T) {
 		}
 		inline := make(map[string][]float64, len(cols))
 		for ft, col := range cols {
-			inline[ft.String()] = col[:day+1]
+			inline[ft.String()] = append([]float64(nil), col[:day+1]...)
 		}
-		req := ScoreRequest{Model: "serving", Series: inline}
-		if data, err := json.Marshal(req); err != nil || !json.Valid(data) {
-			continue // series contains NaN; not expressible as JSON
+		if checked%4 == 0 {
+			nanSrc.drives[id] = true
+			for _, d := range nanSrc.days {
+				inline[nanSrc.feat.String()][d] = math.NaN()
+			}
+			body := fmt.Sprintf(`{"model":"serving","series":%s}`, seriesJSON(inline))
+			nanCases = append(nanCases, len(cases))
+			cases = append(cases, parityCase{label: fmt.Sprintf("drive %d inline with nulls", id), req: json.RawMessage(body)})
+		} else {
+			req := ScoreRequest{Model: "serving", Series: inline}
+			cases = append(cases, parityCase{fmt.Sprintf("drive %d inline", id), req, o.MaxProb, alarm})
 		}
-		cases = append(cases, parityCase{fmt.Sprintf("drive %d inline", id), req, o.MaxProb, alarm})
 		checked++
 	}
 	if checked < 10 {
 		t.Fatalf("only %d drives checked end to end", checked)
+	}
+	nanOffline, err := scorer.Score(nanSrc, day, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nanOutcome := map[int]engine.DriveOutcome{}
+	for _, o := range nanOffline {
+		nanOutcome[o.Pred.DriveID] = o
+	}
+	for _, i := range nanCases {
+		var id int
+		fmt.Sscanf(cases[i].label, "drive %d", &id)
+		o, ok := nanOutcome[id]
+		if !ok {
+			t.Fatalf("the NaN pass did not score drive %d", id)
+		}
+		cases[i].prob, cases[i].alarm = o.MaxProb, o.Pred.FirstAlarmDay >= 0
+	}
+	if len(nanCases) == 0 {
+		t.Fatal("no checked drive carries a missing reading")
 	}
 
 	check := func(c parityCase) {
@@ -158,6 +197,31 @@ func TestServeParity(t *testing.T) {
 	}
 }
 
+// nanSource is a source whose listed drives read NaN in feat on days.
+type nanSource struct {
+	dataset.Source
+	feat   smart.Feature
+	days   []int
+	drives map[int]bool
+}
+
+func (s nanSource) Series(ref dataset.DriveRef) (map[smart.Feature][]float64, int, error) {
+	cols, last, err := s.Source.Series(ref)
+	if err != nil || !s.drives[ref.ID] {
+		return cols, last, err
+	}
+	out := make(map[smart.Feature][]float64, len(cols))
+	for ft, col := range cols {
+		out[ft] = col
+	}
+	col := append([]float64(nil), cols[s.feat]...)
+	for _, d := range s.days {
+		col[d] = math.NaN()
+	}
+	out[s.feat] = col
+	return out, last, nil
+}
+
 // TestScoreConcurrentHammer drives the in-process single-score path
 // from many goroutines at once, each cycling through distinct drives
 // in its own order. Every call borrows pooled scratch for its row and
@@ -198,7 +262,8 @@ func TestScoreConcurrentHammer(t *testing.T) {
 			for n := 0; n < perG; n++ {
 				i := order[n%len(order)]
 				id := ids[i]
-				got, err := s.scoreOne(context.Background(), ScoreRequest{Model: "serving", DriveID: &id, Day: &day})
+				b := storeBody(id, day)
+				got, err := s.scoreOne(context.Background(), b, &b.drives[0])
 				if err != nil {
 					t.Errorf("drive %d: %v", id, err)
 					return
@@ -381,6 +446,12 @@ func TestServeIngest(t *testing.T) {
 	if code != http.StatusOK || ing.Horizon != day+1 {
 		t.Fatalf("re-ingest: HTTP %d horizon %d", code, ing.Horizon)
 	}
+}
+
+// storeBody is a decoded score body naming store drive id on day.
+func storeBody(id, day int) *seriesBody {
+	d := bodyDrive{driveID: id, hasDriveID: true, day: day, hasDay: true}
+	return &seriesBody{model: "serving", drives: []bodyDrive{d}, n: 1}
 }
 
 func newRegistryWith(t *testing.T, snap *engine.ModelSnapshot) *core.Registry {

@@ -138,6 +138,15 @@ type Feature struct {
 // String returns the paper's feature naming convention, e.g. "MWI_N".
 func (f Feature) String() string { return f.Attr.String() + "_" + f.Kind.String() }
 
+// NumFeatures is the size of the feature catalog: every attribute's
+// raw and normalized value.
+const NumFeatures = 2 * numAttrs
+
+// Index returns a valid feature's position in the catalog, in
+// [0, NumFeatures): attributes in declaration order, raw before
+// normalized. Tables of per-feature columns are indexed by it.
+func (f Feature) Index() int { return 2*(int(f.Attr)-1) + int(f.Kind) - 1 }
+
 // ParseFeature parses a feature name of the form "<ATTR>_<R|N>".
 func ParseFeature(name string) (Feature, error) {
 	if len(name) < 3 || name[len(name)-2] != '_' {

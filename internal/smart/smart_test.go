@@ -290,3 +290,19 @@ func TestKindString(t *testing.T) {
 		t.Error("invalid Kind String mismatch")
 	}
 }
+
+// TestFeatureIndex: Index numbers the catalog's features 0 to
+// NumFeatures-1, each once.
+func TestFeatureIndex(t *testing.T) {
+	seen := make([]bool, NumFeatures)
+	for _, a := range AllAttrs() {
+		for _, k := range []Kind{Raw, Normalized} {
+			ft := Feature{Attr: a, Kind: k}
+			i := ft.Index()
+			if i < 0 || i >= NumFeatures || seen[i] {
+				t.Fatalf("%v: index %d out of range or taken", ft, i)
+			}
+			seen[i] = true
+		}
+	}
+}

@@ -130,8 +130,8 @@ func TestAppendDeadlineOnHungSource(t *testing.T) {
 }
 
 // TestSnapshotSeriesCtxCancel: the snapshot read path honors its
-// context too — a cancelled SeriesCtx returns the context error
-// without counting a fetch error or retry.
+// context too — a cancelled SeriesCtx or Columns returns the context
+// error without counting a fetch error or retry.
 func TestSnapshotSeriesCtxCancel(t *testing.T) {
 	src := testFleet(t)
 	st := Open(src, Options{MaxFetchAttempts: 3, FetchBackoff: time.Hour})
@@ -155,8 +155,20 @@ func TestSnapshotSeriesCtxCancel(t *testing.T) {
 		t.Errorf("cancellation counted as fetch failure: before %+v after %+v", before, after)
 	}
 
-	// The same read with a live context serves normally.
+	feats := []smart.Feature{{Attr: smart.MWI, Kind: smart.Normalized}}
+	dst := make([][]float64, len(feats))
+	if _, err := snap.Columns(ctx, ref, feats, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Columns on cancelled ctx = %v, want Canceled", err)
+	}
+	if c := st.Counters(); c.FetchErrors != before.FetchErrors || c.FetchRetries != before.FetchRetries {
+		t.Errorf("cancelled Columns counted as fetch failure: before %+v after %+v", before, c)
+	}
+
+	// The same reads with a live context serve normally.
 	if _, _, err := snap.SeriesCtx(context.Background(), ref); err != nil {
 		t.Fatalf("SeriesCtx after cancel: %v", err)
+	}
+	if _, err := snap.Columns(context.Background(), ref, feats, dst); err != nil || dst[0] == nil {
+		t.Fatalf("Columns after cancel: %v (column %v)", err, dst[0])
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,7 +148,7 @@ func runAppendVsReaders(t *testing.T, spill bool) {
 		for i := 0; !appendsDone.Load(); i += 5 {
 			snap := st.Snapshot()
 			dr := refsAll[i%len(refsAll)]
-			last, err := snap.Columns(dr, feats, dst)
+			last, err := snap.Columns(context.Background(), dr, feats, dst)
 			if err != nil {
 				t.Errorf("columns drive %d: %v", dr.ID, err)
 				return

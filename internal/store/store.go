@@ -637,18 +637,19 @@ func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[sma
 	return out, v.lastDay, nil
 }
 
-// Columns is Series without the map: it sets dst[i] to the drive's
+// Columns is SeriesCtx without the map: it sets dst[i] to the drive's
 // feats[i] column truncated to the snapshot horizon, or nil when the
 // drive does not report that feature, and returns the drive's last
 // visible day. dst must have len(feats) entries. The read is the one
-// Series makes — same fetch, visibility accounting and spill fallback —
-// and the slices alias the store the same way, so a scoring pass that
-// needs a few columns per drive allocates nothing per drive.
-func (s *Snapshot) Columns(ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error) {
+// SeriesCtx makes — same context handling, fetch, visibility accounting
+// and spill fallback — and the slices alias the store the same way, so
+// a scoring pass that needs a few columns per drive allocates nothing
+// per drive.
+func (s *Snapshot) Columns(ctx context.Context, ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error) {
 	if len(dst) != len(feats) {
 		return 0, fmt.Errorf("store: %d destination columns for %d features", len(dst), len(feats))
 	}
-	v, err := s.view(context.Background(), ref)
+	v, err := s.view(ctx, ref)
 	if err != nil {
 		return 0, err
 	}

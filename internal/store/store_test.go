@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -315,7 +316,7 @@ func TestColumnsMatchesSeries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotLast, err := snap.Columns(ref, feats, got)
+				gotLast, err := snap.Columns(context.Background(), ref, feats, got)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -331,7 +332,7 @@ func TestColumnsMatchesSeries(t *testing.T) {
 					}
 				}
 			}
-			if _, err := snap.Columns(snap.DrivesOf(smart.MC1)[0], feats, got[:1]); err == nil {
+			if _, err := snap.Columns(context.Background(), snap.DrivesOf(smart.MC1)[0], feats, got[:1]); err == nil {
 				t.Error("a destination shorter than feats was accepted")
 			}
 		})
@@ -350,7 +351,7 @@ func TestColumnsMatchesSeries(t *testing.T) {
 		for _, ref := range snap.DrivesOf(smart.MC1) {
 			var err error
 			if columns {
-				_, err = snap.Columns(ref, feats, dst)
+				_, err = snap.Columns(context.Background(), ref, feats, dst)
 			} else {
 				_, _, err = snap.Series(ref)
 			}
