@@ -59,6 +59,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flat"
 	"repro/internal/forest"
+	"repro/internal/frame"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
 	"repro/internal/pipeline"
@@ -67,6 +68,7 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/smart"
 	"repro/internal/store"
+	"repro/internal/survival"
 	"repro/internal/textplot"
 )
 
@@ -355,6 +357,7 @@ var benches = []bench{
 	{name: "scorer-fleet-pass", fn: benchScorerFleetPass},
 	{name: "serve-batch-inline", fn: benchServeBatchInline},
 	{name: "rank-eval", fn: benchRankEval},
+	{name: "wefr-select", fn: benchWEFRSelect},
 }
 
 // cleanups are teardown hooks registered by benchmark setup (temp
@@ -701,6 +704,63 @@ func fleetSetup() error {
 		}()
 	})
 	return fleetState.err
+}
+
+// wefrSelectState caches wefr-select's fixture: the selection frame and
+// survival curve of the MC2 controller scenario's refresh.
+var wefrSelectState struct {
+	once  sync.Once
+	fr    *frame.Frame
+	curve survival.Curve
+	err   error
+}
+
+// benchWEFRSelect measures one core.Select with the paper's settings on
+// the selection frame a controller refresh builds: a 150-drive MC2
+// fleet (simulator seed 1, AFRScale 6) trained through day 293, about
+// 5.4k rows x 38 features, whose survival curve splits it into two
+// re-selected wear groups.
+func benchWEFRSelect(b *testing.B) {
+	s := &wefrSelectState
+	s.once.Do(func() {
+		fleet, err := simulate.New(simulate.Config{
+			TotalDrives: 150, Days: 330, Seed: 1, AFRScale: 6,
+			Models: []smart.ModelID{smart.MC2},
+		})
+		if err != nil {
+			s.err = err
+			return
+		}
+		src := dataset.NewCachedSource(dataset.FleetSource{Fleet: fleet})
+		const trainHi = 293
+		pd, err := engine.New(src, engine.Config{Seed: 1}).PreparePhase(smart.MC2,
+			engine.Phase{TrainLo: 0, TrainHi: trainHi, TestLo: trainHi + 1, TestHi: trainHi + 1})
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.fr, s.curve = pd.SelFrame, pd.Curve
+	})
+	if s.err != nil {
+		b.Fatal(s.err)
+	}
+	sel := func() {
+		res, err := core.Select(s.fr, s.curve, core.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Split == nil || !res.Split.LowRefit || !res.Split.HighRefit {
+			b.Fatal("wefr-select: the frame did not split into two re-selected wear groups")
+		}
+	}
+	sel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel()
+	}
+	b.ReportMetric(float64(s.fr.NumRows()), "rows")
+	b.ReportMetric(float64(s.fr.NumFeatures()), "features")
 }
 
 // rankEvalState caches the rank-eval fixture (a small simulated fleet)

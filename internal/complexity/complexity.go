@@ -47,7 +47,7 @@ const InverseCap = 100.0
 var errMissingClass = errors.New("complexity: class has no finite samples")
 
 // splitClasses partitions x by binary label, dropping missing
-// (non-finite) values.
+// (non-finite) values. Both classes share one backing array.
 func splitClasses(x []float64, y []int) (neg, pos []float64, err error) {
 	if len(x) != len(y) {
 		return nil, nil, fmt.Errorf("%w: %d values vs %d labels", ErrLengthMismatch, len(x), len(y))
@@ -56,13 +56,31 @@ func splitClasses(x []float64, y []int) (neg, pos []float64, err error) {
 		return nil, nil, ErrEmptyInput
 	}
 	hadPos, hadNeg := false, false
+	nPos, nNeg := 0, 0
 	for i, v := range x {
+		finite := v-v == 0
 		if y[i] == 1 {
 			hadPos = true
+			if finite {
+				nPos++
+			}
 		} else {
 			hadNeg = true
+			if finite {
+				nNeg++
+			}
 		}
-		if v-v != 0 { // non-finite
+	}
+	if !hadPos || !hadNeg {
+		return nil, nil, ErrSingleClass
+	}
+	if nPos == 0 || nNeg == 0 {
+		return nil, nil, errMissingClass
+	}
+	buf := make([]float64, nNeg+nPos)
+	neg, pos = buf[:0:nNeg], buf[nNeg:nNeg]
+	for i, v := range x {
+		if v-v != 0 {
 			continue
 		}
 		if y[i] == 1 {
@@ -70,12 +88,6 @@ func splitClasses(x []float64, y []int) (neg, pos []float64, err error) {
 		} else {
 			neg = append(neg, v)
 		}
-	}
-	if !hadPos || !hadNeg {
-		return nil, nil, ErrSingleClass
-	}
-	if len(pos) == 0 || len(neg) == 0 {
-		return nil, nil, errMissingClass
 	}
 	return neg, pos, nil
 }
@@ -104,6 +116,7 @@ const RangeTrim = 0.05
 
 // classRange returns the trimmed value range of xs: the k-th smallest
 // and k-th largest order statistics with k = floor(RangeTrim*(n-1)).
+// It sorts xs in place when k > 0.
 func classRange(xs []float64) (lo, hi float64) {
 	n := len(xs)
 	k := int(RangeTrim * float64(n-1))
@@ -119,10 +132,19 @@ func classRange(xs []float64) (lo, hi float64) {
 		}
 		return lo, hi
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return sorted[k], sorted[n-1-k]
+	sort.Float64s(xs)
+	return xs[k], xs[n-1-k]
+}
+
+// classRanges holds the trimmed ranges of the two classes.
+type classRanges struct{ lo0, hi0, lo1, hi1 float64 }
+
+// rangesOf computes the trimmed class ranges, reordering neg and pos.
+func rangesOf(neg, pos []float64) classRanges {
+	var r classRanges
+	r.lo0, r.hi0 = classRange(neg)
+	r.lo1, r.hi1 = classRange(pos)
+	return r
 }
 
 // FisherRatio returns F1 for one feature: (mu0-mu1)^2 / (var0+var1).
@@ -134,17 +156,23 @@ func FisherRatio(x []float64, y []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return fisher(neg, pos), nil
+}
+
+// fisher is F1 over split classes. Its sums run in input order, so it
+// must see neg and pos before rangesOf sorts them.
+func fisher(neg, pos []float64) float64 {
 	m0, v0 := meanVar(neg)
 	m1, v1 := meanVar(pos)
 	num := (m0 - m1) * (m0 - m1)
 	den := v0 + v1
 	if den == 0 {
 		if num == 0 {
-			return 0, nil
+			return 0
 		}
-		return InverseCap, nil
+		return InverseCap
 	}
-	return num / den, nil
+	return num / den
 }
 
 // OverlapVolume returns F2 for one feature: the length of the overlap
@@ -156,18 +184,20 @@ func OverlapVolume(x []float64, y []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lo0, hi0 := classRange(neg)
-	lo1, hi1 := classRange(pos)
-	overlap := math.Min(hi0, hi1) - math.Max(lo0, lo1)
+	return overlapVolume(rangesOf(neg, pos)), nil
+}
+
+func overlapVolume(r classRanges) float64 {
+	overlap := math.Min(r.hi0, r.hi1) - math.Max(r.lo0, r.lo1)
 	if overlap < 0 {
 		overlap = 0
 	}
-	union := math.Max(hi0, hi1) - math.Min(lo0, lo1)
+	union := math.Max(r.hi0, r.hi1) - math.Min(r.lo0, r.lo1)
 	if union == 0 {
 		// Every value identical in both classes: total overlap.
-		return 1, nil
+		return 1
 	}
-	return overlap / union, nil
+	return overlap / union
 }
 
 // FeatureEfficiency returns F3 for one feature: the fraction of samples
@@ -178,23 +208,26 @@ func FeatureEfficiency(x []float64, y []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lo0, hi0 := classRange(neg)
-	lo1, hi1 := classRange(pos)
-	oLo := math.Max(lo0, lo1)
-	oHi := math.Min(hi0, hi1)
+	return featureEfficiency(neg, pos, rangesOf(neg, pos)), nil
+}
+
+// featureEfficiency is F3 over split classes; missing values were
+// dropped by the split, so they are neither inside nor separable.
+func featureEfficiency(neg, pos []float64, r classRanges) float64 {
+	oLo := math.Max(r.lo0, r.lo1)
+	oHi := math.Min(r.hi0, r.hi1)
 	if oLo > oHi {
-		return 1, nil // disjoint ranges: everything separable
+		return 1 // disjoint ranges: everything separable
 	}
 	inside := 0
-	for _, v := range x {
-		if v-v != 0 { // missing values are neither inside nor separable
-			continue
-		}
-		if v >= oLo && v <= oHi {
-			inside++
+	for _, xs := range [2][]float64{neg, pos} {
+		for _, v := range xs {
+			if v >= oLo && v <= oHi {
+				inside++
+			}
 		}
 	}
-	return 1 - float64(inside)/float64(len(neg)+len(pos)), nil
+	return 1 - float64(inside)/float64(len(neg)+len(pos))
 }
 
 // MaxEnsemble is the Ensemble value assigned to a feature whose finite
@@ -211,22 +244,16 @@ const MaxEnsemble = (InverseCap + 1 + InverseCap) / 3
 // are ignored; if they leave a class with no finite samples the feature
 // is scored MaxEnsemble.
 func Ensemble(x []float64, y []int) (float64, error) {
-	f1, err := FisherRatio(x, y)
+	neg, pos, err := splitClasses(x, y)
 	if errors.Is(err, errMissingClass) {
 		return MaxEnsemble, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	f2, err := OverlapVolume(x, y)
-	if err != nil {
-		return 0, err
-	}
-	f3, err := FeatureEfficiency(x, y)
-	if err != nil {
-		return 0, err
-	}
-	return (capInv(f1) + f2 + capInv(f3)) / 3, nil
+	f1 := fisher(neg, pos)
+	r := rangesOf(neg, pos)
+	return (capInv(f1) + overlapVolume(r) + capInv(featureEfficiency(neg, pos, r))) / 3, nil
 }
 
 // capInv returns min(1/v, InverseCap), treating non-positive v as fully

@@ -91,7 +91,8 @@ func (a Aggregation) String() string {
 // settings through withDefaults.
 type Config struct {
 	// Rankers are the preliminary approaches; nil means RankerSpecs
-	// resolved through the selection registry.
+	// resolved through the selection registry. Unless Serial, Select
+	// calls each one concurrently on the global and wear-group frames.
 	Rankers []selection.Ranker
 	// RankerSpecs names registered approaches (selection.Register /
 	// selection.Resolve keys) to build with Seed when Rankers is nil;
@@ -117,9 +118,14 @@ type Config struct {
 	// Aggregate selects the rank-aggregation strategy; 0 means the
 	// paper's AggregateMean.
 	Aggregate Aggregation
-	// Serial disables parallel ranker execution. WEFR runs the
-	// preliminary approaches concurrently by default, which is what
-	// keeps its runtime close to the slowest ranker (Exp#4).
+	// Serial runs everything on the calling goroutine, one step after
+	// another: each selection's rankers in order, then its complexity
+	// cutoff, and in Select the global selection before the low-MWI and
+	// high-MWI groups. By default WEFR runs the preliminary approaches
+	// concurrently, which is what keeps its runtime close to the
+	// slowest ranker (Exp#4), computes the complexity measures alongside
+	// them, and selects the wear groups alongside the global pass. The
+	// result is the same either way.
 	Serial bool
 	// Seed seeds the default rankers and any randomized ranker
 	// settings.
@@ -134,12 +140,17 @@ type Config struct {
 	Robust *RobustConfig
 }
 
-// RobustConfig parameterizes robust-mode selection.
+// RobustConfig parameterizes robust-mode selection. Robust runs keep
+// the default schedule: Select's wear groups are selected alongside the
+// global pass, as in strict mode.
 type RobustConfig struct {
-	// RankerTimeout bounds each preliminary approach's runtime; an
-	// approach still running after the deadline is dropped (its
-	// goroutine is abandoned — rankers hold no external resources).
-	// Zero means no timeout.
+	// RankerTimeout bounds each preliminary approach's wall-clock
+	// runtime; an approach still running after the deadline is dropped
+	// (its goroutine is abandoned — rankers hold no external resources).
+	// Zero means no timeout. Without Serial, Select runs up to three
+	// selections at once, so the clock runs while up to three times
+	// len(Rankers) approaches share the CPU; size the timeout for that
+	// contention, or set Serial to time each approach on its own.
 	RankerTimeout time.Duration
 }
 
@@ -246,7 +257,10 @@ func (r Result) FeaturesFor(mwi float64) []string {
 
 // SelectFeatures runs lines 1-8 of Algorithm 1 on a learning frame:
 // preliminary rankings, Kendall-tau outlier removal, mean-rank
-// aggregation, and the automated complexity cutoff.
+// aggregation, and the automated complexity cutoff. The complexity
+// measures depend only on the frame, so unless cfg.Serial they are
+// computed per feature while the rankers run and permuted into rank
+// order once the final ranking is known.
 func SelectFeatures(fr *frame.Frame, cfg Config) (Selection, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rankers == nil && cfg.RankerSpecs != nil {
@@ -277,6 +291,14 @@ func SelectFeatures(fr *frame.Frame, cfg Config) (Selection, error) {
 	}
 	ranks := make([][]float64, len(cfg.Rankers))
 	errs := make([]error, len(cfg.Rankers))
+	// Line 8's per-feature complexity measures, by feature index.
+	fcomps := make([]float64, fr.NumFeatures())
+	fcompErrs := make([]error, fr.NumFeatures())
+	measure := func() {
+		for f := range fcomps {
+			fcomps[f], fcompErrs[f] = complexity.Ensemble(fr.Col(f), fr.Labels())
+		}
+	}
 	if cfg.Serial {
 		for i, r := range cfg.Rankers {
 			ranks[i], errs[i] = rank(r)
@@ -290,6 +312,11 @@ func SelectFeatures(fr *frame.Frame, cfg Config) (Selection, error) {
 				ranks[i], errs[i] = rank(r)
 			}(i, r)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			measure()
+		}()
 		wg.Wait()
 	}
 
@@ -347,13 +374,15 @@ func SelectFeatures(fr *frame.Frame, cfg Config) (Selection, error) {
 	order := stats.ArgsortAscending(final)
 
 	// Line 8: automated feature count from the complexity ensemble.
+	if cfg.Serial {
+		measure()
+	}
 	comps := make([]float64, len(order))
 	for i, f := range order {
-		c, err := complexity.Ensemble(fr.Col(f), fr.Labels())
-		if err != nil {
+		if err := fcompErrs[f]; err != nil {
 			return Selection{}, fmt.Errorf("core: complexity of %s: %w", fr.Names()[f], err)
 		}
-		comps[i] = c
+		comps[i] = fcomps[f]
 	}
 	count, err := complexity.AutoCutoff(comps, cfg.Cutoff)
 	if err != nil {
@@ -480,56 +509,102 @@ func removeOutliers(rankers []selection.Ranker, ranks [][]float64, outlierZ floa
 // — per-wear-group re-selection using the frame's per-sample MWI
 // metadata. Pass an empty curve (zero Curve) to skip the wear-out
 // update (the "WEFR (No update)" baseline of Exp#3).
+//
+// The wear-out update needs only the change point, not the global
+// selection, so the change point is detected first and, unless
+// cfg.Serial, the usable groups are selected alongside the global
+// pass. Errors and robust-mode notes are reported in the order of a
+// serial run: global, change point, low-MWI group, high-MWI group.
 func Select(fr *frame.Frame, curve survival.Curve, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	global, err := SelectFeatures(fr, cfg)
-	if err != nil {
-		return Result{}, err
+	var (
+		cp    survival.ChangePoint
+		found bool
+		cpErr error
+	)
+	if curve.Len() > 0 {
+		cp, found, cpErr = curve.DetectChangePoint(cfg.Changepoint, cfg.ZThreshold)
 	}
-	res := Result{Global: global}
 
-	if curve.Len() == 0 {
-		return res, nil
+	// frames[0] is the global frame; frames[1] and frames[2] are the
+	// low- and high-MWI groups, nil when not re-selected.
+	frames := [3]*frame.Frame{fr}
+	if found && fr != nil {
+		lowFr := fr.FilterRows(func(i int) bool { return fr.Meta(i).MWI < cp.MWI })
+		highFr := fr.FilterRows(func(i int) bool { return fr.Meta(i).MWI >= cp.MWI })
+		if groupUsable(lowFr, cfg.MinGroupPositives) {
+			frames[1] = lowFr
+		}
+		if groupUsable(highFr, cfg.MinGroupPositives) {
+			frames[2] = highFr
+		}
 	}
-	cp, found, err := curve.DetectChangePoint(cfg.Changepoint, cfg.ZThreshold)
-	if err != nil {
+	var (
+		sels [3]Selection
+		errs [3]error
+	)
+	if cfg.Serial {
+		for i, f := range frames {
+			if f == nil {
+				continue
+			}
+			sels[i], errs[i] = SelectFeatures(f, cfg)
+			if errs[i] != nil && (i == 0 || cfg.Robust == nil) {
+				break // the error ends the selection
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i, f := range frames[1:] {
+			if f == nil {
+				continue
+			}
+			wg.Add(1)
+			go func(i int, f *frame.Frame) {
+				defer wg.Done()
+				sels[i], errs[i] = SelectFeatures(f, cfg)
+			}(i+1, f)
+		}
+		sels[0], errs[0] = SelectFeatures(fr, cfg)
+		wg.Wait()
+	}
+
+	if errs[0] != nil {
+		return Result{}, errs[0]
+	}
+	global := sels[0]
+	res := Result{Global: global}
+	if cpErr != nil {
 		// A curve corrupted past detection (non-finite survival rates)
 		// degrades to no wear-out update in robust mode.
 		if cfg.Robust != nil {
-			res.Notes = append(res.Notes, fmt.Sprintf("change point skipped: %v", err))
+			res.Notes = append(res.Notes, fmt.Sprintf("change point skipped: %v", cpErr))
 			return res, nil
 		}
-		return Result{}, fmt.Errorf("core: change point: %w", err)
+		return Result{}, fmt.Errorf("core: change point: %w", cpErr)
 	}
 	if !found {
 		return res, nil
 	}
 
 	split := &WearSplit{ThresholdMWI: cp.MWI, Z: cp.Z, Low: global, High: global}
-	lowFr := fr.FilterRows(func(i int) bool { return fr.Meta(i).MWI < cp.MWI })
-	highFr := fr.FilterRows(func(i int) bool { return fr.Meta(i).MWI >= cp.MWI })
-
-	if groupUsable(lowFr, cfg.MinGroupPositives) {
-		sel, err := SelectFeatures(lowFr, cfg)
-		if err != nil {
-			if cfg.Robust == nil {
-				return Result{}, fmt.Errorf("core: low-MWI group: %w", err)
-			}
-			res.Notes = append(res.Notes, fmt.Sprintf("low-MWI group inherits global selection: %v", err))
-		} else {
-			split.Low, split.LowRefit = sel, true
+	adopt := func(i int, name string, sel *Selection, refit *bool) error {
+		switch {
+		case frames[i] == nil:
+		case errs[i] == nil:
+			*sel, *refit = sels[i], true
+		case cfg.Robust == nil:
+			return fmt.Errorf("core: %s group: %w", name, errs[i])
+		default:
+			res.Notes = append(res.Notes, fmt.Sprintf("%s group inherits global selection: %v", name, errs[i]))
 		}
+		return nil
 	}
-	if groupUsable(highFr, cfg.MinGroupPositives) {
-		sel, err := SelectFeatures(highFr, cfg)
-		if err != nil {
-			if cfg.Robust == nil {
-				return Result{}, fmt.Errorf("core: high-MWI group: %w", err)
-			}
-			res.Notes = append(res.Notes, fmt.Sprintf("high-MWI group inherits global selection: %v", err))
-		} else {
-			split.High, split.HighRefit = sel, true
-		}
+	if err := adopt(1, "low-MWI", &split.Low, &split.LowRefit); err != nil {
+		return Result{}, err
+	}
+	if err := adopt(2, "high-MWI", &split.High, &split.HighRefit); err != nil {
+		return Result{}, err
 	}
 	res.Split = split
 	return res, nil

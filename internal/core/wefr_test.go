@@ -126,6 +126,9 @@ func TestSelectFeaturesErrors(t *testing.T) {
 	if _, err := SelectFeatures(nil, Config{}); !errors.Is(err, ErrNoFeatures) {
 		t.Errorf("nil frame error = %v", err)
 	}
+	if _, err := Select(nil, stepCurve(), Config{}); !errors.Is(err, ErrNoFeatures) {
+		t.Errorf("Select nil frame error = %v", err)
+	}
 	if _, err := SelectFeatures(fr, Config{Rankers: []selection.Ranker{}}); !errors.Is(err, ErrNoRankers) {
 		t.Errorf("no rankers error = %v", err)
 	}

@@ -120,9 +120,11 @@ func (g *histGrower) acquire() *histBuf {
 func (g *histGrower) release(hb *histBuf) { g.pool = append(g.pool, hb) }
 
 // accumulate adds the row segment [lo, hi) into hb. The segment's
-// (gradient, hessian) pairs are gathered once up front; every feature
-// then reads them sequentially, leaving the bin lookup as the only
-// gather in the inner loop.
+// (gradient, hessian) pairs are gathered once up front. Features are
+// then accumulated four per pass over the segment: each cell still
+// sums its rows in row order, so every sum is the one a per-feature
+// pass would give, while the four features' add chains are independent
+// and overlap in the pipeline.
 func (g *histGrower) accumulate(lo, hi int, hb *histBuf) {
 	seg := g.rows[lo:hi]
 	ghs := g.ghs[: 2*len(seg) : 2*len(seg)]
@@ -131,14 +133,42 @@ func (g *histGrower) accumulate(lo, hi int, hb *histBuf) {
 		ghs[2*k+1] = g.gh[2*i+1]
 	}
 	cells := hb.cells
-	for f := range g.off {
-		base := g.off[f]
+	nf := len(g.off)
+	f := 0
+	for ; f+4 <= nf; f += 4 {
+		c0 := cells[g.off[f]:]
+		c1 := cells[g.off[f+1]:]
+		c2 := cells[g.off[f+2]:]
+		c3 := cells[g.off[f+3]:]
+		b0, b1, b2, b3 := g.bm.Bins(f), g.bm.Bins(f+1), g.bm.Bins(f+2), g.bm.Bins(f+3)
+		for k, i := range seg {
+			gr, hs := ghs[2*k], ghs[2*k+1]
+			x := &c0[b0[i]]
+			x.g += gr
+			x.h += hs
+			x.c++
+			x = &c1[b1[i]]
+			x.g += gr
+			x.h += hs
+			x.c++
+			x = &c2[b2[i]]
+			x.g += gr
+			x.h += hs
+			x.c++
+			x = &c3[b3[i]]
+			x.g += gr
+			x.h += hs
+			x.c++
+		}
+	}
+	for ; f < nf; f++ {
+		c := cells[g.off[f]:]
 		bins := g.bm.Bins(f)
 		for k, i := range seg {
-			cell := &cells[base+int(bins[i])]
-			cell.g += ghs[2*k]
-			cell.h += ghs[2*k+1]
-			cell.c++
+			x := &c[bins[i]]
+			x.g += ghs[2*k]
+			x.h += ghs[2*k+1]
+			x.c++
 		}
 	}
 }
@@ -154,7 +184,7 @@ type histSplit struct {
 
 // grow grows the subtree over rows[lo:hi), consuming hb (it is either
 // released or mutated into the larger child's histogram) and returns
-// the node index.
+// the node index. hb is nil at MaxDepth, where the node is a leaf.
 func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int) int {
 	nodeIdx := len(g.t.nodes)
 	g.t.nodes = append(g.t.nodes, regNode{feature: -1, weight: leafWeight(sumG, sumH, g.cfg.Lambda)})
@@ -168,7 +198,9 @@ func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int
 		for _, i := range g.rows[lo:hi] {
 			g.margin[i] += w
 		}
-		g.release(hb)
+		if hb != nil {
+			g.release(hb)
+		}
 		return nodeIdx
 	}
 
@@ -193,26 +225,16 @@ func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int
 	nl := w - lo
 	nr := hi - w
 
-	// Scan only the smaller child; the larger child's histogram is the
-	// parent's minus the smaller's, computed in place so hb's ownership
-	// transfers to the larger child.
-	small := g.acquire()
-	if nl <= nr {
-		g.accumulate(lo, lo+nl, small)
-	} else {
-		g.accumulate(lo+nl, hi, small)
-	}
-	for b, sc := range small.cells {
-		hb.cells[b].g -= sc.g
-		hb.cells[b].h -= sc.h
-		hb.cells[b].c -= sc.c
-	}
-	leftBuf, rightBuf := small, hb
-	if nl > nr {
-		leftBuf, rightBuf = hb, small
-	}
-
 	g.m.gain[sp.feature] += sp.gain
+
+	// Children at MaxDepth are always leaves and never read a
+	// histogram, so none is built for them.
+	var leftBuf, rightBuf *histBuf
+	if depth+1 < g.cfg.MaxDepth {
+		leftBuf, rightBuf = g.childHists(lo, nl, nr, hb)
+	} else {
+		g.release(hb)
+	}
 
 	l := g.grow(lo, lo+nl, leftBuf, sp.gl, sp.hl, depth+1)
 	rIdx := g.grow(lo+nl, hi, rightBuf, sumG-sp.gl, sumH-sp.hl, depth+1)
@@ -223,6 +245,29 @@ func (g *histGrower) grow(lo, hi int, hb *histBuf, sumG, sumH float64, depth int
 	nd.right = rIdx
 	nd.defaultLeft = sp.defaultLeft
 	return nodeIdx
+}
+
+// childHists returns the histograms of the children of a node split
+// into nl left and nr right rows starting at lo. Only the smaller child
+// is scanned; the larger child's histogram is the parent's minus the
+// smaller's, computed in place so hb's ownership transfers to the
+// larger child.
+func (g *histGrower) childHists(lo, nl, nr int, hb *histBuf) (left, right *histBuf) {
+	small := g.acquire()
+	if nl <= nr {
+		g.accumulate(lo, lo+nl, small)
+	} else {
+		g.accumulate(lo+nl, lo+nl+nr, small)
+	}
+	for b, sc := range small.cells {
+		hb.cells[b].g -= sc.g
+		hb.cells[b].h -= sc.h
+		hb.cells[b].c -= sc.c
+	}
+	if nl > nr {
+		return hb, small
+	}
+	return small, hb
 }
 
 // bestSplit scans the node's histogram for the bin boundary maximizing

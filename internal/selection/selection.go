@@ -66,7 +66,9 @@ func (r Result) TopPercent(pct float64) []int {
 	return r.TopN(n)
 }
 
-// Ranker scores every feature of a learning frame.
+// Ranker scores every feature of a learning frame. Rank must be safe
+// to call concurrently on different frames: core.Select ranks the wear
+// groups' frames alongside the global one.
 type Ranker interface {
 	// Name identifies the approach in reports and tables.
 	Name() string

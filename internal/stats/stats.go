@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -179,25 +180,38 @@ func ZScores(xs []float64) ([]float64, error) {
 // interleaving.
 func Ranks(xs []float64) []float64 {
 	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	// NaNs take the tail positions in input order; the rest sort
+	// unstably, since a tie group's average rank does not depend on
+	// the order inside it.
+	idx := make([]int32, 0, n)
+	for i, x := range xs {
+		if x == x {
+			idx = append(idx, int32(i))
+		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		xa, xb := xs[idx[a]], xs[idx[b]]
-		if xa != xa {
-			return false // NaN never sorts before anything
+	m := len(idx)
+	for i, x := range xs {
+		if x != x {
+			idx = append(idx, int32(i))
 		}
-		if xb != xb {
-			return true // everything else sorts before NaN
+	}
+	slices.SortFunc(idx[:m], func(a, b int32) int {
+		switch xa, xb := xs[a], xs[b]; {
+		case xa < xb:
+			return -1
+		case xa > xb:
+			return 1
 		}
-		return xa < xb
+		return 0
 	})
 
 	ranks := make([]float64, n)
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && sameRankValue(xs[idx[j+1]], xs[idx[i]]) {
+		if i >= m {
+			j = n - 1 // the NaNs are one tie group
+		}
+		for j+1 < m && xs[idx[j+1]] == xs[idx[i]] {
 			j++
 		}
 		// Average rank for the tie group spanning positions i..j.
@@ -208,12 +222,6 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// sameRankValue reports whether a and b belong to the same tie group for
-// ranking purposes: equal, or both NaN.
-func sameRankValue(a, b float64) bool {
-	return a == b || (a != a && b != b)
 }
 
 // Pearson returns the Pearson product-moment correlation between xs and
