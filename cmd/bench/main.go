@@ -21,7 +21,9 @@
 // over a 500-drive MC1 fleet with a two-group WEFR snapshot
 // (scorer-fleet-pass: the one window scorer behind a phase's
 // calibration and test scoring, the serving daemon's fleet endpoint
-// and the controller's daily summary), and the
+// and the controller's daily summary), the daemon's handler in process
+// on that fixture (serve-batch-inline: one 64-drive inline batch;
+// serve-fleet: one fleet request over the store), and the
 // ranker-evaluation harness (rank-eval: internal/rankeval over every
 // registered ranker plus the WEFR ensemble on a small fleet). These
 // are in-process micro-benchmarks; the serving daemon's end-to-end
@@ -356,6 +358,7 @@ var benches = []bench{
 	{name: "fleet-score", fn: benchFleetScore},
 	{name: "scorer-fleet-pass", fn: benchScorerFleetPass},
 	{name: "serve-batch-inline", fn: benchServeBatchInline},
+	{name: "serve-fleet", fn: benchServeFleet},
 	{name: "rank-eval", fn: benchRankEval},
 	{name: "wefr-select", fn: benchWEFRSelect},
 }
@@ -926,9 +929,10 @@ func benchScorerFleetPass(b *testing.B) {
 	}
 }
 
-// serveBatchState is serve-batch-inline's fixture: scorer-fleet-pass's
-// snapshot served by an in-process daemon, and one 64-drive inline
-// batch body cut from the same fleet the way perfbench cuts them.
+// serveBatchState is the fixture of serve-batch-inline and serve-fleet:
+// scorer-fleet-pass's snapshot served by an in-process daemon with
+// scorer-fleet-pass's store attached, and one 64-drive inline batch
+// body cut from the same fleet the way perfbench cuts them.
 var serveBatchState struct {
 	once sync.Once
 	h    http.Handler
@@ -953,7 +957,7 @@ func serveBatchSetup() error {
 			if _, err := engine.SaveSnapshot(reg, "serving", fs.scorer.Snapshot()); err != nil {
 				return err
 			}
-			srv, err := serve.New(serve.Options{Registry: reg, Artifacts: []string{"serving"}})
+			srv, err := serve.New(serve.Options{Registry: reg, Artifacts: []string{"serving"}, Store: fs.snap.Store()})
 			if err != nil {
 				return err
 			}
@@ -1002,6 +1006,34 @@ func benchServeBatchInline(b *testing.B) {
 	post := func() {
 		rec := httptest.NewRecorder()
 		s.h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/batch", bytes.NewReader(s.body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// benchServeFleet measures one POST /v1/score/fleet through the
+// daemon's handler in process: scorer-fleet-pass's one-day pass over
+// its 500-drive store, behind the request decode, admission and the
+// response encode, without the network.
+func benchServeFleet(b *testing.B) {
+	if err := serveBatchSetup(); err != nil {
+		b.Fatal(err)
+	}
+	h := serveBatchState.h
+	body, err := json.Marshal(serve.FleetRequest{Model: "serving", Day: scorerFleetState.day})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/fleet", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
 		}

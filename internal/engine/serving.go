@@ -517,7 +517,6 @@ func grow[T any](s []T, n int) []T {
 type RowScratch struct {
 	cells   [][]float64 // FillRow: one-cell views of the row
 	days    []int       // FillRow: the one day
-	gen     [][]float64
 	rolling []stats.RollingStats
 }
 
@@ -559,26 +558,24 @@ func (s *Scorer) FillRow(g int, cols [][]float64, day int, row []float64, sc *Ro
 // feature's value on the day, then each feature's generated window
 // statistics in featgen order; cols holds the group's feature columns
 // in GroupFeatures order. Every run of consecutive days is generated
-// in one call, straight into its rows.
+// in one call, straight into its rows of the feature's generated
+// columns.
 func (s *Scorer) fillRows(g int, cols [][]float64, days []int, dst [][]float64, r int, sc *RowScratch) error {
 	windows := s.Windows()
 	k, nGen := len(cols), featgen.NumGenerated(windows)
-	sc.gen = grow(sc.gen, nGen)
 	for i, col := range cols {
 		orig := dst[i][r : r+len(days)]
 		for t, day := range days {
 			orig[t] = col[day]
 		}
+		gen := dst[k+i*nGen : k+(i+1)*nGen]
 		for t := 0; t < len(days); {
 			e := t + 1
 			for e < len(days) && days[e] == days[e-1]+1 {
 				e++
 			}
-			for j := range sc.gen {
-				sc.gen[j] = dst[k+i*nGen+j][r+t : r+e]
-			}
 			var err error
-			if sc.rolling, err = featgen.GenerateRangeInto(sc.gen, col, windows, days[t], days[e-1], sc.rolling); err != nil {
+			if sc.rolling, err = featgen.GenerateAt(gen, r+t, col, windows, days[t], days[e-1], sc.rolling); err != nil {
 				return fmt.Errorf("pipeline: expand %v: %w", s.groups[g].feats[i], err)
 			}
 			t = e

@@ -58,12 +58,16 @@ func trainCases() []trainCase {
 }
 
 // checkTrainFrames builds groups' training frames over [lo, hi] of src
-// with trainFrames and with the reference and requires identical
-// frames. It returns the frames.
-func checkTrainFrames(t testing.TB, src dataset.Source, groups []group, lo, hi int, cfg Config) []*frame.Frame {
+// with the reference, and with trainFrames reading read (src when nil:
+// a store snapshot over src must give the same frames), and requires
+// identical frames. It returns the frames.
+func checkTrainFrames(t testing.TB, src, read dataset.Source, groups []group, lo, hi int, cfg Config) []*frame.Frame {
 	t.Helper()
+	if read == nil {
+		read = src
+	}
 	want, wantErr := refTrainFrames(src, smart.MC1, groups, lo, hi, cfg)
-	got, err := trainFrames(src, smart.MC1, groups, lo, hi, cfg)
+	got, err := trainFrames(read, smart.MC1, groups, lo, hi, cfg)
 	if wantErr != nil || err != nil {
 		if !errors.Is(err, ErrNoTrainingSignal) || !errors.Is(wantErr, ErrNoTrainingSignal) {
 			t.Fatalf("[%d, %d]: trainFrames error %v, reference error %v", lo, hi, err, wantErr)
@@ -111,7 +115,7 @@ func TestTrainFramesMatchReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, sc.name, workers), func(t *testing.T) {
 					cfg := sc.cfg(Config{NegEvery: 10, Workers: workers})
 					for _, w := range [][2]int{{0, 79}, {20, 89}} {
-						frames := checkTrainFrames(t, sc.src, groups, w[0], w[1], cfg)
+						frames := checkTrainFrames(t, sc.src, nil, groups, w[0], w[1], cfg)
 						if frames == nil {
 							t.Fatalf("window %v: no training signal", w)
 						}
@@ -388,12 +392,16 @@ func TestPhaseRowsEndAtFitHi(t *testing.T) {
 // FuzzTrainFramesMatchReference drives the training differential with
 // random fit windows, negative strides, worker counts, group layouts,
 // missing-reading patterns and, for robust configs, sentinel densities,
-// gap bounds and masks.
+// gap bounds and masks. workers/4 also picks where the pass reads the
+// drives from: the source itself, or a store snapshot over it held in
+// memory or spilled to disk (the reference always reads the source).
 func FuzzTrainFramesMatchReference(f *testing.F) {
 	f.Add(uint8(0), uint8(79), uint8(10), uint8(1), uint8(1), int64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(20), uint8(60), uint8(7), uint8(2), uint8(2), int64(2), uint8(3), uint8(1), uint8(4))
 	f.Add(uint8(5), uint8(100), uint8(3), uint8(4), uint8(0), int64(3), uint8(9), uint8(2), uint8(0))
 	f.Add(uint8(50), uint8(10), uint8(1), uint8(3), uint8(1), int64(4), uint8(5), uint8(1), uint8(17))
+	f.Add(uint8(0), uint8(119), uint8(4), uint8(5), uint8(1), int64(5), uint8(6), uint8(0), uint8(0))
+	f.Add(uint8(10), uint8(90), uint8(2), uint8(10), uint8(2), int64(6), uint8(4), uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, lo, span, negEvery, workers, layout uint8, seed int64, rate, robust, maxGap uint8) {
 		fx := getPassFixture(t)
 		from := int(lo) % passDays
@@ -417,7 +425,14 @@ func FuzzTrainFramesMatchReference(f *testing.F) {
 			}
 			src = dirty
 		}
+		var read dataset.Source
+		switch workers / 4 % 3 {
+		case 1:
+			read = storeOver(t, src, "")
+		case 2:
+			read = storeOver(t, src, t.TempDir())
+		}
 		cases := trainCases()
-		checkTrainFrames(t, src, cases[int(layout)%len(cases)].groups(fx), from, to, cfg)
+		checkTrainFrames(t, src, read, cases[int(layout)%len(cases)].groups(fx), from, to, cfg)
 	})
 }

@@ -89,12 +89,21 @@ func GenerateRange(series []float64, windows []int, from, to int) ([][]float64, 
 	return out, nil
 }
 
-// GenerateRangeInto is GenerateRange writing into caller-provided
-// storage: dst must hold NumGenerated(windows) columns, each of length
-// to-from+1, and scratch (which may be nil) is a reusable rolling-stats
-// buffer that is returned, possibly regrown, for the next call. Other
-// than growing scratch on first use, it allocates nothing.
+// GenerateRangeInto is GenerateAt writing rows 0..to-from of dst,
+// whose columns must each have length to-from+1. It stays as the entry
+// point of the perfbench replay harness; the engine's row fill calls
+// GenerateAt.
 func GenerateRangeInto(dst [][]float64, series []float64, windows []int, from, to int, scratch []stats.RollingStats) ([]stats.RollingStats, error) {
+	return GenerateAt(dst, 0, series, windows, from, to, scratch)
+}
+
+// GenerateAt is GenerateRange writing into caller-provided storage at a
+// row offset: dst must hold NumGenerated(windows) columns, and day
+// from+t's statistics go to row at+t of each, so every column needs at
+// least at+to-from+1 rows. scratch (which may be nil) is a reusable
+// rolling-stats buffer that is returned, possibly regrown, for the next
+// call. Other than growing scratch on first use, it allocates nothing.
+func GenerateAt(dst [][]float64, at int, series []float64, windows []int, from, to int, scratch []stats.RollingStats) ([]stats.RollingStats, error) {
 	if len(windows) == 0 {
 		return scratch, ErrNoWindows
 	}
@@ -105,19 +114,21 @@ func GenerateRangeInto(dst [][]float64, series []float64, windows []int, from, t
 	if cap(scratch) < width {
 		scratch = make([]stats.RollingStats, width)
 	}
-	rs := scratch[:width]
+	rs := scratch[:max(width, 0)] // an empty range fails in RollingRangeInto
 	for wi, w := range windows {
 		if err := stats.RollingRangeInto(rs, series, w, from, to); err != nil {
 			return scratch, fmt.Errorf("featgen: window %d: %w", w, err)
 		}
 		cols := dst[wi*StatsPerWindow : (wi+1)*StatsPerWindow]
+		maxs, mins, means := cols[0][at:at+width], cols[1][at:at+width], cols[2][at:at+width]
+		stds, ranges, wmas := cols[3][at:at+width], cols[4][at:at+width], cols[5][at:at+width]
 		for t, r := range rs {
-			cols[0][t] = r.Max
-			cols[1][t] = r.Min
-			cols[2][t] = r.Mean
-			cols[3][t] = r.Std
-			cols[4][t] = r.Range
-			cols[5][t] = r.WMA
+			maxs[t] = r.Max
+			mins[t] = r.Min
+			means[t] = r.Mean
+			stds[t] = r.Std
+			ranges[t] = r.Range
+			wmas[t] = r.WMA
 		}
 	}
 	return scratch, nil

@@ -98,3 +98,34 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		t.Errorf("one 64-drive batch decode allocates %.1f objects, ceiling %d", allocs, batchDecodeAllocCeiling)
 	}
 }
+
+// batchHandlerAllocCeiling caps one warm 64-drive inline batch through
+// the handler, request and recorder set-up included. The batch's rows,
+// buckets, group columns, probabilities and results live in pooled
+// scratch, so what is left is the HTTP plumbing and the response
+// encoder: a request measured 27 objects; the ceiling adds a margin of
+// 8. (Allocating that scratch per request made about 400.)
+const batchHandlerAllocCeiling = 35
+
+// TestBatchHandlerAllocs pins the allocations of one warm 64-drive
+// inline POST /v1/score/batch through Server.Handler.
+func TestBatchHandlerAllocs(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	body := batchBody(t, inlineWindows(t, 64, 1))
+	rd := bytes.NewReader(body)
+	post := func() {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/score/batch", rd))
+		if rec.Code != 200 {
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	post()
+	allocs := testing.AllocsPerRun(50, post)
+	t.Logf("one 64-drive inline batch request: %.1f allocations", allocs)
+	if allocs > batchHandlerAllocCeiling {
+		t.Errorf("one 64-drive inline batch request allocates %.1f objects, ceiling %d", allocs, batchHandlerAllocCeiling)
+	}
+}

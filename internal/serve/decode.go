@@ -184,6 +184,7 @@ type seriesBody struct {
 	raw    []byte      // the body
 	slab   []float64   // every series value of the body
 	tbl    seriesTable // the columns of the drive being scored
+	batch  batchScratch
 }
 
 // maxPooledBody is the largest body whose buffers go back to the pool:

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -562,20 +563,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// batchScratch is the working state of one batch: the drives' rows,
+// the wear groups' buckets, one group's input columns and
+// probabilities at a time, and the results. It rides in the pooled
+// request body, so it is reused across requests and goes back to the
+// pool only after the response, whose results alias it, is written.
+type batchScratch struct {
+	fs      featScratch // row fill: the group's feature columns and rolling stats
+	rows    []float64   // drive i's row at rowOff[i]
+	rowOff  []int
+	buckets [][]int // per group: request indices
+	slab    []float64
+	cols    [][]float64 // the scored group's input columns, over slab
+	probs   []float64
+	results []ScoreResponse
+}
+
 // scoreBatchOn scores a whole batch on one captured serving state:
 // rows are bucketed by wear group, each bucket scored in one kernel
 // call, results returned in request order. Validation is
 // all-or-nothing — any bad drive fails the whole batch before
-// anything is scored.
+// anything is scored. The results alias b, which the caller releases
+// after writing them.
 func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, b *seriesBody) (BatchResponse, error) {
 	n := b.n
-	type placed struct {
-		group int
-		slot  int // row within the group's bucket
+	bs := &b.batch
+	bs.rows, bs.rowOff, bs.results = bs.rows[:0], bs.rowOff[:0], bs.results[:0]
+	if cap(bs.buckets) < len(sv.groups) {
+		bs.buckets = make([][]int, len(sv.groups))
 	}
-	place := make([]placed, n)
-	rows := make([][]float64, n)
-	buckets := make([][]int, len(sv.groups)) // group -> request indices
+	bs.buckets = bs.buckets[:len(sv.groups)]
+	for g := range bs.buckets {
+		bs.buckets[g] = bs.buckets[g][:0]
+	}
 	resp := BatchResponse{Model: sv.name, Version: sv.version, ConfigHash: sv.hash}
 
 	for i := range b.drives[:n] {
@@ -594,47 +614,47 @@ func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, b *seriesBody) (
 			return resp, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("drive %d of batch: no wear group admits MWI %v", i, mwi)}
 		}
 		rt := sv.groups[g]
-		fs := getScratch(rt.width, len(rt.feats))
-		if err := sv.driveRow(rt, tbl, day, fs); err != nil {
-			putScratch(fs)
+		off := len(bs.rows)
+		bs.rows = slices.Grow(bs.rows, rt.width)[:off+rt.width]
+		bs.fs.row = bs.rows[off:]
+		bs.fs.feat = slices.Grow(bs.fs.feat[:0], len(rt.feats))[:len(rt.feats)]
+		if err := sv.driveRow(rt, tbl, day, &bs.fs); err != nil {
 			return resp, &reqError{code: errCode(err), msg: fmt.Sprintf("drive %d of batch: %v", i, err)}
 		}
-		row := make([]float64, rt.width)
-		copy(row, fs.row)
-		putScratch(fs)
-		rows[i] = row
-		place[i] = placed{group: g, slot: len(buckets[g])}
-		buckets[g] = append(buckets[g], i)
-		resp.Results = append(resp.Results, ScoreResponse{
+		bs.rowOff = append(bs.rowOff, off)
+		bs.buckets[g] = append(bs.buckets[g], i)
+		bs.results = append(bs.results, ScoreResponse{
 			Model: sv.name, Version: sv.version, ConfigHash: sv.hash,
 			DriveID: driveID, Day: day, Group: g, Threshold: rt.threshold,
 		})
 	}
+	bs.fs.row = nil
+	resp.Results = bs.results
 
-	probs := make([][]float64, len(sv.groups))
-	for g, idxs := range buckets {
+	for g, idxs := range bs.buckets {
 		if len(idxs) == 0 {
 			continue
 		}
-		rt := sv.groups[g]
-		cols := make([][]float64, rt.width)
-		for c := range cols {
-			cols[c] = make([]float64, len(idxs))
+		width := sv.groups[g].width
+		bs.slab = slices.Grow(bs.slab[:0], width*len(idxs))[:width*len(idxs)]
+		bs.cols = slices.Grow(bs.cols[:0], width)[:width]
+		for c := range bs.cols {
+			bs.cols[c] = bs.slab[c*len(idxs) : (c+1)*len(idxs)]
 		}
 		for slot, i := range idxs {
-			for c, v := range rows[i] {
-				cols[c][slot] = v
+			for c, v := range bs.rows[bs.rowOff[i] : bs.rowOff[i]+width] {
+				bs.cols[c][slot] = v
 			}
 		}
-		probs[g] = make([]float64, len(idxs))
-		if err := sv.scorer.ScoreBatch(g, cols, probs[g]); err != nil {
+		bs.probs = slices.Grow(bs.probs[:0], len(idxs))[:len(idxs)]
+		if err := sv.scorer.ScoreBatch(g, bs.cols, bs.probs); err != nil {
 			return resp, fmt.Errorf("serve: batch group %d: %w", g, err)
 		}
-	}
-	for i := range resp.Results {
-		p := probs[place[i].group][place[i].slot]
-		resp.Results[i].Prob = p
-		resp.Results[i].Alarm = p >= resp.Results[i].Threshold
+		for slot, i := range idxs {
+			p := bs.probs[slot]
+			resp.Results[i].Prob = p
+			resp.Results[i].Alarm = p >= resp.Results[i].Threshold
+		}
 	}
 	resp.Degraded = s.degradedNow()
 	return resp, nil

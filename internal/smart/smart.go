@@ -144,8 +144,13 @@ const NumFeatures = 2 * numAttrs
 
 // Index returns a valid feature's position in the catalog, in
 // [0, NumFeatures): attributes in declaration order, raw before
-// normalized. Tables of per-feature columns are indexed by it.
+// normalized. Tables of per-feature columns are indexed by it; an
+// invalid feature's Index is meaningless and may fall outside.
 func (f Feature) Index() int { return 2*(int(f.Attr)-1) + int(f.Kind) - 1 }
+
+// Valid reports whether f is in the catalog: a valid attribute and a
+// Raw or Normalized kind.
+func (f Feature) Valid() bool { return f.Attr.Valid() && (f.Kind == Raw || f.Kind == Normalized) }
 
 // ParseFeature parses a feature name of the form "<ATTR>_<R|N>".
 func ParseFeature(name string) (Feature, error) {

@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -61,14 +60,14 @@ type spillDriveIdx struct {
 
 // spillFile is an opened, validated spill file.
 type spillFile struct {
-	data   []byte                // whole file (mmap or aligned heap copy)
-	mapped bool                  // data must be munmapped on close
-	blob   []float64             // feature-major cells; len == len(feats)*total
-	feats  []smart.Feature       // index order == blob column order
-	index  map[smart.Feature]int // feature -> position in feats
-	offs   []int64               // per-drive prefix offsets, len == nDrives+1
-	total  int64                 // cells per feature column
-	days   int                   // day span the file covers
+	data   []byte                 // whole file (mmap or aligned heap copy)
+	mapped bool                   // data must be munmapped on close
+	blob   []float64              // feature-major cells; len == len(feats)*total
+	feats  []smart.Feature        // index order == blob column order
+	index  [smart.NumFeatures]int // by Feature.Index(): position in feats, -1 when absent
+	offs   []int64                // per-drive prefix offsets, len == nDrives+1
+	total  int64                  // cells per feature column
+	days   int                    // day span the file covers
 }
 
 // SpillPath returns the spill file path for a model under dir.
@@ -105,13 +104,17 @@ func WriteSpill(dir string, src dataset.Source, m smart.ModelID, workers int) (s
 	if err != nil {
 		return "", fmt.Errorf("store: spill probe drive %d: %w", refs[0].ID, err)
 	}
-	feats := sortedFeatures(probe)
+	probeTbl, err := newColTable(refs[0], probe)
+	if err != nil {
+		return "", err
+	}
+	feats := probeTbl.features()
 	nDays := make([]int, len(refs))
 	for i, r := range refs {
 		nDays[i] = expectedLastDay(r, days) + 1
 	}
 	path := SpillPath(dir, m)
-	fetch := func(i int) (map[smart.Feature][]float64, error) {
+	fetch := func(i int) (*colTable, error) {
 		cols, lastDay, err := src.Series(refs[i])
 		if err != nil {
 			return nil, err
@@ -119,7 +122,7 @@ func WriteSpill(dir string, src dataset.Source, m smart.ModelID, workers int) (s
 		if lastDay+1 != nDays[i] {
 			return nil, fmt.Errorf("drive %d spans %d days, inventory implies %d", refs[i].ID, lastDay+1, nDays[i])
 		}
-		return cols, nil
+		return newColTable(refs[i], cols)
 	}
 	if err := writeSpillFile(path, m, days, refs, feats, nDays, workers, fetch); err != nil {
 		return "", err
@@ -132,7 +135,7 @@ func WriteSpill(dir string, src dataset.Source, m smart.ModelID, workers int) (s
 // exactly the feats set.
 func writeSpillFile(path string, m smart.ModelID, days int, refs []dataset.DriveRef,
 	feats []smart.Feature, nDays []int, workers int,
-	fetch func(i int) (map[smart.Feature][]float64, error)) error {
+	fetch func(i int) (*colTable, error)) error {
 
 	offs := make([]int64, len(refs)+1)
 	for i, nd := range nDays {
@@ -168,8 +171,8 @@ func writeSpillFile(path string, m smart.ModelID, days int, refs []dataset.Drive
 		if err != nil {
 			return buf, err
 		}
-		if len(cols) != len(feats) {
-			return buf, fmt.Errorf("drive %d has %d features, file has %d", refs[i].ID, len(cols), len(feats))
+		if n := cols.reported(); n != len(feats) {
+			return buf, fmt.Errorf("drive %d has %d features, file has %d", refs[i].ID, n, len(feats))
 		}
 		nd := nDays[i]
 		if cap(buf) < nd*8 {
@@ -177,8 +180,8 @@ func writeSpillFile(path string, m smart.ModelID, days int, refs []dataset.Drive
 		}
 		buf = buf[:nd*8]
 		for fi, ft := range feats {
-			col, ok := cols[ft]
-			if !ok || len(col) != nd {
+			col := cols[ft.Index()]
+			if len(col) != nd {
 				return buf, fmt.Errorf("drive %d feature %v has %d days, want %d", refs[i].ID, ft, len(col), nd)
 			}
 			for j, v := range col {
@@ -296,8 +299,14 @@ func openSpill(path string, m smart.ModelID) (*spillFile, []dataset.DriveRef, er
 	return sf, refs, nil
 }
 
+// parseSpill validates a spill file's bytes and indexes them. Any input
+// either parses into a file whose every cell lies inside the blob, or
+// is refused with an error; it never panics.
 func parseSpill(data []byte, mapped bool, m smart.ModelID) (*spillFile, []dataset.DriveRef, error) {
 	size := int64(len(data))
+	if size < int64(2*len(spillMagic)+8+2) {
+		return nil, nil, fmt.Errorf("%d bytes", size)
+	}
 	if string(data[:8]) != spillMagic || string(data[size-8:]) != spillMagic {
 		return nil, nil, errors.New("magic mismatch")
 	}
@@ -317,22 +326,39 @@ func parseSpill(data []byte, mapped bool, m smart.ModelID) (*spillFile, []datase
 		return nil, nil, fmt.Errorf("%d days, %d features, %d drives", idx.Days, len(idx.Features), len(idx.Drives))
 	}
 	feats := make([]smart.Feature, len(idx.Features))
-	index := make(map[smart.Feature]int, len(feats))
+	var index [smart.NumFeatures]int
+	for i := range index {
+		index[i] = -1
+	}
 	for i, name := range idx.Features {
 		ft, err := smart.ParseFeature(name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("feature %q: %v", name, err)
 		}
+		if index[ft.Index()] >= 0 {
+			return nil, nil, fmt.Errorf("feature %v listed twice", ft)
+		}
 		feats[i] = ft
-		index[ft] = i
+		index[ft.Index()] = i
 	}
+	// Every feature column spans total cells inside the file, which
+	// bounds the day counts before any product can overflow.
+	maxTotal := size / 8 / int64(len(feats))
 	offs := make([]int64, len(idx.Drives)+1)
 	refs := make([]dataset.DriveRef, len(idx.Drives))
+	seen := make(map[int]bool, len(idx.Drives))
 	for i, d := range idx.Drives {
 		if d.LastDay < 0 || d.LastDay >= idx.Days {
 			return nil, nil, fmt.Errorf("drive %d last day %d of %d", d.ID, d.LastDay, idx.Days)
 		}
-		offs[i+1] = offs[i] + int64(d.LastDay+1)
+		if seen[d.ID] {
+			return nil, nil, fmt.Errorf("drive %d listed twice", d.ID)
+		}
+		seen[d.ID] = true
+		if n := int64(d.LastDay) + 1; n > maxTotal-offs[i] {
+			return nil, nil, fmt.Errorf("drives span more than %d cells per feature", maxTotal)
+		}
+		offs[i+1] = offs[i] + int64(d.LastDay) + 1
 		refs[i] = dataset.DriveRef{ID: d.ID, Model: m, FailDay: d.FailDay}
 	}
 	total := offs[len(idx.Drives)]
@@ -364,16 +390,6 @@ func (sf *spillFile) column(fi int) []float64 {
 	lo := int64(fi) * sf.total
 	hi := lo + sf.total
 	return sf.blob[lo:hi:hi]
-}
-
-// sortedFeatures returns the map's features in canonical (name) order.
-func sortedFeatures(cols map[smart.Feature][]float64) []smart.Feature {
-	feats := make([]smart.Feature, 0, len(cols))
-	for ft := range cols {
-		feats = append(feats, ft)
-	}
-	sort.Slice(feats, func(i, j int) bool { return feats[i].String() < feats[j].String() })
-	return feats
 }
 
 // nativeLE reports whether the host is little-endian, which lets the

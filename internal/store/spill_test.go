@@ -225,11 +225,16 @@ func (s oneDaySource) Series(ref dataset.DriveRef) (map[smart.Feature][]float64,
 // TestDayColumnsZeroCopy pins the single-day fast path: the returned
 // columns alias the spill file's blob rather than copying it.
 func TestDayColumnsZeroCopy(t *testing.T) {
-	probeCols, _, err := testFleet(t).Series(testFleet(t).DrivesOf(smart.MC1)[0])
+	probeRef := testFleet(t).DrivesOf(smart.MC1)[0]
+	probeCols, _, err := testFleet(t).Series(probeRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := oneDaySource{feats: sortedFeatures(probeCols)}
+	probe, err := newColTable(probeRef, probeCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := oneDaySource{feats: probe.features()}
 	for i := 0; i < 120; i++ {
 		one.refs = append(one.refs, dataset.DriveRef{ID: i, Model: smart.MC1, FailDay: -1})
 	}

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +73,10 @@ type Options struct {
 	// MaxFetchAttempts bounds upstream Series attempts per drive fetch:
 	// after the first attempt fails, up to MaxFetchAttempts-1 retries
 	// follow with exponential backoff. 0 or 1 means a single attempt
-	// (no retry), the legacy behavior.
+	// (no retry), the legacy behavior. A series that arrives but reports
+	// a feature outside the smart catalog is a data fault, not a
+	// transient one: it fails the fetch at once, counted as one fetch
+	// error, and is not retried.
 	MaxFetchAttempts int
 	// FetchBackoff is the delay before the first retry, doubling per
 	// subsequent retry up to FetchBackoffMax; 0 means 10ms.
@@ -139,8 +144,65 @@ type driveCols struct {
 	fetched bool
 	lastDay int
 	visible atomic.Int64 // days already accounted as ingested
-	cols    map[smart.Feature][]float64
+	cols    *colTable    // nil until fetched, and again once Spill releases it
 }
+
+// colTable is one drive's columns indexed by smart.Feature.Index():
+// nil for a feature the drive does not report, so a read is an array
+// index rather than a map probe.
+type colTable [smart.NumFeatures][]float64
+
+// newColTable files a Source's series map into a table. A key outside
+// the smart catalog fails with an error naming the drive and the key.
+// A reported column that is nil is kept as an empty one, so it stays
+// apart from an absent feature and fails a read with the short-column
+// error.
+func newColTable(ref dataset.DriveRef, cols map[smart.Feature][]float64) (*colTable, error) {
+	t := new(colTable)
+	for ft, col := range cols {
+		if !ft.Valid() {
+			return nil, fmt.Errorf("store: drive %d (model %v) reports feature %v outside the catalog", ref.ID, ref.Model, ft)
+		}
+		if col == nil {
+			col = []float64{}
+		}
+		t[ft.Index()] = col
+	}
+	return t, nil
+}
+
+// features returns the table's reported features in canonical (name)
+// order, the order spill files and DayColumns list them in.
+func (t *colTable) features() []smart.Feature {
+	var feats []smart.Feature
+	for _, ft := range catalogByName {
+		if t[ft.Index()] != nil {
+			feats = append(feats, ft)
+		}
+	}
+	return feats
+}
+
+// reported returns the number of features the table reports.
+func (t *colTable) reported() int {
+	n := 0
+	for _, col := range t {
+		if col != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// catalogByName is the whole feature catalog in canonical (name) order.
+var catalogByName = func() []smart.Feature {
+	out := make([]smart.Feature, 0, smart.NumFeatures)
+	for _, a := range smart.AllAttrs() {
+		out = append(out, smart.Feature{Attr: a, Kind: smart.Raw}, smart.Feature{Attr: a, Kind: smart.Normalized})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}()
 
 // Open wraps an upstream source in an empty store (horizon 0, nothing
 // ingested). Models are tracked lazily on first access, or eagerly via
@@ -439,7 +501,13 @@ func (st *Store) fetchDrive(ctx context.Context, ref dataset.DriveRef, dc *drive
 		cols, lastDay, err := st.fetchSeries(ctx, ref)
 		st.seriesFetches.Add(1)
 		if err == nil {
-			dc.cols = cols
+			tbl, err := newColTable(ref, cols)
+			if err != nil {
+				// Retrying would fetch the same bad series.
+				st.fetchErrors.Add(1)
+				return err
+			}
+			dc.cols = tbl
 			dc.lastDay = lastDay
 			dc.fetched = true
 			return nil
@@ -628,10 +696,12 @@ func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[sma
 		}
 		return out, v.lastDay, nil
 	}
-	out = make(map[smart.Feature][]float64, len(v.cols))
-	for ft, col := range v.cols {
-		if out[ft], err = v.memCol(ft, col); err != nil {
-			return nil, 0, err
+	out = make(map[smart.Feature][]float64, v.cols.reported())
+	for _, ft := range catalogByName {
+		if col := v.cols[ft.Index()]; col != nil {
+			if out[ft], err = v.memCol(ft, col); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	return out, v.lastDay, nil
@@ -642,9 +712,10 @@ func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[sma
 // drive does not report that feature, and returns the drive's last
 // visible day. dst must have len(feats) entries. The read is the one
 // SeriesCtx makes — same context handling, fetch, visibility accounting
-// and spill fallback — and the slices alias the store the same way, so
-// a scoring pass that needs a few columns per drive allocates nothing
-// per drive.
+// and spill fallback — and the slices alias the store the same way.
+// Each column is an index into the drive's feature table (in memory)
+// or into the spill file's feature positions, so a scoring pass that
+// needs a few columns per drive neither hashes nor allocates per drive.
 func (s *Snapshot) Columns(ctx context.Context, ref dataset.DriveRef, feats []smart.Feature, dst [][]float64) (int, error) {
 	if len(dst) != len(feats) {
 		return 0, fmt.Errorf("store: %d destination columns for %d features", len(dst), len(feats))
@@ -662,11 +733,11 @@ func (s *Snapshot) Columns(ctx context.Context, ref dataset.DriveRef, feats []sm
 }
 
 // driveView is one drive's columns as a snapshot sees them: the
-// in-memory map, or the drive's cells in the partition's spill file.
+// in-memory table, or the drive's cells in the partition's spill file.
 type driveView struct {
 	id      int
-	lastDay int                         // truncated to the snapshot horizon
-	cols    map[smart.Feature][]float64 // in-memory columns; nil when sf serves
+	lastDay int       // truncated to the snapshot horizon
+	cols    *colTable // in-memory columns; nil when sf serves
 	sf      *spillFile
 	base    int64 // sf: the drive's first cell
 }
@@ -720,15 +791,18 @@ func (s *Snapshot) view(ctx context.Context, ref dataset.DriveRef) (driveView, e
 // col returns the drive's column for ft truncated to lastDay+1 days
 // (aliasing the store), or nil when the drive does not report ft.
 func (v *driveView) col(ft smart.Feature) ([]float64, error) {
+	if !ft.Valid() {
+		return nil, nil
+	}
 	if v.sf != nil {
-		fi, ok := v.sf.index[ft]
-		if !ok {
+		fi := v.sf.index[ft.Index()]
+		if fi < 0 {
 			return nil, nil
 		}
 		return v.spillCol(fi), nil
 	}
-	col, ok := v.cols[ft]
-	if !ok {
+	col := v.cols[ft.Index()]
+	if col == nil {
 		return nil, nil
 	}
 	return v.memCol(ft, col)
@@ -752,7 +826,7 @@ func (v *driveView) memCol(ft smart.Feature, col []float64) ([]float64, error) {
 
 // Spill writes every tracked, fully ingested partition to
 // Options.SpillDir and switches it to serve from the file, releasing
-// the in-memory columns. Partitions already disk-backed are skipped.
+// the in-memory column tables. Partitions already disk-backed are skipped.
 // Snapshots taken before the spill stay valid throughout: the file is
 // published before the columns are released, and the data is
 // bit-identical. After a successful Spill the store's resident series
@@ -776,13 +850,19 @@ func (st *Store) Spill() error {
 			return err
 		}
 		nDays := make([]int, len(p.drives))
+		tabs := make([]*colTable, len(p.drives))
 		for i, dc := range p.drives {
-			nDays[i] = dc.lastDay + 1
+			dc.mu.Lock()
+			nDays[i], tabs[i] = dc.lastDay+1, dc.cols
+			dc.mu.Unlock()
 		}
-		feats := sortedFeatures(p.drives[0].cols)
+		if slices.Contains(tabs, nil) {
+			// A concurrent Spill published its file, then released these.
+			continue
+		}
 		path := SpillPath(dir, m)
-		err := writeSpillFile(path, m, st.src.Days(), p.refs, feats, nDays, st.opts.Workers,
-			func(i int) (map[smart.Feature][]float64, error) { return p.drives[i].cols, nil })
+		err := writeSpillFile(path, m, st.src.Days(), p.refs, tabs[0].features(), nDays, st.opts.Workers,
+			func(i int) (*colTable, error) { return tabs[i], nil })
 		if err != nil {
 			return err
 		}
@@ -833,33 +913,7 @@ func (s *Snapshot) DayColumns(m smart.ModelID, day int) ([]smart.Feature, [][]fl
 		return nil, nil, nil, err
 	}
 	if sf := p.sp.Load(); sf != nil {
-		if day == 0 && sf.total == int64(len(p.refs)) {
-			// Every drive spans exactly one day: each feature column of
-			// the blob is the scoring column, in inventory order.
-			cols := make([][]float64, len(sf.feats))
-			for fi := range sf.feats {
-				cols[fi] = sf.column(fi)
-			}
-			return sf.feats, cols, p.refs, nil
-		}
-		var alive []dataset.DriveRef
-		var idxs []int
-		for i, r := range p.refs {
-			if sf.offs[i+1]-sf.offs[i] > int64(day) {
-				alive = append(alive, r)
-				idxs = append(idxs, i)
-			}
-		}
-		cols := make([][]float64, len(sf.feats))
-		for fi := range sf.feats {
-			col := sf.column(fi)
-			out := make([]float64, len(idxs))
-			for j, i := range idxs {
-				out[j] = col[sf.offs[i]+int64(day)]
-			}
-			cols[fi] = out
-		}
-		return sf.feats, cols, alive, nil
+		return sf.dayColumns(p.refs, day)
 	}
 	if err := s.st.fetchPartition(context.Background(), p); err != nil {
 		return nil, nil, nil, err
@@ -867,28 +921,71 @@ func (s *Snapshot) DayColumns(m smart.ModelID, day int) ([]smart.Feature, [][]fl
 	if len(p.drives) == 0 {
 		return nil, nil, nil, nil
 	}
-	p.drives[0].mu.Lock()
-	feats := sortedFeatures(p.drives[0].cols)
-	p.drives[0].mu.Unlock()
+	var feats []smart.Feature
 	var alive []dataset.DriveRef
-	var idxs []int
+	var tabs []*colTable
 	for i, dc := range p.drives {
+		dc.mu.Lock()
+		tbl := dc.cols
+		dc.mu.Unlock()
+		if tbl == nil {
+			// A concurrent Spill released the tables after publishing
+			// the file, which now serves the partition.
+			if sf := p.sp.Load(); sf != nil {
+				return sf.dayColumns(p.refs, day)
+			}
+			return nil, nil, nil, fmt.Errorf("store: model %v drive %d has no columns", m, p.refs[i].ID)
+		}
+		if i == 0 {
+			feats = tbl.features()
+		}
 		if dc.lastDay >= day {
 			alive = append(alive, p.refs[i])
-			idxs = append(idxs, i)
+			tabs = append(tabs, tbl)
 		}
 	}
 	cols := make([][]float64, len(feats))
 	for fi, ft := range feats {
-		out := make([]float64, len(idxs))
-		for j, i := range idxs {
-			col := p.drives[i].cols[ft]
+		out := make([]float64, len(tabs))
+		for j, tbl := range tabs {
+			col := tbl[ft.Index()]
 			if day >= len(col) {
-				return nil, nil, nil, fmt.Errorf("store: drive %d feature %v has %d days, day %d requested", p.refs[i].ID, ft, len(col), day)
+				return nil, nil, nil, fmt.Errorf("store: drive %d feature %v has %d days, day %d requested", alive[j].ID, ft, len(col), day)
 			}
 			out[j] = col[day]
 		}
 		cols[fi] = out
 	}
 	return feats, cols, alive, nil
+}
+
+// dayColumns is DayColumns served from the spill file.
+func (sf *spillFile) dayColumns(refs []dataset.DriveRef, day int) ([]smart.Feature, [][]float64, []dataset.DriveRef, error) {
+	if day == 0 && sf.total == int64(len(refs)) {
+		// Every drive spans exactly one day: each feature column of
+		// the blob is the scoring column, in inventory order.
+		cols := make([][]float64, len(sf.feats))
+		for fi := range sf.feats {
+			cols[fi] = sf.column(fi)
+		}
+		return sf.feats, cols, refs, nil
+	}
+	var alive []dataset.DriveRef
+	var idxs []int
+	for i, r := range refs {
+		if sf.offs[i+1]-sf.offs[i] > int64(day) {
+			alive = append(alive, r)
+			idxs = append(idxs, i)
+		}
+	}
+	cols := make([][]float64, len(sf.feats))
+	for fi := range sf.feats {
+		col := sf.column(fi)
+		out := make([]float64, len(idxs))
+		for j, i := range idxs {
+			out[j] = col[sf.offs[i]+int64(day)]
+		}
+		cols[fi] = out
+	}
+	return sf.feats, cols, alive, nil
 }
