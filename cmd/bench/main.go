@@ -12,12 +12,12 @@
 //
 // Benchmarks cover the training hot loop (forest-fit, gbdt-fit; both
 // grow trees by histogram-binned split search, and hist-bin times the
-// binning they start with on a training-frame-sized matrix), batch
-// scoring (forest-predict-batch), the simulator's series generation
-// (series-gen, series-gen-batch), million-drive daily scoring through
-// the compiled flat kernel over a disk-spilled columnar fleet
-// (fleet-score; size it with -fleet-drives, default 1,000,000 or
-// 50,000 under -quick), one warm store-backed Scorer.ScoreInto day
+// binning they start with on a training-frame-sized matrix), the
+// simulator's series generation (series-gen, series-gen-batch),
+// million-drive daily scoring through the compiled flat kernel over a
+// disk-spilled columnar fleet (fleet-score; size it with
+// -fleet-drives, default 1,000,000 or 50,000 under -quick), one warm
+// store-backed Scorer.ScoreInto day
 // over a 500-drive MC1 fleet with a two-group WEFR snapshot
 // (scorer-fleet-pass: the one window scorer behind a phase's
 // calibration and test scoring, the serving daemon's fleet endpoint
@@ -350,7 +350,6 @@ type bench struct {
 
 var benches = []bench{
 	{name: "forest-fit", fn: benchForestFit},
-	{name: "forest-predict-batch", fn: benchForestPredictBatch},
 	{name: "gbdt-fit", fn: benchGBDTFit},
 	{name: "hist-bin", fn: benchHistBin},
 	{name: "series-gen", fn: benchSeriesGen},
@@ -415,24 +414,6 @@ func benchForestFit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := forest.Fit(cols, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchForestPredictBatch measures fleet-wide batch scoring with a
-// fitted forest.
-func benchForestPredictBatch(b *testing.B) {
-	cols, y := synthData(4000, 60, 2)
-	f, err := forest.Fit(cols, y, forest.Config{NumTrees: 30, MaxDepth: 12, Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scoreCols, _ := synthData(20000, 60, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.PredictProbaAll(scoreCols); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -287,12 +287,12 @@ func TestStageStatsOnResult(t *testing.T) {
 // TestFlatScoringParity pins the engine-level guarantee behind the
 // compiled scoring path: a phase scored through the flat models decoded
 // from its snapshot is bit-identical, probability by probability, to
-// pointer forests refit from the same training frames and config (fits
-// are deterministic) scoring the frames the frame-path reference
-// (frameScore) builds for each group. Histogram binning caps a forest at 255 distinct cuts per
-// feature, so chunked code columns (more than 254 cuts) are covered in
-// internal/flat by TestChunkedCutsBitExact, payload round trip
-// included.
+// forests refit from the same training frames and config (fits are
+// deterministic) scoring, row by row through forest.PredictProba, the
+// frames the frame-path reference (frameScore) builds for each group.
+// Histogram binning caps a forest at 255 distinct cuts per feature, so
+// chunked code columns (more than 254 cuts) are covered in internal/flat
+// by TestChunkedCutsBitExact, payload round trip included.
 func TestFlatScoringParity(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		src := testSource(t)
@@ -337,13 +337,10 @@ func TestFlatScoringParity(t *testing.T) {
 			if fr == nil {
 				continue
 			}
-			probs, err := f.PredictProbaAll(frameCols(fr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, p := range probs {
+			x := make([]float64, fr.NumFeatures())
+			for r := 0; r < fr.NumRows(); r++ {
 				m := fr.Meta(r)
-				ptrScores[driveDay{m.DriveID, m.Day}] = p
+				ptrScores[driveDay{m.DriveID, m.Day}] = f.PredictProba(fr.Row(r, x))
 			}
 		}
 		scored := 0

@@ -15,9 +15,9 @@
 //	code(v) <= splitBin  <=>  v <= threshold
 //
 // holds for all float64 values by construction, so flat predictions are
-// bit-identical to the pointer forest, including NaN routing via each
-// node's missing-direction bit and the ordering of float accumulation
-// across trees.
+// bit-identical to the source forest's row-wise PredictProba, including
+// NaN routing via each node's missing-direction bit and the ordering of
+// float accumulation across trees.
 //
 // Scoring is row-blocked: a block of rows is quantized into an
 // L2-resident code matrix, then each tree partitions the block's row
@@ -101,6 +101,9 @@ func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*q
 		for i, f := range fs {
 			if f < 0 {
 				continue
+			}
+			if f >= nFeatures {
+				return nil, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, nFeatures)
 			}
 			// +0.0 canonicalizes any -0.0 threshold; routing at the cut
 			// is identical since -0.0 == 0.0 under float compares.
@@ -216,8 +219,8 @@ type Forest struct {
 
 // compileTree renumbers one tree's nodes into BFS order with adjacent
 // siblings and translates thresholds to codes. Inputs are the parallel
-// arrays of the source encoding; a nil DefaultLeft routes missing
-// right, matching pre-missing-support encodings.
+// arrays of the source encoding, checked by compile to hold one entry
+// per node.
 func compileTree(q *quantizer, e tree.Encoded) (flatTree, error) {
 	n := len(e.Feature)
 	if n == 0 || n > math.MaxInt32/2 {
@@ -248,15 +251,12 @@ func compileTree(q *quantizer, e tree.Encoded) (flatTree, error) {
 			ft.value = append(ft.value, e.Prob[src])
 			continue
 		}
-		if f >= len(q.cuts) {
-			return flatTree{}, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, len(q.cuts))
-		}
 		col, sb, err := q.cutIndex(f, e.Threshold[src])
 		if err != nil {
 			return flatTree{}, err
 		}
 		var ml uint8
-		if e.DefaultLeft != nil && e.DefaultLeft[src] {
+		if e.DefaultLeft[src] {
 			ml = 1
 		}
 		ft.featOff = append(ft.featOff, int32(col)<<blockShift)
@@ -265,6 +265,10 @@ func compileTree(q *quantizer, e tree.Encoded) (flatTree, error) {
 		ft.left = append(ft.left, int32(len(order))) // next frontier slot
 		ft.value = append(ft.value, 0)
 		order = append(order, e.Left[src], e.Right[src])
+		if len(order) > n {
+			// A child link back up the tree: the walk would not end.
+			return flatTree{}, fmt.Errorf("%w: more than %d nodes reachable", ErrNotCompilable, n)
+		}
 	}
 	if len(order) != n {
 		return flatTree{}, fmt.Errorf("%w: %d reachable of %d nodes", ErrNotCompilable, len(order), n)
@@ -294,6 +298,16 @@ func compile(nf int, encs []tree.Encoded) (*Forest, error) {
 	features := make([][]int, len(encs))
 	thresholds := make([][]float64, len(encs))
 	for i, e := range encs {
+		if e.NFeatures != nf {
+			return nil, fmt.Errorf("%w: tree %d has %d features, forest %d", ErrNotCompilable, i, e.NFeatures, nf)
+		}
+		// Every array has one entry per node: tree.Export fills
+		// DefaultLeft for leaves too.
+		n := len(e.Feature)
+		if len(e.Threshold) != n || len(e.Left) != n || len(e.Right) != n ||
+			len(e.Prob) != n || len(e.DefaultLeft) != n {
+			return nil, fmt.Errorf("%w: tree %d has node arrays misaligned with %d nodes", ErrNotCompilable, i, n)
+		}
 		features[i] = e.Feature
 		thresholds[i] = e.Threshold
 	}
@@ -302,10 +316,7 @@ func compile(nf int, encs []tree.Encoded) (*Forest, error) {
 		return nil, err
 	}
 	out := &Forest{q: q, nFeatures: nf}
-	for i, e := range encs {
-		if e.NFeatures != nf {
-			return nil, fmt.Errorf("%w: tree %d has %d features, forest %d", ErrNotCompilable, i, e.NFeatures, nf)
-		}
+	for _, e := range encs {
 		ft, err := compileTree(q, e)
 		if err != nil {
 			return nil, err

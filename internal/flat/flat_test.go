@@ -103,8 +103,12 @@ func TestForestFlatBitExact(t *testing.T) {
 			}
 			in := scoreInputs(cols, testRows, 101)
 			want := make([]float64, testRows)
-			if err := f.PredictProbaBatch(in, want); err != nil {
-				t.Fatal(err)
+			x := make([]float64, len(in))
+			for i := range want {
+				for j := range in {
+					x[j] = in[j][i]
+				}
+				want[i] = f.PredictProba(x)
 			}
 			for _, workers := range []int{1, 2, 3} {
 				fl.Workers = workers
@@ -118,36 +122,169 @@ func TestForestFlatBitExact(t *testing.T) {
 	}
 }
 
-// compileOne compiles a single tree as a one-tree forest through the
-// production compile path; dividing its sums by one tree count keeps
-// every probability bit-identical to the tree's own.
-func compileOne(t *testing.T, cl *tree.Classifier) *Forest {
+// walk is the reference the kernel is held to: the probability of the
+// leaf row i of cols reaches in the encoded tree, routing by float
+// compare and missing (NaN) values by each node's DefaultLeft.
+func walk(e tree.Encoded, cols [][]float64, i int) float64 {
+	k := 0
+	for e.Feature[k] >= 0 {
+		v := cols[e.Feature[k]][i]
+		if v <= e.Threshold[k] || (v != v && e.DefaultLeft[k]) {
+			k = e.Left[k]
+		} else {
+			k = e.Right[k]
+		}
+	}
+	return e.Prob[k]
+}
+
+// walkRows scores every row of cols through walk, summing the trees in
+// order and then dividing, as forest.Forest.PredictProba does.
+func walkRows(encs []tree.Encoded, cols [][]float64) []float64 {
+	out := make([]float64, len(cols[0]))
+	for i := range out {
+		for _, e := range encs {
+			out[i] += walk(e, cols, i)
+		}
+		out[i] /= float64(len(encs))
+	}
+	return out
+}
+
+// compileEncoded compiles hand-built trees through the production
+// compile path.
+func compileEncoded(t *testing.T, encs ...tree.Encoded) *Forest {
 	t.Helper()
-	e := cl.Export()
-	fl, err := compile(e.NFeatures, []tree.Encoded{e})
+	fl, err := compile(encs[0].NFeatures, encs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fl
 }
 
+// randomTree builds a seeded nf-feature tree in the preorder
+// tree.Export emits: random split features, thresholds drawn from the
+// feature's cut pool (so nodes and trees repeat cuts), mixed missing
+// directions, and random leaf probabilities.
+func randomTree(rng *rand.Rand, nf, depth int, pools [][]float64) tree.Encoded {
+	e := tree.Encoded{NFeatures: nf}
+	var grow func(d int) int
+	grow = func(d int) int {
+		k := len(e.Feature)
+		e.Feature = append(e.Feature, -1)
+		e.Threshold = append(e.Threshold, 0)
+		e.Left = append(e.Left, 0)
+		e.Right = append(e.Right, 0)
+		e.Prob = append(e.Prob, rng.Float64())
+		e.DefaultLeft = append(e.DefaultLeft, false)
+		if d == depth || (d > 1 && rng.Intn(5) == 0) {
+			return k
+		}
+		f := rng.Intn(nf)
+		e.Feature[k] = f
+		e.Threshold[k] = pools[f][rng.Intn(len(pools[f]))]
+		e.DefaultLeft[k] = rng.Intn(2) == 0
+		l := grow(d + 1)
+		e.Left[k], e.Right[k] = l, grow(d+1)
+		return k
+	}
+	grow(0)
+	return e
+}
+
+// cutPool draws a feature's candidate thresholds: continuous values,
+// small integers and their midpoints, both zeros, and extreme
+// magnitudes. A pool of more than maxCuts values lets a forest's cut
+// set spill into several code columns.
+func cutPool(rng *rand.Rand, size int) []float64 {
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e300, -1e300, math.MaxFloat64}
+	pool := make([]float64, size)
+	for i := range pool {
+		switch r := rng.Float64(); {
+		case r < 0.1:
+			pool[i] = specials[rng.Intn(len(specials))]
+		case r < 0.4:
+			pool[i] = float64(rng.Intn(12)) / 2
+		default:
+			pool[i] = rng.NormFloat64() * 10
+		}
+	}
+	return pool
+}
+
+// TestTreeFlatBitExact compiles seeded hand-built trees with arbitrary
+// thresholds (not bin cuts) and mixed missing directions, and requires
+// bit-identity with walkRows on inputs that hit every cut exactly, its
+// float neighbours, NaN, the infinities and both zeros.
 func TestTreeFlatBitExact(t *testing.T) {
-	cols, y := synth(700, 7, 31)
-	cl, err := tree.FitClassifier(cols, y, nil, tree.Config{MaxDepth: 7})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		seed             int64
+		nf, trees, depth int
+	}{
+		{1, 1, 1, 3}, {2, 3, 4, 6}, {3, 6, 8, 10}, {4, 4, 3, 12},
+		// Enough splits per feature to spill into chunked code columns.
+		{5, 3, 48, 12},
+	} {
+		seed, nf := tc.seed, tc.nf
+		rng := rand.New(rand.NewSource(seed))
+		pools := make([][]float64, nf)
+		near := make([][]float64, nf) // cuts and their float neighbours
+		for f := range pools {
+			pools[f] = cutPool(rng, 1+rng.Intn(800))
+			for _, c := range pools[f] {
+				near[f] = append(near[f], c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			}
+		}
+		encs := make([]tree.Encoded, tc.trees)
+		for i := range encs {
+			encs[i] = randomTree(rng, nf, tc.depth, pools)
+		}
+		fl := compileEncoded(t, encs...)
+		in := scoreInputs(near, testRows, seed+300)
+		want := walkRows(encs, in)
+		for _, workers := range []int{1, 3} {
+			fl.Workers = workers
+			got := make([]float64, testRows)
+			if err := fl.PredictProbaBatch(in, got); err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, want, got, fmt.Sprintf("seed %d (%d features, %d trees, %d code columns)", seed, nf, len(encs), len(fl.q.cols)))
+		}
 	}
-	fl := compileOne(t, cl)
-	in := scoreInputs(cols, testRows, 303)
-	want := make([]float64, testRows)
-	if err := cl.PredictProbaBatch(in, want); err != nil {
-		t.Fatal(err)
+}
+
+// TestCompileRejectsBadEncoding pins that compile returns
+// ErrNotCompilable, not a panic or a hang, for an encoding that is not
+// a tree: every node array must hold one entry per node (a missing
+// DefaultLeft no longer means "missing goes right"), split features
+// must be in range, and child links must not cycle.
+func TestCompileRejectsBadEncoding(t *testing.T) {
+	e := tree.Encoded{
+		Feature:     []int{0, -1, -1},
+		Threshold:   []float64{5, 0, 0},
+		Left:        []int{1, 0, 0},
+		Right:       []int{2, 0, 0},
+		Prob:        []float64{0.5, 0.1, 0.9},
+		DefaultLeft: []bool{true, false, false},
+		NFeatures:   1,
 	}
-	got := make([]float64, testRows)
-	if err := fl.PredictProbaBatch(in, got); err != nil {
-		t.Fatal(err)
+	if _, err := compile(1, []tree.Encoded{e}); err != nil {
+		t.Fatalf("aligned tree: %v", err)
 	}
-	requireBitEqual(t, want, got, "tree")
+	for name, mutate := range map[string]func(*tree.Encoded){
+		"nil DefaultLeft":   func(e *tree.Encoded) { e.DefaultLeft = nil },
+		"short DefaultLeft": func(e *tree.Encoded) { e.DefaultLeft = e.DefaultLeft[:1] },
+		"short Prob":        func(e *tree.Encoded) { e.Prob = e.Prob[:2] },
+		"short Threshold":   func(e *tree.Encoded) { e.Threshold = e.Threshold[:2] },
+		"feature range":     func(e *tree.Encoded) { e.Feature = []int{1, -1, -1} },
+		"self child":        func(e *tree.Encoded) { e.Left = []int{0, 0, 0} },
+	} {
+		bad := e
+		mutate(&bad)
+		if _, err := compile(1, []tree.Encoded{bad}); !errors.Is(err, ErrNotCompilable) {
+			t.Errorf("%s: %v, want ErrNotCompilable", name, err)
+		}
+	}
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -189,8 +326,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 // splitting at the given thresholds in order, each sending its left
 // side to a leaf of distinct probability and its right side down the
 // chain. Missing values alternate between routing left and right.
-func chainTree(t *testing.T, thresholds []float64) *tree.Classifier {
-	t.Helper()
+func chainTree(thresholds []float64) tree.Encoded {
 	splits := len(thresholds)
 	n := 2*splits + 1
 	e := tree.Encoded{
@@ -214,16 +350,12 @@ func chainTree(t *testing.T, thresholds []float64) *tree.Classifier {
 		e.Right[at] = at + 2
 		e.DefaultLeft[at] = i%2 == 1
 	}
-	cl, err := tree.Import(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl
+	return e
 }
 
 // TestChunkedCutsBitExact compiles trees splitting one feature at more
 // than 254 distinct thresholds, which spill into several uint8 code
-// columns, and requires bit-identity with the pointer tree on every
+// columns, and requires bit-identity with walkRows on every
 // chunk edge: each chunk's first and last cut, the values between
 // chunks, the neighbours of every cut, the zeros, the infinities and
 // NaN. The payload round trip must preserve the chunked layout.
@@ -241,8 +373,8 @@ func TestChunkedCutsBitExact(t *testing.T) {
 			for i, j := range rng.Perm(splits) {
 				order[i] = cuts[j]
 			}
-			cl := chainTree(t, order)
-			fl := compileOne(t, cl)
+			e := chainTree(order)
+			fl := compileEncoded(t, e)
 			chunks := (splits + maxCuts - 1) / maxCuts
 			if got := len(fl.q.cols); got != chunks {
 				t.Fatalf("%d code columns, want %d", got, chunks)
@@ -268,10 +400,7 @@ func TestChunkedCutsBitExact(t *testing.T) {
 				in = append(in, rng.NormFloat64()*float64(splits)/4)
 			}
 			cols := [][]float64{in}
-			want := make([]float64, len(in))
-			if err := cl.PredictProbaBatch(cols, want); err != nil {
-				t.Fatal(err)
-			}
+			want := walkRows([]tree.Encoded{e}, cols)
 			got := make([]float64, len(in))
 			if err := fl.PredictProbaBatch(cols, got); err != nil {
 				t.Fatal(err)
@@ -303,16 +432,9 @@ func TestZeroRouting(t *testing.T) {
 		DefaultLeft: []bool{true, false, false},
 		NFeatures:   1,
 	}
-	cl, err := tree.Import(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := compileOne(t, cl)
+	fl := compileEncoded(t, e)
 	in := [][]float64{{math.Copysign(0, -1), 0.0, 5e-324, -5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}}
-	want := make([]float64, len(in[0]))
-	if err := cl.PredictProbaBatch(in, want); err != nil {
-		t.Fatal(err)
-	}
+	want := walkRows([]tree.Encoded{e}, in)
 	got := make([]float64, len(in[0]))
 	if err := fl.PredictProbaBatch(in, got); err != nil {
 		t.Fatal(err)

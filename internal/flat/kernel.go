@@ -59,9 +59,8 @@ func getScratch(nCols int) *scratch {
 }
 
 // PredictProbaBatch scores every row of column-major data, writing row
-// i's probability into out[i]. Bit-identical to
-// forest.Forest.PredictProbaBatch on the source forest for any worker
-// count on either side.
+// i's probability into out[i]. Bit-identical to a per-row
+// forest.Forest.PredictProba on the source forest for any worker count.
 //
 // Each block of rows is quantized and pushed through every tree,
 // summing the leaf probabilities each row reaches; the block's sums are
@@ -139,8 +138,8 @@ func (f *Forest) scoreBlock(cols [][]float64, out []float64, b int, sc *scratch)
 	for ti := range f.trees {
 		f.trees[ti].scoreBlockAdd(sc, bn)
 	}
-	// Divide (not multiply-by-reciprocal) exactly as the pointer forest
-	// does, keeping results bit-identical.
+	// Divide (not multiply-by-reciprocal) exactly as
+	// forest.Forest.PredictProba does, keeping results bit-identical.
 	nt := float64(len(f.trees))
 	for i := range acc {
 		acc[i] /= nt

@@ -56,7 +56,6 @@ func DefaultConfig() Config {
 type Forest struct {
 	trees     []*tree.Classifier
 	nFeatures int
-	cfg       Config
 }
 
 // Fit trains a forest on column-major data (cols[f][i] is feature f of
@@ -85,7 +84,6 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 	f := &Forest{
 		trees:     make([]*tree.Classifier, cfg.NumTrees),
 		nFeatures: len(cols),
-		cfg:       cfg,
 	}
 
 	// Draw all bootstrap samples up-front from a single seeded source so
@@ -164,100 +162,16 @@ func Fit(cols [][]float64, y []int, cfg Config) (*Forest, error) {
 }
 
 // PredictProba returns the positive-class probability for one sample:
-// the mean of the per-tree leaf probabilities.
+// the mean of the per-tree leaf probabilities, summed in tree order and
+// then divided. It is the row-wise reference the compiled kernel
+// (internal/flat) is tested against; production scores through that
+// kernel.
 func (f *Forest) PredictProba(x []float64) float64 {
 	sum := 0.0
 	for _, t := range f.trees {
 		sum += t.PredictProba(x)
 	}
 	return sum / float64(len(f.trees))
-}
-
-// PredictProbaAll scores every row of column-major data and returns the
-// probabilities. Thin wrapper over PredictProbaBatch that allocates the
-// output.
-func (f *Forest) PredictProbaAll(cols [][]float64) ([]float64, error) {
-	if len(cols) == 0 {
-		return nil, ErrNoData
-	}
-	out := make([]float64, len(cols[0]))
-	if err := f.PredictProbaBatch(cols, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictProbaBatch scores every row of column-major data, writing row
-// i's probability into out[i]. cols must have the training feature
-// count, each column at least len(out) long. The (cols, out) error
-// shape is shared with tree.Classifier and the flat-compiled forest,
-// so callers swap one for the other without adapters.
-//
-// Rows are chunked across workers (Config.Workers if set, else
-// GOMAXPROCS); within a chunk each tree walks the columns directly, so
-// no per-row feature vector is ever gathered. Results are bit-identical
-// for any worker count: every row's probability is the same tree-order
-// sum regardless of which chunk computes it.
-func (f *Forest) PredictProbaBatch(cols [][]float64, out []float64) error {
-	if len(cols) != f.nFeatures {
-		return fmt.Errorf("forest: %d columns, fitted with %d", len(cols), f.nFeatures)
-	}
-	if len(cols) == 0 {
-		return ErrNoData
-	}
-	n := len(out)
-	for j, c := range cols {
-		if len(c) < n {
-			return fmt.Errorf("forest: column %d has %d rows, out has %d", j, len(c), n)
-		}
-	}
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sub := make([][]float64, len(cols))
-			for j := range cols {
-				sub[j] = cols[j][lo:hi]
-			}
-			dst := out[lo:hi]
-			// out is an accumulator for the tree sum and may be a
-			// recycled buffer: initialize it, never assume zeroes.
-			for i := range dst {
-				dst[i] = 0
-			}
-			for _, t := range f.trees {
-				t.PredictProbaBatchAdd(sub, dst)
-			}
-			// Divide (not multiply-by-reciprocal) so batch results are
-			// bit-identical to the per-row PredictProba sum/divide.
-			nt := float64(len(f.trees))
-			for i := range dst {
-				dst[i] /= nt
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return nil
 }
 
 // NumTrees returns the number of fitted trees.

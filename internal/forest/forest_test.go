@@ -91,8 +91,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestWorkerCountInvariance(t *testing.T) {
 	// Serial and parallel fits must be bit-identical: bootstraps and
-	// tree seeds are drawn up front from one RNG, and scoring chunks
-	// accumulate in tree order regardless of which worker owns a row.
+	// tree seeds are drawn up front from one RNG.
 	cols, y := blobs(300, 3, 6)
 	serial, err := Fit(cols, y, Config{NumTrees: 12, MaxDepth: 6, Seed: 11, Workers: 1})
 	if err != nil {
@@ -115,14 +114,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("importance[%d]: serial %v != parallel %v", f, impS[f], impP[f])
 		}
 	}
-	probS, err := serial.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probP, err := parallel.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probS, probP := predictRows(serial, cols), predictRows(parallel, cols)
 	for i := range probS {
 		if probS[i] != probP[i] {
 			t.Fatalf("prob[%d]: serial %v != parallel %v", i, probS[i], probP[i])
@@ -130,30 +122,18 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestPredictProbaAll(t *testing.T) {
-	cols, y := blobs(200, 1, 4)
-	f, err := Fit(cols, y, Config{NumTrees: 10, MaxDepth: 5, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs, err := f.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probs) != 200 {
-		t.Fatalf("probs len = %d", len(probs))
-	}
-	// Batch prediction must match per-row prediction.
-	x := make([]float64, 2)
-	for i := 0; i < 20; i++ {
-		x[0], x[1] = cols[0][i], cols[1][i]
-		if probs[i] != f.PredictProba(x) {
-			t.Fatalf("batch prob[%d] = %v, row prob = %v", i, probs[i], f.PredictProba(x))
+// predictRows scores every row of column-major data through the
+// row-wise PredictProba.
+func predictRows(f *Forest, cols [][]float64) []float64 {
+	out := make([]float64, len(cols[0]))
+	x := make([]float64, len(cols))
+	for i := range out {
+		for j := range cols {
+			x[j] = cols[j][i]
 		}
+		out[i] = f.PredictProba(x)
 	}
-	if _, err := f.PredictProbaAll([][]float64{{1}}); err == nil {
-		t.Error("wrong column count should fail")
-	}
+	return out
 }
 
 func TestImpurityImportanceFindsSignal(t *testing.T) {

@@ -38,10 +38,7 @@ func TestHistWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs, err := f.PredictProbaAll(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
+		probs := predictRows(f, cols)
 		imp, err := f.ImpurityImportance()
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,10 @@
 package gbdt
 
-import "repro/internal/presort"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // fitExact is the exact-split reference TestHistMatchesExactPredictions
 // compares Fit against: every round grows its tree level by level,
@@ -13,10 +17,12 @@ func fitExact(cols [][]float64, y []int, cfg Config) (*Model, error) {
 	}
 	cfg = m.cfg
 	n := len(y)
-	// Presort row indices per feature once (shared sort machinery with
-	// internal/tree); every tree reuses the ordering through the nodeOf
-	// partition masks.
-	order := presort.All(cols)
+	// Presort row indices per feature once; every tree reuses the
+	// ordering through the nodeOf partition masks.
+	order := make([][]int32, len(cols))
+	for f, col := range cols {
+		order[f] = argsort(col)
+	}
 
 	margin := make([]float64, n)
 	for i := range margin {
@@ -311,4 +317,29 @@ func (t *regTree) predictBatchAdd(cols [][]float64, scale float64, out []float64
 			}
 		}
 	}
+}
+
+// argsort returns the row indices of col sorted ascending in floatKey
+// order, ties broken by row index.
+func argsort(col []float64) []int32 {
+	idx := make([]int32, len(col))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(floatKey(col[a]), floatKey(col[b])), cmp.Compare(a, b))
+	})
+	return idx
+}
+
+// floatKey maps a float64 to a uint64 whose unsigned order is a total
+// order of the floats: -0 sorts before +0 and a quiet NaN above +Inf,
+// so the rows with a missing (NaN) value form a contiguous tail of
+// every sorted order.
+func floatKey(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u&(1<<63) != 0 {
+		return ^u
+	}
+	return u | 1<<63
 }

@@ -1,12 +1,12 @@
 // Package hist implements histogram binning for the tree learners: each
 // feature column is quantized once per dataset into at most 256 bins
 // (including a dedicated missing bin), after which split search scans
-// per-node bin histograms instead of presorted rows.
+// per-node bin histograms instead of sorted rows.
 //
 // Cut points are quantile-based: when a column has fewer distinct finite
 // values than bins, every distinct value gets its own bin (SMART
 // counters are low-cardinality integers, so this is the common case and
-// makes binned split search exactly as expressive as the presorted exact
+// makes binned split search exactly as expressive as an exact sorted
 // scan); otherwise cuts are placed at evenly spaced ranks of the sorted
 // finite values. Missing (NaN) values always map to a dedicated bin one
 // past the finite bins, so the learners' sparsity-aware default-direction
@@ -385,8 +385,8 @@ func searchCuts(ks []uint64, k uint64) int {
 // a < b: their midpoint, or a itself when the midpoint does not land
 // strictly below b (adjacent floats, ±Inf endpoints whose midpoint
 // overflows or degenerates). Mirrors the fallback of the exact
-// reference (tree.FitClassifier) so both route unseen values
-// identically.
+// reference grower in internal/tree's tests so both route unseen
+// values identically.
 func cutBetween(a, b float64) float64 {
 	mid := a/2 + b/2
 	if !(mid < b) || math.IsNaN(mid) {

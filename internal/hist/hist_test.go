@@ -1,13 +1,13 @@
 package hist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/presort"
 )
 
 func TestBinConstantColumn(t *testing.T) {
@@ -183,13 +183,25 @@ func binReference(cols [][]float64, maxBins int) *Matrix {
 	if len(cols) > 0 {
 		m.rows = len(cols[0])
 	}
-	ord := make([]int32, m.rows)
 	for f, col := range cols {
-		presort.ArgsortInto(ord, col)
+		ord := argsort(col)
 		m.thr[f] = buildCuts(col, ord, maxBins-1)
 		m.bins[f] = quantizeSorted(col, ord, m.thr[f])
 	}
 	return m
+}
+
+// argsort returns the row indices of col sorted ascending in floatKey
+// order (NaN after +Inf, -0 before +0), ties broken by row index.
+func argsort(col []float64) []int32 {
+	idx := make([]int32, len(col))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(floatKey(col[a]), floatKey(col[b])), cmp.Compare(a, b))
+	})
+	return idx
 }
 
 // buildCuts derives the per-bin upper thresholds of one column from its

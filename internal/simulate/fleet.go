@@ -249,8 +249,9 @@ func New(cfg Config) (*Fleet, error) {
 			case k < nFail:
 				d.Archetype = FirmwareFail
 				// Early-life failures on old firmware: first ~10
-				// months, at still-high MWI (the Fig 1 MC2 bump).
-				d.FailDay = 30 + rng.Intn(270)
+				// months, at still-high MWI (the Fig 1 MC2 bump),
+				// and never after the span ends.
+				d.FailDay = 30 + rng.Intn(min(270, cfg.Days-30))
 				d.WearRate = cappedWear()
 			default:
 				if rng.Float64() < ScareFraction {

@@ -124,6 +124,30 @@ func TestFailuresSortedAndLabeled(t *testing.T) {
 	}
 }
 
+// TestFailDayWithinShortSpan pins that every failure falls inside the
+// span on spans shorter than the firmware-failure window (300 days),
+// with MC2's firmware failures present.
+func TestFailDayWithinShortSpan(t *testing.T) {
+	for _, days := range []int{90, 150, 240, 299} {
+		f, err := New(Config{TotalDrives: 300, Days: days, Seed: int64(days), Models: []smart.ModelID{smart.MC2}, AFRScale: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		firmware := 0
+		for _, d := range f.Failures(smart.MC2) {
+			if d.FailDay >= days {
+				t.Errorf("days=%d: drive %d (%v) fails on day %d", days, d.ID, d.Archetype, d.FailDay)
+			}
+			if d.Archetype == FirmwareFail {
+				firmware++
+			}
+		}
+		if firmware == 0 {
+			t.Errorf("days=%d: no firmware failures; the test covers nothing", days)
+		}
+	}
+}
+
 func TestArchetypeMix(t *testing.T) {
 	f, err := New(Config{TotalDrives: 6000, Seed: 3})
 	if err != nil {

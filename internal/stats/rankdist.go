@@ -35,20 +35,6 @@ func MaxKendallTauDistance(n int) int {
 	return n * (n - 1) / 2
 }
 
-// NormalizedKendallTauDistance returns KendallTauDistance scaled to
-// [0, 1] by the number of pairs. For fewer than two items it returns 0.
-func NormalizedKendallTauDistance(rankA, rankB []float64) (float64, error) {
-	d, err := KendallTauDistance(rankA, rankB)
-	if err != nil {
-		return 0, err
-	}
-	pairs := MaxKendallTauDistance(len(rankA))
-	if pairs == 0 {
-		return 0, nil
-	}
-	return float64(d) / float64(pairs), nil
-}
-
 func sign(x float64) int {
 	switch {
 	case x < 0:
@@ -104,17 +90,6 @@ func ArgsortAscending(keys []float64) []int {
 		idx[i] = i
 	}
 	stableSortBy(idx, func(a, b int) bool { return keys[a] < keys[b] })
-	return idx
-}
-
-// ArgsortDescending returns the item indices ordered by descending key,
-// so that keys[result[0]] is the largest. Ties preserve original order.
-func ArgsortDescending(keys []float64) []int {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	stableSortBy(idx, func(a, b int) bool { return keys[a] > keys[b] })
 	return idx
 }
 

@@ -95,20 +95,6 @@ func TestMaxKendallTauDistance(t *testing.T) {
 	}
 }
 
-func TestNormalizedKendallTauDistance(t *testing.T) {
-	got, err := NormalizedKendallTauDistance([]float64{1, 2, 3}, []float64{3, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Errorf("normalized distance of reversal = %v, want 1", got)
-	}
-	got, err = NormalizedKendallTauDistance([]float64{1}, []float64{1})
-	if err != nil || got != 0 {
-		t.Errorf("single item = (%v, %v), want (0, nil)", got, err)
-	}
-}
-
 func TestScoresToRanks(t *testing.T) {
 	// Highest score gets rank 1.
 	ranks := ScoresToRanks([]float64{0.1, 0.9, 0.5})
@@ -150,10 +136,6 @@ func TestArgsort(t *testing.T) {
 	asc := ArgsortAscending(keys)
 	if asc[0] != 1 || asc[1] != 2 || asc[2] != 0 {
 		t.Errorf("ArgsortAscending = %v", asc)
-	}
-	desc := ArgsortDescending(keys)
-	if desc[0] != 0 || desc[1] != 2 || desc[2] != 1 {
-		t.Errorf("ArgsortDescending = %v", desc)
 	}
 }
 

@@ -78,15 +78,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by n-1),
-// or 0 if fewer than two samples were added.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
@@ -151,25 +142,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// ZScores returns the z-score of every element of xs relative to the
-// mean and population standard deviation of xs. If xs has zero variance
-// it returns ErrZeroVariance.
-func ZScores(xs []float64) ([]float64, error) {
-	mean, variance, err := MeanVariance(xs)
-	if err != nil {
-		return nil, err
-	}
-	if variance == 0 {
-		return nil, ErrZeroVariance
-	}
-	sd := math.Sqrt(variance)
-	zs := make([]float64, len(xs))
-	for i, x := range xs {
-		zs[i] = (x - mean) / sd
-	}
-	return zs, nil
 }
 
 // Ranks returns 1-based fractional ranks of xs, assigning tied values the
@@ -266,32 +238,6 @@ func Spearman(xs, ys []float64) (float64, error) {
 		return 0, ErrEmptyInput
 	}
 	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// WeightedMovingAverage returns the weighted moving average of xs with
-// the given window, where the most recent element in each window has the
-// highest weight (weights 1..window). The first window-1 outputs use the
-// partial window available so far, so the result has the same length as
-// the input.
-func WeightedMovingAverage(xs []float64, window int) ([]float64, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidWindow, window)
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		lo := i - window + 1
-		if lo < 0 {
-			lo = 0
-		}
-		var num, den float64
-		for j := lo; j <= i; j++ {
-			w := float64(j - lo + 1)
-			num += xs[j] * w
-			den += w
-		}
-		out[i] = num / den
-	}
-	return out, nil
 }
 
 // RollingStats describes the summary statistics of one rolling window.
@@ -398,37 +344,4 @@ func rollingRangeInto(out []RollingStats, xs []float64, window, from, to int) {
 			WMA:   num / den,
 		}
 	}
-}
-
-// Histogram bins xs into the given number of equal-width bins spanning
-// [min, max] and returns the per-bin counts along with the bin edges
-// (len(edges) == bins+1). Values equal to max fall into the last bin.
-func Histogram(xs []float64, bins int) (counts []int, edges []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmptyInput
-	}
-	if bins <= 0 {
-		return nil, nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	minV, maxV, _ := MinMax(xs)
-	counts = make([]int, bins)
-	edges = make([]float64, bins+1)
-	width := (maxV - minV) / float64(bins)
-	for i := range edges {
-		edges[i] = minV + float64(i)*width
-	}
-	edges[bins] = maxV
-	if width == 0 {
-		// All values identical: everything lands in bin 0.
-		counts[0] = len(xs)
-		return counts, edges, nil
-	}
-	for _, x := range xs {
-		b := int((x - minV) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges, nil
 }

@@ -73,12 +73,8 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 
 func TestWelfordZeroValue(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.SampleVariance() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("zero-value Welford should report zeros")
-	}
-	w.Add(5)
-	if w.SampleVariance() != 0 {
-		t.Error("single-sample SampleVariance should be 0")
 	}
 }
 
@@ -131,23 +127,6 @@ func TestQuantileInterpolates(t *testing.T) {
 	}
 	if !almostEqual(got, 3, eps) {
 		t.Errorf("Quantile = %v, want 3", got)
-	}
-}
-
-func TestZScores(t *testing.T) {
-	zs, err := ZScores([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Known example: mean 5, population std 2.
-	want := []float64{-1.5, -0.5, -0.5, -0.5, 0, 0, 1, 2}
-	for i := range zs {
-		if !almostEqual(zs[i], want[i], eps) {
-			t.Errorf("ZScores[%d] = %v, want %v", i, zs[i], want[i])
-		}
-	}
-	if _, err := ZScores([]float64{3, 3, 3}); !errors.Is(err, ErrZeroVariance) {
-		t.Errorf("ZScores(constant) error = %v, want ErrZeroVariance", err)
 	}
 }
 
@@ -298,43 +277,6 @@ func TestPearsonBounds(t *testing.T) {
 	}
 }
 
-func TestWeightedMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got, err := WeightedMovingAverage(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window 3 weights are 1,2,3 (most recent heaviest).
-	want := []float64{
-		1,
-		(1*1 + 2*2) / 3.0,
-		(1*1 + 2*2 + 3*3) / 6.0,
-		(2*1 + 3*2 + 4*3) / 6.0,
-	}
-	for i := range got {
-		if !almostEqual(got[i], want[i], eps) {
-			t.Errorf("WMA[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := WeightedMovingAverage(xs, 0); !errors.Is(err, ErrInvalidWindow) {
-		t.Errorf("WMA(window=0) error = %v, want ErrInvalidWindow", err)
-	}
-}
-
-func TestWMAConstantSeries(t *testing.T) {
-	// Property: WMA of a constant series is that constant everywhere.
-	xs := []float64{7, 7, 7, 7, 7, 7}
-	got, err := WeightedMovingAverage(xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if !almostEqual(v, 7, eps) {
-			t.Errorf("WMA[%d] = %v, want 7", i, v)
-		}
-	}
-}
-
 func TestRolling(t *testing.T) {
 	xs := []float64{5, 1, 3}
 	got, err := Rolling(xs, 2)
@@ -382,49 +324,6 @@ func TestRollingInvariants(t *testing.T) {
 				t.Fatalf("window %d pos %d: negative range %v", window, i, r.Range)
 			}
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 11 {
-		t.Errorf("histogram total = %d, want 11", total)
-	}
-	if len(edges) != 6 {
-		t.Errorf("edges len = %d, want 6", len(edges))
-	}
-	if edges[0] != 0 || edges[5] != 10 {
-		t.Errorf("edges = %v", edges)
-	}
-	// Max value must land in the last bin, not overflow.
-	if counts[4] < 1 {
-		t.Error("max value not in last bin")
-	}
-}
-
-func TestHistogramConstant(t *testing.T) {
-	counts, _, err := Histogram([]float64{2, 2, 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 {
-		t.Errorf("constant histogram counts = %v, want all in bin 0", counts)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, _, err := Histogram(nil, 3); !errors.Is(err, ErrEmptyInput) {
-		t.Errorf("Histogram(nil) error = %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("Histogram(bins=0) should error")
 	}
 }
 

@@ -65,10 +65,11 @@ func (s *HistScratch) ensure(features, rows int) {
 // partition cost is a single pass regardless of feature count.
 //
 // Candidate cuts lie on the matrix's global bin boundaries, so deep in
-// the tree the split thresholds can differ from the exact reference's
-// (FitClassifier) node-local midpoints, but on columns with fewer
-// distinct values than bins the candidate set — and therefore the grown
-// tree's routing of the in-bag (weight > 0) rows — is identical.
+// the tree the split thresholds can differ from the node-local
+// midpoints of the exact reference grower (exact_test.go), but on
+// columns with fewer distinct values than bins the candidate set — and
+// therefore the grown tree's routing of the in-bag (weight > 0) rows —
+// is identical.
 //
 // sc may be nil; passing a reused HistScratch eliminates per-fit
 // allocation of the row list.
@@ -201,7 +202,7 @@ func (b *binnedBuilder) grow(lo, hi, wTotal, wPos, depth int) int {
 // pass over the segment, then scans the bins cumulatively — evaluating
 // every nonempty boundary with missing routed right and (when the node
 // has missing rows) left, plus the finite/missing boundary itself,
-// exactly the candidate set of the presorted scan restricted to global
+// exactly the candidate set of the exact sorted scan restricted to global
 // bin boundaries.
 func (b *binnedBuilder) bestSplit(lo, hi, wTotal, wPos int) (feature, splitBin int, threshold, gain float64, wLeft, wPosLeft int, defaultLeft bool) {
 	parentImpurity := gini(wPos, wTotal)

@@ -107,7 +107,7 @@ func TestFitMissingDeterministic(t *testing.T) {
 	})
 }
 
-func TestExportImportPreservesDefaultDirection(t *testing.T) {
+func TestExportPreservesDefaultDirection(t *testing.T) {
 	// Positives sit at low values with a third of them missing;
 	// negatives at high values. The best split joins the missing mass to
 	// the LEFT (low/positive) side, forcing a missing-left default.
@@ -134,48 +134,22 @@ func TestExportImportPreservesDefaultDirection(t *testing.T) {
 		t.Errorf("P(pos | missing) = %v, want >= 0.9 via missing-left routing", p)
 	}
 	enc := c.Export()
+	if enc.NFeatures != 2 || len(enc.DefaultLeft) != len(c.nodes) {
+		t.Fatalf("encoding has %d features, %d DefaultLeft entries for %d nodes",
+			enc.NFeatures, len(enc.DefaultLeft), len(c.nodes))
+	}
 	anyLeft := false
-	for _, dl := range enc.DefaultLeft {
-		anyLeft = anyLeft || dl
-	}
-	got, err := Import(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := [][]float64{
-		{math.NaN(), 5},
-		{3, math.NaN()},
-		{math.NaN(), math.NaN()},
-		{8, 2},
-	}
-	for _, x := range probes {
-		if a, b := c.PredictProba(x), got.PredictProba(x); a != b {
-			t.Errorf("prediction drift after roundtrip on %v: %v vs %v", x, a, b)
+	for i, nd := range c.nodes {
+		if enc.Feature[i] != nd.feature || enc.Threshold[i] != nd.threshold ||
+			enc.Left[i] != nd.left || enc.Right[i] != nd.right ||
+			enc.Prob[i] != nd.prob || enc.DefaultLeft[i] != nd.defaultLeft {
+			t.Fatalf("node %d: encoded differently from %+v", i, nd)
 		}
+		anyLeft = anyLeft || nd.defaultLeft
 	}
 	// The informative-missing construction must have produced at least
-	// one missing-left node for this roundtrip test to mean anything.
+	// one missing-left node for this test to mean anything.
 	if !anyLeft {
 		t.Error("no node learned a missing-left default; construction is broken")
-	}
-}
-
-func TestImportLegacyEncodingRoutesMissingRight(t *testing.T) {
-	// A hand-built single-split encoding without DefaultLeft must keep
-	// the historical behaviour: NaN fails v <= threshold and goes right.
-	enc := Encoded{
-		Feature:   []int{0, -1, -1},
-		Threshold: []float64{5, 0, 0},
-		Left:      []int{1, 0, 0},
-		Right:     []int{2, 0, 0},
-		Prob:      []float64{0.5, 0.1, 0.9},
-		NFeatures: 1,
-	}
-	c, err := Import(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := c.PredictProba([]float64{math.NaN()}); p != 0.9 {
-		t.Errorf("legacy encoding routed NaN to prob %v, want right leaf 0.9", p)
 	}
 }

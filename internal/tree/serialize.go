@@ -1,12 +1,7 @@
 package tree
 
-import (
-	"errors"
-	"fmt"
-)
-
-// Encoded is the serializable form of a fitted classification tree:
-// parallel arrays over nodes, suitable for JSON or gob. Leaves have
+// Encoded is the exported form of a fitted classification tree:
+// parallel arrays over nodes, which internal/flat compiles. Leaves have
 // Feature[i] == -1.
 type Encoded struct {
 	Feature   []int
@@ -14,20 +9,14 @@ type Encoded struct {
 	Left      []int
 	Right     []int
 	Prob      []float64
-	// DefaultLeft records, per internal node, where rows with a missing
-	// (NaN) split-feature value are routed. Omitted (nil) in encodings
-	// predating missing-value support, which routed missing right.
+	// DefaultLeft records, per internal node, whether rows with a
+	// missing (NaN) split-feature value are routed left.
 	DefaultLeft []bool
 	NFeatures   int
 }
 
-// ErrBadEncoding indicates an Encoded value that does not describe a
-// valid tree.
-var ErrBadEncoding = errors.New("tree: bad encoding")
-
-// Export returns the serializable form of the tree. Importances and
-// training-only state are not exported; a re-imported tree predicts
-// identically but cannot report importance.
+// Export returns the encoded form of the tree. Importances and
+// training-only state are not exported.
 func (t *Classifier) Export() Encoded {
 	n := len(t.nodes)
 	e := Encoded{
@@ -48,52 +37,4 @@ func (t *Classifier) Export() Encoded {
 		e.DefaultLeft[i] = nd.defaultLeft
 	}
 	return e
-}
-
-// Import reconstructs a prediction-ready classifier from its encoded
-// form, validating structural invariants (array alignment, child
-// indices in range, no self-links).
-func Import(e Encoded) (*Classifier, error) {
-	n := len(e.Feature)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: no nodes", ErrBadEncoding)
-	}
-	if len(e.Threshold) != n || len(e.Left) != n || len(e.Right) != n || len(e.Prob) != n {
-		return nil, fmt.Errorf("%w: misaligned arrays", ErrBadEncoding)
-	}
-	if e.DefaultLeft != nil && len(e.DefaultLeft) != n {
-		return nil, fmt.Errorf("%w: misaligned arrays", ErrBadEncoding)
-	}
-	if e.NFeatures <= 0 {
-		return nil, fmt.Errorf("%w: NFeatures = %d", ErrBadEncoding, e.NFeatures)
-	}
-	t := &Classifier{nFeatures: e.NFeatures, nodes: make([]node, n)}
-	for i := 0; i < n; i++ {
-		f := e.Feature[i]
-		if f >= e.NFeatures {
-			return nil, fmt.Errorf("%w: node %d splits feature %d of %d", ErrBadEncoding, i, f, e.NFeatures)
-		}
-		if f >= 0 {
-			l, r := e.Left[i], e.Right[i]
-			if l <= i || r <= i || l >= n || r >= n {
-				// Children always follow parents in the builder's
-				// append order; anything else cannot terminate.
-				return nil, fmt.Errorf("%w: node %d has children %d/%d", ErrBadEncoding, i, l, r)
-			}
-		}
-		if e.Prob[i] < 0 || e.Prob[i] > 1 {
-			return nil, fmt.Errorf("%w: node %d prob %v", ErrBadEncoding, i, e.Prob[i])
-		}
-		t.nodes[i] = node{
-			feature:   f,
-			threshold: e.Threshold[i],
-			left:      e.Left[i],
-			right:     e.Right[i],
-			prob:      e.Prob[i],
-		}
-		if e.DefaultLeft != nil {
-			t.nodes[i].defaultLeft = e.DefaultLeft[i]
-		}
-	}
-	return t, nil
 }

@@ -326,40 +326,13 @@ func TestAdjacentFloatThresholds(t *testing.T) {
 		if c.NumNodes() < 3 {
 			t.Fatalf("no splits on adjacent-float data: %d nodes", c.NumNodes())
 		}
-		probs := make([]float64, n)
-		c.PredictProbaBatch(cols, probs)
-		for i, p := range probs {
-			if p < 0 || p > 1 {
+		x := make([]float64, len(cols))
+		for i := range y {
+			for f := range cols {
+				x[f] = cols[f][i]
+			}
+			if p := c.PredictProba(x); p < 0 || p > 1 {
 				t.Fatalf("row %d probability out of range: %v", i, p)
-			}
-		}
-	})
-}
-
-func TestPredictProbaBatchMatchesSingle(t *testing.T) {
-	eachGrower(t, func(t *testing.T, fit fitFunc) {
-		cols, y := xorData(400, 12)
-		c, err := fit(cols, y, nil, Config{MaxDepth: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, len(y))
-		c.PredictProbaBatch(cols, out)
-		x := make([]float64, 2)
-		for i := range out {
-			x[0], x[1] = cols[0][i], cols[1][i]
-			if want := c.PredictProba(x); out[i] != want {
-				t.Fatalf("row %d: batch %v != single %v", i, out[i], want)
-			}
-		}
-
-		// The additive variant accumulates on top of existing content.
-		acc := make([]float64, len(y))
-		c.PredictProbaBatchAdd(cols, acc)
-		c.PredictProbaBatchAdd(cols, acc)
-		for i := range acc {
-			if acc[i] != 2*out[i] {
-				t.Fatalf("row %d: accumulated %v != 2*%v", i, acc[i], out[i])
 			}
 		}
 	})
